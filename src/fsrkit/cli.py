@@ -189,7 +189,7 @@ def cmd_gal2fib(args) -> int:
     print(f"l = {result.l}")
     print(f"P = {format_delta(1 << result.l, result.partial.cols)}")
     print(f"T' = {format_delta(1 << result.l, result.window_map)}")
-    print(f"completions = {result.total_completions}")
+    print(f"completions = 2^{len(result.free_columns)}")
     shown = result.completions if args.all_completions else result.completions[:1]
     for L_c in shown:
         print(transition_to_delta(L_c))
@@ -273,6 +273,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (FsrFileError, ex.ParseError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the expression walkers recurse once per nesting level or operand
+        print("error: expression nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -29,23 +29,23 @@ class OutputSeq:
     def __post_init__(self):
         if not self.period:
             raise ValueError("period must be non-empty")
-        bits = set(self.preperiod) | set(self.period)
-        if bits - {0, 1}:
+        try:
+            pre, b = bytes(self.preperiod), bytes(self.period)
+        except (TypeError, ValueError):
+            raise ValueError("sequence entries must be bits") from None
+        if (pre + b).translate(None, b"\0\1"):
             raise ValueError("sequence entries must be bits")
-        d = len(self.period)
-        for k in range(1, d):
-            if d % k == 0 and all(self.period[i] == self.period[i % k] for i in range(d)):
-                raise ValueError("period is not primitive")
+        # a word is primitive iff it occurs in its own square only at 0 and d
+        if (b + b).find(b, 1) != len(b):
+            raise ValueError("period is not primitive")
         if self.preperiod and self.preperiod[-1] == self.period[-1]:
             raise ValueError("preperiod is not minimal")
 
     def bits(self, length: int) -> tuple[int, ...]:
         """First `length` bits of the unrolled sequence."""
-        out = list(self.preperiod[:length])
         p, d = len(self.preperiod), len(self.period)
-        for t in range(len(out), length):
-            out.append(self.period[(t - p) % d])
-        return tuple(out)
+        reps = max(0, -(-(length - p) // d))
+        return (self.preperiod + self.period * reps)[:length]
 
 
 def normalize_sequence(pre: Sequence[int], per: Sequence[int]) -> OutputSeq:
@@ -114,7 +114,45 @@ def output_sequence(L: TransitionMatrix, x0: int) -> OutputSeq:
 
 
 def all_output_sequences(L: TransitionMatrix) -> dict[int, OutputSeq]:
-    return {i: output_sequence(L, i) for i in range(1, (1 << L.n) + 1)}
+    """Output sequence of every initial state, in one pass over the
+    functional graph of L: each state is walked once, then takes its
+    sequence from its cycle or from its successor's sequence."""
+    size = 1 << L.n
+    half = size >> 1
+    cols = L.cols
+    seq: list[OutputSeq | None] = [None] * (size + 1)
+    # 1 + position on the current walk; stale marks sit on states that
+    # already have a sequence, which stops a walk before the mark is read
+    on_path = [0] * (size + 1)
+    for start in range(1, size + 1):
+        if seq[start] is not None:
+            continue
+        path = []
+        s = start
+        while seq[s] is None and not on_path[s]:
+            path.append(s)
+            on_path[s] = len(path)
+            s = cols[s - 1]
+        tail = path
+        if seq[s] is None:  # the walk closed a new cycle at s
+            c = on_path[s] - 1
+            tail, cycle = path[:c], path[c:]
+            b = bytes(1 if x <= half else 0 for x in cycle)
+            bb = b + b
+            d = bb.find(b, 1)  # primitive period of the cycle's output
+            rotations = [OutputSeq((), tuple(bb[k:k + d])) for k in range(d)]
+            for k, x in enumerate(cycle):
+                seq[x] = rotations[k % d]
+        nxt = seq[s]
+        for x in reversed(tail):
+            bit = 1 if x <= half else 0
+            pre, per = nxt.preperiod, nxt.period  # type: ignore[union-attr]
+            if not pre and per[-1] == bit:
+                nxt = OutputSeq((), (bit,) + per[:-1])
+            else:
+                nxt = OutputSeq((bit,) + pre, per)
+            seq[x] = nxt
+    return {i: seq[i] for i in range(1, size + 1)}  # type: ignore[misc]
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +178,21 @@ def derived_digraph(seqs: Iterable[OutputSeq], l: int) -> DerivedDigraph:
     """Unroll each sequence one full period beyond window repetition."""
     if l < 1:
         raise ValueError("window length must be >= 1")
+    mask = (1 << l) - 1
     succ: dict[int, set[int]] = {}
     for seq in seqs:
         p, d = len(seq.preperiod), len(seq.period)
         horizon = p + d  # windows repeat from t=p on, with period d
         bits = seq.bits(horizon + l)
-        windows = [
-            encode_state(bits[t:t + l]) for t in range(horizon + 1)
-        ]
-        for t in range(horizon):
-            succ.setdefault(windows[t], set()).add(windows[t + 1])
+        # window index = 1 + the window's complemented bits, first bit
+        # most significant, as encode_state computes it
+        m = 0
+        for b in bits[:l]:
+            m = (m << 1) | (1 - b)
+        for b in bits[l:]:
+            w = m + 1
+            m = ((m << 1) | (1 - b)) & mask
+            succ.setdefault(w, set()).add(m + 1)
     return DerivedDigraph(l, {w: frozenset(s) for w, s in succ.items()})
 
 
@@ -211,13 +254,15 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
     )
     r = max(len(s.period) for s in seqs)
     l = max(1, (r - 1).bit_length())  # ceil(log2(r)), at least 1
-    bound = max(len(s.preperiod) + len(s.period) for s in seqs)
+    # Fine-Wilf: two suffixes with preperiods <= P and periods <= r that
+    # agree on P + 2r - 1 bits are equal, so that window length is realizable
+    bound = max(len(s.preperiod) for s in seqs) + 2 * r
     while True:
         G = derived_digraph(seqs, l)
         if realizable(G):
             break
         l += 1
-        if l > bound + 1:  # at this length windows are distinct per sequence
+        if l > bound:
             raise AssertionError("window search failed to terminate")
 
     size = 1 << l
@@ -341,5 +386,5 @@ def equivalent(A: TransitionMatrix, B: TransitionMatrix) -> EquivalenceResult:
         by_seq_a.setdefault(seq_a[i], i)
     forward = {i: by_seq_b.get(s) for i, s in seq_a.items()}
     backward = {j: by_seq_a.get(s) for j, s in seq_b.items()}
-    equal = set(seq_a.values()) == set(seq_b.values())
+    equal = by_seq_a.keys() == by_seq_b.keys()
     return EquivalenceResult(equal, forward, backward)

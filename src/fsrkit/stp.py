@@ -306,7 +306,12 @@ _DELTA_RE = re.compile(r"^\s*d(\d+)\s*\[([^\]]*)\]\s*$")
 
 def format_delta(size: int, entries: Sequence[int | None]) -> str:
     """`d16[2 4 ...]`; None entries print as `*` (partial matrices)."""
-    body = " ".join("*" if e is None else str(e) for e in entries)
+    # joined in chunks, so a 2^16-entry matrix never holds one str per entry
+    chunk = 4096
+    body = " ".join(
+        " ".join("*" if e is None else str(e) for e in entries[i:i + chunk])
+        for i in range(0, len(entries), chunk)
+    )
     return f"d{size}[{body}]"
 
 

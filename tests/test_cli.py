@@ -161,7 +161,7 @@ class TestGal2Fib:
             "l = 3",
             "P = d8[* 4 6 8 * 3 * 8]",
             "T' = d8[3 2 4 3 6 6 8 8]",
-            "completions = 8",
+            "completions = 2^3",
             "d8[1 4 6 8 1 3 5 8]",
         ]
 
@@ -176,7 +176,7 @@ class TestGal2Fib:
         code, out, _ = run(capsys, "gal2fib", GAL3A, "--all-completions")
         assert code == 0
         assert "l = 2" in out
-        assert "completions = 2" in out
+        assert "completions = 2^1" in out
         assert out[-2:] == ["d4[1 3 1 4]", "d4[1 4 1 4]"]
 
     def test_max_free_truncation(self, capsys):
@@ -184,8 +184,27 @@ class TestGal2Fib:
             capsys, "gal2fib", GAL3B, "--all-completions", "--max-free", "1"
         )
         assert code == 0
-        assert "completions = 8" in out
+        assert "completions = 2^3" in out
         assert [ln for ln in out if ln.startswith("d8[")] == ["d8[1 4 6 8 1 3 5 8]"]
+
+
+    def test_long_window_prints_completion_count_as_power(self, capsys, tmp_path):
+        # z2..z5 count up to 1111 and stay there; z1 is 1 for one step, so
+        # 0^13 1 0... needs 14-bit windows and leaves 16356 columns free
+        f = tmp_path / "counter.fsr"
+        f.write_text(
+            "n=5 type=gal\n"
+            "f1 = z2 & z3 ^ z2 & z3 & z4 ^ z2 & z3 & z5 ^ z2 & z3 & z4 & z5\n"
+            "f2 = z2 ^ z3 & z4 & z5 ^ z2 & z3 & z4 & z5\n"
+            "f3 = z3 ^ z4 & z5 ^ z2 & z3 & z4 & z5\n"
+            "f4 = z4 ^ z5 ^ z2 & z3 & z4 & z5\n"
+            "f5 = 1 ^ z5 ^ z2 & z3 & z4 & z5\n"
+        )
+        code, out, _ = run(capsys, "gal2fib", str(f))
+        assert code == 0
+        assert out[0] == "l = 14"
+        assert out[3] == "completions = 2^16356"
+        assert out[4].startswith("d16384[")
 
 
 class TestVerify:
@@ -219,6 +238,21 @@ class TestVerify:
         a.write_text("d3[1 2 3]\n")  # size not a power of two
         code, _, err = run(capsys, "verify", str(a), str(a))
         assert code == 2
+        assert err.startswith("error:")
+
+
+class TestDeepExpressions:
+    @pytest.mark.parametrize(
+        "feedback",
+        ["(" * 2000 + "x1" + ")" * 2000, " ^ ".join(["x1"] * 3000)],
+        ids=["nested", "long-chain"],
+    )
+    def test_recursion_limit_exits_two(self, capsys, tmp_path, feedback):
+        f = tmp_path / "deep.fsr"
+        f.write_text(f"n=1 type=fib\nf1 = {feedback}\n")
+        code, out, err = run(capsys, "to-matrix", str(f))
+        assert code == 2
+        assert out == []
         assert err.startswith("error:")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,7 +22,9 @@ from fsrkit import (
     simulate,
 )
 
-from conftest import LG3_SHRINKABLE_COLS, LG3_TWO_ATTRACTORS_COLS
+from fsrkit.stp import encode_state
+
+from conftest import LF4_COLS, LG3_SHRINKABLE_COLS, LG3_TWO_ATTRACTORS_COLS, LG4_COLS
 
 
 @pytest.fixture
@@ -37,6 +40,57 @@ def lg3b() -> TransitionMatrix:
 def random_transition(rng, n):
     size = 1 << n
     return TransitionMatrix(n, tuple(rng.randint(1, size) for _ in range(size)))
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: one cycle walk per state, slice-encoded windows and the
+# divisor-loop primitivity test
+# ---------------------------------------------------------------------------
+
+def all_output_sequences_oracle(L):
+    return {i: output_sequence(L, i) for i in range(1, (1 << L.n) + 1)}
+
+
+def derived_successors_oracle(seqs, l):
+    succ = {}
+    for seq in seqs:
+        p, d = len(seq.preperiod), len(seq.period)
+        horizon = p + d
+        bits = seq.bits(horizon + l)
+        windows = [encode_state(bits[t:t + l]) for t in range(horizon + 1)]
+        for t in range(horizon):
+            succ.setdefault(windows[t], set()).add(windows[t + 1])
+    return {w: frozenset(s) for w, s in succ.items()}
+
+
+def is_primitive_oracle(period):
+    d = len(period)
+    return not any(
+        d % k == 0 and all(period[i] == period[i % k] for i in range(d))
+        for k in range(1, d)
+    )
+
+
+def differential_matrices():
+    """Seeded random maps, pure-cycle permutations and constant maps for
+    n = 1..8, plus the fixtures."""
+    rng = random.Random(2024)
+    out = [
+        TransitionMatrix(3, LG3_SHRINKABLE_COLS),
+        TransitionMatrix(3, LG3_TWO_ATTRACTORS_COLS),
+        TransitionMatrix(4, LF4_COLS),
+        TransitionMatrix(4, LG4_COLS),
+    ]
+    for n in range(1, 9):
+        size = 1 << n
+        reps = 20 if n <= 5 else 3
+        for _ in range(reps):
+            out.append(random_transition(rng, n))
+            perm = list(range(1, size + 1))
+            rng.shuffle(perm)
+            out.append(TransitionMatrix(n, tuple(perm)))
+        out.append(TransitionMatrix(n, (rng.randint(1, size),) * size))
+    return out
 
 
 class TestSimulate:
@@ -155,7 +209,33 @@ class TestOutputSequence:
                 assert len(output_sequence(L, x0).period) == state_period
 
 
+class TestAllOutputSequences:
+    def test_matches_per_state_oracle(self):
+        for L in differential_matrices():
+            got = all_output_sequences(L)
+            assert got == all_output_sequences_oracle(L)
+            assert list(got) == list(range(1, (1 << L.n) + 1))
+
+    def test_primitivity_check_matches_divisor_loop(self):
+        for d in range(1, 13):
+            for period in itertools.product((0, 1), repeat=d):
+                if is_primitive_oracle(period):
+                    assert OutputSeq((), period).period == period
+                else:
+                    with pytest.raises(ValueError, match="primitive"):
+                        OutputSeq((), period)
+
+
 class TestDerivedDigraph:
+    def test_matches_slice_encoding_oracle(self):
+        rng = random.Random(7)
+        for n in range(1, 7):
+            for _ in range(4):
+                seqs = set(all_output_sequences(random_transition(rng, n)).values())
+                for l in range(1, 13):
+                    G = derived_digraph(seqs, l)
+                    assert G.successors == derived_successors_oracle(seqs, l)
+
     def test_reference_window3_edges(self, lg3b):
         seqs = set(all_output_sequences(lg3b).values())
         G = derived_digraph(seqs, 3)
@@ -220,6 +300,18 @@ class TestMinStage:
         r = min_stage_fibonacci(lg3b)
         fixed = sum(1 for c in r.partial.cols if c is not None)
         assert fixed + len(r.free_columns) == 1 << r.l
+
+    def test_window_beyond_preperiod_plus_period(self):
+        # l = 5 exceeds the longest preperiod plus period (3) by two; the
+        # search runs up to the Fine-Wilf bound P + 2r
+        L = TransitionMatrix(3, (8, 6, 3, 1, 3, 3, 3, 4))
+        r = min_stage_fibonacci(L)
+        assert r.l == 5
+        assert max(len(s.preperiod) + len(s.period) for s in r.sequences) == 3
+        for z in range(1, 9):
+            s = output_sequence(L, z)
+            steps = len(s.preperiod) + 2 * len(s.period) + r.l
+            assert simulate(r.completions[0], r.window_map[z - 1], steps) == s.bits(steps)
 
     def test_max_free_cap(self, lg3b):
         r = min_stage_fibonacci(lg3b, max_free=1)
