@@ -25,16 +25,17 @@ print("source L_f =", transition_to_delta(L_f))
 # Sample a few candidates to see how spread out the costs are.
 costs = []
 for cand in enumerate_equivalents(L_f):
-    _, supports, support_sum, area, delay, gates = reduce_candidate(cand.matrix)
-    costs.append((support_sum, area, gates))
+    r = reduce_candidate(cand.matrix)
+    costs.append((r.support_sum, r.area_um2, r.gate_count))
 print(f"{len(costs)} candidates")
 print("support sums range:", min(c[0] for c in costs), "..", max(c[0] for c in costs))
 print("areas range (um^2):", min(c[1] for c in costs), "..", max(c[1] for c in costs))
 
 best = select_minimal(enumerate_equivalents(L_f), model=CMOS_90NM)
 print("selected L_g =", transition_to_delta(best.candidate.matrix))
-print(f"support_sum={best.support_sum} area={best.area_um2:g}um^2 "
-      f"delay={best.delay_ps:g}ps gates={best.gate_count}")
-for k, (e, s) in enumerate(zip(best.updates, best.supports), start=1):
+r = best.reduction
+print(f"support_sum={r.support_sum} area={r.area_um2:g}um^2 "
+      f"delay={r.delay_ps:g}ps gates={r.gate_count}")
+for k, (e, s) in enumerate(zip(r.updates, r.supports), start=1):
     cost = gate_cost(e)
     print(f"  z{k}' = {render(e)}   support={s} area={cost.area_um2:g}")

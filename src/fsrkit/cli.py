@@ -145,8 +145,7 @@ def cmd_fib2gal(args) -> int:
         print(f"L_g = {transition_to_delta(L_g)}")
         print(f"T = {format_delta(size, pi.perm)}")
         if args.emit in ("logic", "all"):
-            updates, _, _, _, _, _ = reduce_candidate(L_g)
-            print(_emit_logic(fsr.n, updates))
+            print(_emit_logic(fsr.n, reduce_candidate(L_g).updates))
         return 0
 
     budget = None if args.budget == "full" else int(args.budget)
@@ -161,12 +160,13 @@ def cmd_fib2gal(args) -> int:
         print(f"L_g = {transition_to_delta(best.candidate.matrix)}")
         size = 1 << fsr.n
         print(f"T = {format_delta(size, best.candidate.transform.perm)}")
-        print(f"support_sum = {best.support_sum}")
-        print(f"area_um2 = {best.area_um2:g}")
-        print(f"delay_ps = {best.delay_ps:g}")
-        print(f"gates = {best.gate_count}")
+        r = best.reduction
+        print(f"support_sum = {r.support_sum}")
+        print(f"area_um2 = {r.area_um2:g}")
+        print(f"delay_ps = {r.delay_ps:g}")
+        print(f"gates = {r.gate_count}")
         if args.emit in ("logic", "all"):
-            print(_emit_logic(fsr.n, best.updates))
+            print(_emit_logic(fsr.n, r.updates))
         return 0
 
     examined = emitted = 0
@@ -175,8 +175,7 @@ def cmd_fib2gal(args) -> int:
         if args.emit in ("matrix", "all"):
             print(transition_to_delta(cand.matrix))
         if args.emit in ("logic", "all"):
-            updates, _, _, _, _, _ = reduce_candidate(cand.matrix)
-            print(_emit_logic(fsr.n, updates))
+            print(_emit_logic(fsr.n, reduce_candidate(cand.matrix).updates))
     examined = total if budget is None or total <= budget else budget
     print(f"# examined={examined} emitted={emitted}")
     return 0

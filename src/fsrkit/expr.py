@@ -1,10 +1,10 @@
-"""Boolean update functions: AST, parser, evaluation, ANF and gate costs."""
+"""Boolean update functions: AST, parser, rendering, ANF expressions and gate costs."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 
 class ExprError(Exception):
@@ -207,31 +207,8 @@ def parse(text: str, n: int) -> BoolExpr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and rendering
+# Rendering
 # ---------------------------------------------------------------------------
-
-def eval_expr(expr: BoolExpr, bits: Sequence[int]) -> int:
-    """Evaluate on an assignment; bits[i-1] is the value of variable i."""
-    if isinstance(expr, Var):
-        return bits[expr.index - 1]
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Not):
-        return 1 - eval_expr(expr.child, bits)
-    a = eval_expr(expr.left, bits)
-    b = eval_expr(expr.right, bits)
-    if isinstance(expr, And):
-        return a & b
-    if isinstance(expr, Or):
-        return a | b
-    if isinstance(expr, Xor):
-        return a ^ b
-    if isinstance(expr, Implies):
-        return (1 - a) | b
-    if isinstance(expr, Iff):
-        return 1 - (a ^ b)
-    raise TypeError(f"not a BoolExpr node: {expr!r}")
-
 
 _LEVEL = {Iff: 0, Implies: 1, Or: 2, Xor: 3, And: 4, Not: 5, Var: 6, Const: 6}
 _SYMBOL = {Iff: "<->", Implies: "->", Or: "|", Xor: "^", And: "&"}
@@ -266,39 +243,6 @@ class Anf:
     """GF(2) polynomial as a set of monomials (sets of variable indices)."""
 
     monomials: frozenset[frozenset[int]]
-
-    def evaluate(self, bits: Sequence[int]) -> int:
-        acc = 0
-        for mono in self.monomials:
-            acc ^= all(bits[i - 1] for i in mono)
-        return int(acc)
-
-
-def truth_table(expr: BoolExpr, n: int) -> list[int]:
-    """Values indexed by assignment mask m, bit i-1 of m = value of variable i."""
-    out = []
-    for m in range(1 << n):
-        bits = [(m >> i) & 1 for i in range(n)]
-        out.append(eval_expr(expr, bits))
-    return out
-
-
-def to_anf(expr: BoolExpr, n: int | None = None) -> Anf:
-    """ANF via the Moebius transform of the truth table."""
-    if n is None:
-        n = max(variables(expr), default=0)
-    f = truth_table(expr, n)
-    for i in range(n):
-        bit = 1 << i
-        for m in range(1 << n):
-            if m & bit:
-                f[m] ^= f[m ^ bit]
-    monomials = frozenset(
-        frozenset(i + 1 for i in range(n) if (m >> i) & 1)
-        for m in range(1 << n)
-        if f[m]
-    )
-    return Anf(monomials)
 
 
 def anf_to_expr(anf: Anf) -> BoolExpr:
@@ -361,21 +305,6 @@ class Cost:
     gate_count: int
 
 
-def _lower(expr: BoolExpr) -> BoolExpr:
-    """Rewrite -> and <-> into {!, &, |, ^} before costing."""
-    if isinstance(expr, (Var, Const)):
-        return expr
-    if isinstance(expr, Not):
-        return Not(_lower(expr.child))
-    left = _lower(expr.left)
-    right = _lower(expr.right)
-    if isinstance(expr, Implies):
-        return Or(Not(left), right)
-    if isinstance(expr, Iff):
-        return Not(Xor(left, right))
-    return type(expr)(left, right)
-
-
 def gate_cost(expr: BoolExpr, model: GateCostModel = CMOS_90NM) -> Cost:
     """Area sums over all gates, delay along the deepest path.
 
@@ -391,13 +320,13 @@ def gate_cost(expr: BoolExpr, model: GateCostModel = CMOS_90NM) -> Cost:
         ra, rd, rc = walk(node.right)
         if isinstance(node, And):
             spec = model.and2
-        elif isinstance(node, Or):
+        elif isinstance(node, (Or, Implies)):  # a -> b is !a | b
             spec = model.nor2
-        elif isinstance(node, Xor):
+        elif isinstance(node, (Xor, Iff)):  # a <-> b is !(a ^ b)
             spec = model.xor2
-        else:  # unreachable after _lower
+        else:
             raise TypeError(f"uncosted node {node!r}")
         return la + ra + spec.area_um2, max(ld, rd) + spec.delay_ps, lc + rc + 1
 
-    area, delay, count = walk(_lower(expr))
+    area, delay, count = walk(expr)
     return Cost(area, delay, count)

@@ -141,8 +141,9 @@ def count_distinct_equivalents(L_f: TransitionMatrix) -> CountAudit:
 
 
 @dataclass(frozen=True)
-class SelectedCandidate:
-    candidate: GaloisCandidate
+class Reduction:
+    """A candidate's reduced update functions and their cost totals."""
+
     updates: tuple[BoolExpr, ...]  # reduced, over original variable indices
     supports: tuple[tuple[int, ...], ...]
     support_sum: int
@@ -151,9 +152,13 @@ class SelectedCandidate:
     gate_count: int
 
 
-def reduce_candidate(
-    L_g: TransitionMatrix, model: GateCostModel = CMOS_90NM
-) -> tuple[tuple[BoolExpr, ...], tuple[tuple[int, ...], ...], int, float, float, int]:
+@dataclass(frozen=True)
+class SelectedCandidate:
+    candidate: GaloisCandidate
+    reduction: Reduction
+
+
+def reduce_candidate(L_g: TransitionMatrix, model: GateCostModel = CMOS_90NM) -> Reduction:
     """Per-coordinate support reduction and synthesis with cost totals."""
     updates = []
     supports = []
@@ -171,7 +176,7 @@ def reduce_candidate(
         delay += cost.delay_ps
         gates += cost.gate_count
     support_sum = sum(len(s) for s in supports)
-    return tuple(updates), tuple(supports), support_sum, area, delay, gates
+    return Reduction(tuple(updates), tuple(supports), support_sum, area, delay, gates)
 
 
 def select_minimal(
@@ -186,21 +191,11 @@ def select_minimal(
     best: SelectedCandidate | None = None
     best_key: tuple | None = None
     for cand in candidates:
-        updates, supports, support_sum, area, delay, gates = reduce_candidate(
-            cand.matrix, model
-        )
-        key = (support_sum, area, cand.matrix.cols)
+        r = reduce_candidate(cand.matrix, model)
+        key = (r.support_sum, r.area_um2, cand.matrix.cols)
         if best_key is None or key < best_key:
             best_key = key
-            best = SelectedCandidate(
-                candidate=cand,
-                updates=updates,
-                supports=supports,
-                support_sum=support_sum,
-                area_um2=area,
-                delay_ps=delay,
-                gate_count=gates,
-            )
+            best = SelectedCandidate(cand, r)
     if best is None:
         raise ValueError("no candidates to select from")
     return best

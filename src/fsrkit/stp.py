@@ -7,19 +7,12 @@ matrices are stored as index sequences, never as dense 0/1 arrays.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expr import (
-    Anf,
-    BoolExpr,
-    Const,
-    Var,
-    anf_to_expr,
-    eval_expr,
-    variables,
-)
+from .expr import Anf, BoolExpr, Const, Var, anf_to_expr, variables
 from . import expr as _expr
 
 
@@ -160,23 +153,27 @@ class FsrSpec:
 
 
 # ---------------------------------------------------------------------------
-# Structure and transition matrices
+# Truth tables
 # ---------------------------------------------------------------------------
+#
+# A truth table over n variables is one int in state-index order: bit u holds
+# the value on state k = u + 1, so variable i is 1 where bit (n - i) of u is 0.
 
-def _var_masks(n: int) -> list[int]:
-    # bit (k-1) of mask i-1 is the value of variable i on state k
-    size = 1 << n
-    masks = []
-    for i in range(1, n + 1):
-        m = 0
-        for k in range(size):
-            if not (k >> (n - i)) & 1:
-                m |= 1 << k
-        masks.append(m)
-    return masks
+_ROWS_TO_DIGITS = bytes.maketrans(b"\x01\x02", b"10")
+_DIGITS_TO_ROWS = bytes.maketrans(b"10", b"\x01\x02")
 
 
-def _truth_mask(f: BoolExpr, masks: list[int], full: int) -> int:
+@functools.cache
+def _var_masks(n: int) -> tuple[int, ...]:
+    """Truth table of each variable: runs of s = 2^(n-i) ones and s zeros."""
+    full = (1 << (1 << n)) - 1
+    return tuple(
+        ((1 << s) - 1) * (full // ((1 << 2 * s) - 1))
+        for s in (1 << (n - i) for i in range(1, n + 1))
+    )
+
+
+def _truth_mask(f: BoolExpr, masks: Sequence[int], full: int) -> int:
     if isinstance(f, Var):
         return masks[f.index - 1]
     if isinstance(f, Const):
@@ -198,48 +195,54 @@ def _truth_mask(f: BoolExpr, masks: list[int], full: int) -> int:
     raise TypeError(f"not a BoolExpr node: {f!r}")
 
 
+def _rows_to_mask(rows: Sequence[int]) -> int:
+    return int(bytes(rows).translate(_ROWS_TO_DIGITS)[::-1], 2)
+
+
+def _mask_to_rows(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(format(mask, f"0{1 << n}b").encode()[::-1].translate(_DIGITS_TO_ROWS))
+
+
+def _depends(f: int, n: int, j: int) -> bool:
+    # states u and u + 2^(n-j) differ only in variable j
+    return bool((f ^ (f >> (1 << (n - j)))) & _var_masks(n)[j - 1])
+
+
+# ---------------------------------------------------------------------------
+# Structure and transition matrices
+# ---------------------------------------------------------------------------
+
 def structure_matrix(f: BoolExpr, n: int) -> StructureMatrix:
     """Row index per state: 1 where f is true, 2 where false."""
     bad = variables(f) - set(range(1, n + 1))
     if bad:
         raise ValueError(f"variable indices {sorted(bad)} exceed register count {n}")
-    size = 1 << n
-    full = (1 << size) - 1
-    mask = _truth_mask(f, _var_masks(n), full)
-    return StructureMatrix(n, tuple(1 if (mask >> k) & 1 else 2 for k in range(size)))
+    mask = _truth_mask(f, _var_masks(n), (1 << (1 << n)) - 1)
+    return StructureMatrix(n, _mask_to_rows(mask, n))
 
 
 def galois_transition(spec: FsrSpec) -> TransitionMatrix:
     """Transition matrix of the full system: column k encodes the successor."""
     n = spec.n
     size = 1 << n
-    structures = [structure_matrix(f, n) for f in spec.update_functions()]
-    cols = []
-    for k in range(1, size + 1):
-        cols.append(encode_state([m.value(k) for m in structures]))
-    return TransitionMatrix(n, tuple(cols))
+    full = (1 << size) - 1
+    masks = _var_masks(n)
+    # digit u of row i is 1 - f_i on state u + 1, so the digits of state u,
+    # read down the rows, are its successor's index minus one (the leading
+    # row of zeros keeps n = 0 well formed)
+    digits = ["0" * size] + [
+        format(full ^ _truth_mask(f, masks, full), f"0{size}b")[::-1]
+        for f in spec.update_functions()
+    ]
+    return TransitionMatrix(n, tuple(int("".join(d), 2) + 1 for d in zip(*digits)))
 
 
 def coordinate_structure(L: TransitionMatrix, k: int) -> StructureMatrix:
     """Structure matrix of the k-th coordinate of the dynamics."""
     if not 1 <= k <= L.n:
         raise ValueError(f"coordinate {k} out of range [1, {L.n}]")
-    rows = []
-    for col in L.cols:
-        bit = decode_state(col, L.n)[k - 1]
-        rows.append(1 if bit else 2)
-    return StructureMatrix(L.n, tuple(rows))
-
-
-def swap_matrix(m: int, n: int) -> tuple[int, ...]:
-    """Tensor-factor swap W_[m,n] as a column index sequence of length m*n."""
-    if m < 1 or n < 1:
-        raise ValueError("factors must be >= 1")
-    cols = [0] * (m * n)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            cols[(i - 1) * n + j - 1] = (j - 1) * m + i
-    return tuple(cols)
+    shift = L.n - k
+    return StructureMatrix(L.n, tuple(1 + (((c - 1) >> shift) & 1) for c in L.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +253,7 @@ def depends_on(M: StructureMatrix, j: int) -> bool:
     """True iff the function value changes when variable j flips somewhere."""
     if not 1 <= j <= M.n:
         raise ValueError(f"variable {j} out of range [1, {M.n}]")
-    flip = 1 << (M.n - j)  # flipping bit j moves the index by 2^(n-j)
-    for k in range(1 << M.n):
-        if M.rows[k] != M.rows[k ^ flip]:
-            return True
-    return False
+    return _depends(_rows_to_mask(M.rows), M.n, j)
 
 
 def restrict_support(M: StructureMatrix) -> tuple[tuple[int, ...], StructureMatrix]:
@@ -262,37 +261,30 @@ def restrict_support(M: StructureMatrix) -> tuple[tuple[int, ...], StructureMatr
 
     Returns the ordered support and the reduced structure matrix over it.
     """
-    support = tuple(j for j in range(1, M.n + 1) if depends_on(M, j))
-    m = len(support)
-    rows = []
-    for kr in range(1, (1 << m) + 1):
-        partial = decode_state(kr, m) if m else ()
-        bits = [1] * M.n
-        for pos, j in enumerate(support):
-            bits[j - 1] = partial[pos]
-        rows.append(M.rows[encode_state(bits) - 1])
-    return support, StructureMatrix(m, tuple(rows))
+    n = M.n
+    f = _rows_to_mask(M.rows)
+    support = tuple(j for j in range(1, n + 1) if _depends(f, n, j))
+    # at[v] is the position in M of reduced state v + 1: the variables off
+    # the support are fixed to 1, which is bit 0 of the position
+    at = [0]
+    for j in reversed(support):
+        step = 1 << (n - j)
+        at += [u + step for u in at]
+    return support, StructureMatrix(len(support), tuple(M.rows[u] for u in at))
 
 
 def synthesize_expr(M: StructureMatrix) -> BoolExpr:
     """Canonical expression (via ANF) whose structure matrix equals M."""
     n = M.n
-    if n == 0:
-        return Const(1 if M.rows[0] == 1 else 0)
-    # truth table indexed by assignment mask, variable i at bit i-1
-    f = [0] * (1 << n)
-    for m in range(1 << n):
-        bits = [(m >> i) & 1 for i in range(n)]
-        f[m] = 1 if M.rows[encode_state(bits) - 1] == 1 else 0
-    for i in range(n):
-        bit = 1 << i
-        for m in range(1 << n):
-            if m & bit:
-                f[m] ^= f[m ^ bit]
+    f = _rows_to_mask(M.rows)
+    # Moebius transform: afterwards bit u is the coefficient of the monomial
+    # over the variables that are 1 on state u + 1
+    for i, var in enumerate(_var_masks(n), start=1):
+        f ^= (f >> (1 << (n - i))) & var
     monomials = frozenset(
-        frozenset(i + 1 for i in range(n) if (m >> i) & 1)
-        for m in range(1 << n)
-        if f[m]
+        frozenset(i for i in range(1, n + 1) if not (u >> (n - i)) & 1)
+        for u, d in enumerate(format(f, f"0{1 << n}b")[::-1])
+        if d == "1"
     )
     return anf_to_expr(Anf(monomials))
 

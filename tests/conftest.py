@@ -1,14 +1,28 @@
 import pathlib
 
 import pytest
+from hypothesis import strategies as st
 
 from fsrkit import (
+    Anf,
+    And,
+    Const,
+    Iff,
+    Implies,
+    Not,
+    Or,
     StructureMatrix,
     TransitionMatrix,
+    Var,
+    Xor,
+    anf_to_expr,
+    decode_state,
+    encode_state,
     fib_transition,
     parse,
     structure_matrix,
 )
+from fsrkit.expr import variables
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -45,3 +59,150 @@ def fib4_transition() -> TransitionMatrix:
 def debruijn3() -> TransitionMatrix:
     """A 3-stage Fibonacci FSR whose state graph is a single 8-cycle."""
     return fib_transition(StructureMatrix(3, (2, 2, 1, 2, 1, 1, 2, 1)))
+
+
+def exprs(n: int):
+    """Random expressions over x1..xn using every node type."""
+    leaves = st.one_of(
+        st.integers(min_value=1, max_value=n).map(Var),
+        st.sampled_from([Const(0), Const(1)]),
+    )
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            sub.map(Not),
+            st.tuples(sub, sub).map(lambda p: And(*p)),
+            st.tuples(sub, sub).map(lambda p: Or(*p)),
+            st.tuples(sub, sub).map(lambda p: Xor(*p)),
+            st.tuples(sub, sub).map(lambda p: Implies(*p)),
+            st.tuples(sub, sub).map(lambda p: Iff(*p)),
+        ),
+        max_leaves=25,
+    )
+
+
+# -- reference implementations ------------------------------------------------
+#
+# Slow, per-assignment versions of what fsrkit computes on whole truth tables.
+# Assignments are bit lists with bits[i-1] the value of variable i; the
+# assignment mask m of truth_table and to_anf has variable i at bit i-1.
+
+def eval_expr(expr, bits) -> int:
+    """Evaluate on an assignment; bits[i-1] is the value of variable i."""
+    if isinstance(expr, Var):
+        return bits[expr.index - 1]
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Not):
+        return 1 - eval_expr(expr.child, bits)
+    a = eval_expr(expr.left, bits)
+    b = eval_expr(expr.right, bits)
+    if isinstance(expr, And):
+        return a & b
+    if isinstance(expr, Or):
+        return a | b
+    if isinstance(expr, Xor):
+        return a ^ b
+    if isinstance(expr, Implies):
+        return (1 - a) | b
+    if isinstance(expr, Iff):
+        return 1 - (a ^ b)
+    raise TypeError(f"not a BoolExpr node: {expr!r}")
+
+
+def truth_table(expr, n: int) -> list[int]:
+    """Values indexed by assignment mask m, bit i-1 of m = value of variable i."""
+    out = []
+    for m in range(1 << n):
+        bits = [(m >> i) & 1 for i in range(n)]
+        out.append(eval_expr(expr, bits))
+    return out
+
+
+def to_anf(expr, n: int | None = None) -> Anf:
+    """ANF via the Moebius transform of the truth table."""
+    if n is None:
+        n = max(variables(expr), default=0)
+    f = truth_table(expr, n)
+    for i in range(n):
+        bit = 1 << i
+        for m in range(1 << n):
+            if m & bit:
+                f[m] ^= f[m ^ bit]
+    monomials = frozenset(
+        frozenset(i + 1 for i in range(n) if (m >> i) & 1)
+        for m in range(1 << n)
+        if f[m]
+    )
+    return Anf(monomials)
+
+
+def anf_evaluate(anf: Anf, bits) -> int:
+    acc = 0
+    for mono in anf.monomials:
+        acc ^= all(bits[i - 1] for i in mono)
+    return int(acc)
+
+
+def ref_structure_matrix(expr, n: int) -> StructureMatrix:
+    return StructureMatrix(n, tuple(
+        1 if eval_expr(expr, decode_state(k, n)) else 2 for k in range(1, (1 << n) + 1)
+    ))
+
+
+def ref_galois_transition(n: int, updates) -> TransitionMatrix:
+    return TransitionMatrix(n, tuple(
+        encode_state([eval_expr(f, decode_state(k, n)) for f in updates])
+        for k in range(1, (1 << n) + 1)
+    ))
+
+
+def ref_coordinate_structure(L: TransitionMatrix, k: int) -> StructureMatrix:
+    rows = []
+    for col in L.cols:
+        bit = decode_state(col, L.n)[k - 1]
+        rows.append(1 if bit else 2)
+    return StructureMatrix(L.n, tuple(rows))
+
+
+def ref_depends_on(M: StructureMatrix, j: int) -> bool:
+    flip = 1 << (M.n - j)  # flipping bit j moves the index by 2^(n-j)
+    for k in range(1 << M.n):
+        if M.rows[k] != M.rows[k ^ flip]:
+            return True
+    return False
+
+
+def ref_restrict_support(M: StructureMatrix):
+    support = tuple(j for j in range(1, M.n + 1) if ref_depends_on(M, j))
+    m = len(support)
+    rows = []
+    for kr in range(1, (1 << m) + 1):
+        partial = decode_state(kr, m) if m else ()
+        bits = [1] * M.n
+        for pos, j in enumerate(support):
+            bits[j - 1] = partial[pos]
+        rows.append(M.rows[encode_state(bits) - 1])
+    return support, StructureMatrix(m, tuple(rows))
+
+
+def ref_synthesize_expr(M: StructureMatrix):
+    n = M.n
+    if n == 0:
+        return Const(1 if M.rows[0] == 1 else 0)
+    # truth table indexed by assignment mask, variable i at bit i-1
+    f = [0] * (1 << n)
+    for m in range(1 << n):
+        bits = [(m >> i) & 1 for i in range(n)]
+        f[m] = 1 if M.rows[encode_state(bits) - 1] == 1 else 0
+    for i in range(n):
+        bit = 1 << i
+        for m in range(1 << n):
+            if m & bit:
+                f[m] ^= f[m ^ bit]
+    monomials = frozenset(
+        frozenset(i + 1 for i in range(n) if (m >> i) & 1)
+        for m in range(1 << n)
+        if f[m]
+    )
+    return anf_to_expr(Anf(monomials))

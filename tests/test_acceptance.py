@@ -231,16 +231,16 @@ class TestCriterion7:
         for L_f, kwargs in runs:
             best = select_minimal(enumerate_equivalents(L_f, **kwargs))
             n = best.candidate.matrix.n
-            for k, e in enumerate(best.updates, start=1):
+            for k, e in enumerate(best.reduction.updates, start=1):
                 if structure_matrix(e, n).rows != coordinate_structure(
                     best.candidate.matrix, k
                 ).rows:
                     ok = False
             stream_min = min(
-                reduce_candidate(c.matrix)[2]
+                reduce_candidate(c.matrix).support_sum
                 for c in enumerate_equivalents(L_f, **kwargs)
             )
-            if best.support_sum != stream_min:
+            if best.reduction.support_sum != stream_min:
                 ok = False
         report("7", ok)
 

@@ -143,9 +143,9 @@ class TestFib2Gal:
         )
         assert set(fields) >= {"L_g", "T", "support_sum", "area_um2"}
         L_g = transition_from_delta(fields["L_g"])
-        _, _, support_sum, area, _, _ = reduce_candidate(L_g)
-        assert int(fields["support_sum"]) == support_sum
-        assert float(fields["area_um2"]) == pytest.approx(area)
+        r = reduce_candidate(L_g)
+        assert int(fields["support_sum"]) == r.support_sum
+        assert float(fields["area_um2"]) == pytest.approx(r.area_um2)
 
     def test_rejects_galois_input(self, capsys):
         code, _, err = run(capsys, "fib2gal", GAL3A)

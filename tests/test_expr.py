@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from fsrkit import expr as ex
 from fsrkit.expr import (
@@ -18,13 +18,27 @@ from fsrkit.expr import (
     Var,
     Xor,
     anf_to_expr,
-    eval_expr,
     gate_cost,
     parse,
     render,
-    to_anf,
-    truth_table,
 )
+from fsrkit.stp import encode_state, structure_matrix, synthesize_expr
+
+from conftest import anf_evaluate, eval_expr, exprs, to_anf, truth_table
+
+
+def value(e, bits):
+    """fsrkit's own evaluation: the structure matrix entry of the state `bits`."""
+    return structure_matrix(e, len(bits)).value(encode_state(bits))
+
+
+def anf_expr(e, n):
+    """fsrkit's ANF of e over x1..xn, as the canonical XOR-of-ANDs expression."""
+    return synthesize_expr(structure_matrix(e, n))
+
+
+def monomials_expr(*monos):
+    return anf_to_expr(Anf(frozenset(frozenset(m) for m in monos)))
 
 
 def anf_by_inclusion_exclusion(e, n):
@@ -94,15 +108,15 @@ class TestParse:
 
 class TestEval:
     def test_not(self):
-        assert eval_expr(Not(Var(1)), [1]) == 0
+        assert value(Not(Var(1)), [1]) == 0
 
     def test_feedback_all_ones(self):
         e = parse("(x1 & !x2 & !x3 & x4) | (!x1 & (x2 | x3))", 4)
-        assert eval_expr(e, [1, 1, 1, 1]) == 0
+        assert value(e, [1, 1, 1, 1]) == 0
 
     def test_feedback_1001(self):
         e = parse("(x1 & !x2 & !x3 & x4) | (!x1 & (x2 | x3))", 4)
-        assert eval_expr(e, [1, 0, 0, 1]) == 1
+        assert value(e, [1, 0, 0, 1]) == 1
 
     @pytest.mark.parametrize(
         "text,a,b,want",
@@ -116,24 +130,20 @@ class TestEval:
         ],
     )
     def test_operators(self, text, a, b, want):
-        assert eval_expr(parse(text, 2), [a, b]) == want
+        assert value(parse(text, 2), [a, b]) == want
 
 
 class TestAnf:
     def test_xor_native(self):
-        assert to_anf(Xor(Var(1), Var(2))).monomials == frozenset(
-            {frozenset({1}), frozenset({2})}
-        )
+        assert anf_expr(Xor(Var(1), Var(2)), 2) == monomials_expr({1}, {2})
 
     def test_or(self):
-        assert to_anf(Or(Var(1), Var(2))).monomials == frozenset(
-            {frozenset({1}), frozenset({2}), frozenset({1, 2})}
-        )
+        assert anf_expr(Or(Var(1), Var(2)), 2) == monomials_expr({1}, {2}, {1, 2})
 
     def test_iff_matches_oracle(self):
         e = Iff(Var(2), Var(3))
         oracle = anf_by_inclusion_exclusion(e, 3)
-        assert to_anf(e, 3) == oracle
+        assert anf_expr(e, 3) == anf_to_expr(oracle)
         assert oracle.monomials == frozenset(
             {frozenset(), frozenset({2}), frozenset({3})}
         )
@@ -147,18 +157,18 @@ class TestAnf:
             parse("0", 3),
         ]
         for e in samples:
-            assert to_anf(e, 3) == anf_by_inclusion_exclusion(e, 3)
+            assert anf_expr(e, 3) == anf_to_expr(anf_by_inclusion_exclusion(e, 3))
 
     def test_function_equality_iff_equal_anf(self):
         e1 = parse("x1 | x2", 2)
         e2 = parse("x1 ^ x2 ^ (x1 & x2)", 2)
         e3 = parse("x1 & x2", 2)
-        assert to_anf(e1, 2) == to_anf(e2, 2)
-        assert to_anf(e1, 2) != to_anf(e3, 2)
+        assert anf_expr(e1, 2) == anf_expr(e2, 2)
+        assert anf_expr(e1, 2) != anf_expr(e3, 2)
 
     def test_anf_expr_round_trip(self):
         e = parse("(x1 & !x2) | (x3 <-> x1)", 3)
-        back = anf_to_expr(to_anf(e, 3))
+        back = anf_expr(e, 3)
         assert truth_table(back, 3) == truth_table(e, 3)
 
 
@@ -214,33 +224,34 @@ class TestGateCost:
 
 # -- randomized round trips ---------------------------------------------------
 
-def exprs(n: int):
-    leaves = st.one_of(
-        st.integers(min_value=1, max_value=n).map(Var),
-        st.sampled_from([Const(0), Const(1)]),
-    )
-    return st.recursive(
-        leaves,
-        lambda sub: st.one_of(
-            sub.map(Not),
-            st.tuples(sub, sub).map(lambda p: And(*p)),
-            st.tuples(sub, sub).map(lambda p: Or(*p)),
-            st.tuples(sub, sub).map(lambda p: Xor(*p)),
-            st.tuples(sub, sub).map(lambda p: Implies(*p)),
-            st.tuples(sub, sub).map(lambda p: Iff(*p)),
-        ),
-        max_leaves=25,
-    )
-
-
 @given(exprs(6))
 def test_parse_render_round_trip(e):
     assert truth_table(parse(render(e), 6), 6) == truth_table(e, 6)
 
 
+def lower(e):
+    """Rewrite -> and <-> into {!, &, |, ^}."""
+    if isinstance(e, (Var, Const)):
+        return e
+    if isinstance(e, Not):
+        return Not(lower(e.child))
+    left, right = lower(e.left), lower(e.right)
+    if isinstance(e, Implies):
+        return Or(Not(left), right)
+    if isinstance(e, Iff):
+        return Not(Xor(left, right))
+    return type(e)(left, right)
+
+
+@given(exprs(6))
+def test_gate_cost_prices_implies_and_iff_as_lowered(e):
+    assert gate_cost(e) == gate_cost(lower(e))
+
+
 @given(exprs(4))
 def test_anf_agrees_with_truth_table(e):
     anf = to_anf(e, 4)
+    assert anf_expr(e, 4) == anf_to_expr(anf)
     for m in range(16):
         bits = [(m >> i) & 1 for i in range(4)]
-        assert anf.evaluate(bits) == eval_expr(e, bits)
+        assert anf_evaluate(anf, bits) == eval_expr(e, bits) == value(e, bits)

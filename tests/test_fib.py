@@ -9,7 +9,6 @@ from fsrkit import (
     TransitionMatrix,
     decode_state,
     encode_state,
-    eval_expr,
     feedback_of,
     fib_transition,
     galois_transition,

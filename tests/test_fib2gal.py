@@ -144,16 +144,16 @@ class TestSelectMinimal:
         dense = GaloisCandidate(
             conjugate(L, PermutationTransform(3, (2, 3, 4, 1, 5, 6, 7, 8))), ident
         )
-        _, _, shift_sum, _, _, _ = reduce_candidate(shift.matrix)
-        _, _, dense_sum, _, _, _ = reduce_candidate(dense.matrix)
+        shift_sum = reduce_candidate(shift.matrix).support_sum
+        dense_sum = reduce_candidate(dense.matrix).support_sum
         assert shift_sum <= dense_sum
         best = select_minimal([dense, shift])
         assert best.candidate is shift
 
     def test_support_counts_via_flip_oracle(self, lf4, lg4):
         # the dense reference candidate has larger support than the source
-        _, _, lf_sum, _, _, _ = reduce_candidate(lf4)
-        _, _, lg_sum, _, _, _ = reduce_candidate(lg4)
+        lf_sum = reduce_candidate(lf4).support_sum
+        lg_sum = reduce_candidate(lg4).support_sum
         assert lf_sum < lg_sum
 
     def test_area_breaks_ties(self):
@@ -165,14 +165,15 @@ class TestSelectMinimal:
         best = select_minimal(cands)
         sums = []
         for c in cands:
-            _, _, s, area, _, _ = reduce_candidate(c.matrix)
-            sums.append((s, area, c.matrix.cols))
-        assert (best.support_sum, best.area_um2, best.candidate.matrix.cols) == min(sums)
+            r = reduce_candidate(c.matrix)
+            sums.append((r.support_sum, r.area_um2, c.matrix.cols))
+        r = best.reduction
+        assert (r.support_sum, r.area_um2, best.candidate.matrix.cols) == min(sums)
 
     def test_selected_updates_are_function_equal(self):
         L = debruijn3()
         best = select_minimal(enumerate_equivalents(L, budget=576))
-        for k, e in enumerate(best.updates, start=1):
+        for k, e in enumerate(best.reduction.updates, start=1):
             assert structure_matrix(e, 3).rows == coordinate_structure(
                 best.candidate.matrix, k
             ).rows

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from fsrkit import (
     FsrSpec,
@@ -12,21 +12,32 @@ from fsrkit import (
     decode_state,
     depends_on,
     encode_state,
-    eval_expr,
     format_delta,
     galois_transition,
     parse,
     parse_delta,
     restrict_support,
     structure_matrix,
-    swap_matrix,
     synthesize_expr,
     transition_from_delta,
     transition_to_delta,
 )
+from fsrkit import stp
 from fsrkit.expr import Not, Var
+from fsrkit.fib import fib_transition
+from fsrkit.fib2gal import enumerate_equivalents
 
-from conftest import MF4_ROWS
+from conftest import (
+    MF4_ROWS,
+    eval_expr,
+    exprs,
+    ref_coordinate_structure,
+    ref_depends_on,
+    ref_galois_transition,
+    ref_restrict_support,
+    ref_structure_matrix,
+    ref_synthesize_expr,
+)
 
 
 def encode_by_kronecker(bits):
@@ -146,24 +157,6 @@ class TestCoordinateStructure:
             encode_state([m.value(j) for m in structures]) for j in range(1, 9)
         )
         assert rebuilt == L.cols
-
-
-class TestSwapMatrix:
-    def test_trivial_factor(self):
-        assert swap_matrix(1, 5) == (1, 2, 3, 4, 5)
-
-    def test_two_by_two(self):
-        assert swap_matrix(2, 2) == (1, 3, 2, 4)
-
-    def test_two_by_four(self):
-        assert swap_matrix(2, 4) == (1, 3, 5, 7, 2, 4, 6, 8)
-
-    @given(st.integers(1, 6), st.integers(1, 6))
-    def test_swap_composition_is_identity(self, m, n):
-        w = swap_matrix(m, n)
-        wt = swap_matrix(n, m)
-        composed = tuple(wt[w[i] - 1] for i in range(m * n))
-        assert composed == tuple(range(1, m * n + 1))
 
 
 def flips_value_somewhere(e, n, j):
@@ -292,3 +285,74 @@ class TestFsrSpec:
     def test_rejects_oversized_variable(self):
         with pytest.raises(ValueError):
             FsrSpec.fibonacci(2, parse("x3", 3))
+
+
+# -- whole-table operations against the per-entry reference implementations ---
+
+def table(n: int, mask: int) -> StructureMatrix:
+    return StructureMatrix(n, tuple(1 if (mask >> u) & 1 else 2 for u in range(1 << n)))
+
+
+tables = st.integers(0, 8).flatmap(
+    lambda n: st.integers(0, (1 << (1 << n)) - 1).map(lambda mask: table(n, mask))
+)
+
+
+def check_table_ops(M: StructureMatrix) -> None:
+    assert [depends_on(M, j) for j in range(1, M.n + 1)] == [
+        ref_depends_on(M, j) for j in range(1, M.n + 1)
+    ]
+    assert restrict_support(M) == ref_restrict_support(M)
+    assert synthesize_expr(M) == ref_synthesize_expr(M)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_variable_masks(self, n):
+        # bit u of mask i-1 is variable i on state u + 1
+        want = tuple(
+            sum(1 << u for u in range(1 << n) if not (u >> (n - i)) & 1)
+            for i in range(1, n + 1)
+        )
+        assert stp._var_masks(n) == want
+
+    @seed(3)
+    @settings(deadline=None)
+    @given(tables)
+    def test_random_tables(self, M):
+        check_table_ops(M)
+        assert structure_matrix(synthesize_expr(M), M.n) == M
+
+    @seed(3)
+    @settings(deadline=None)
+    @given(st.integers(1, 8), st.randoms(use_true_random=False))
+    def test_coordinates_of_random_maps(self, n, rng):
+        L = TransitionMatrix(n, tuple(rng.randint(1, 1 << n) for _ in range(1 << n)))
+        for k in range(1, n + 1):
+            assert coordinate_structure(L, k) == ref_coordinate_structure(L, k)
+
+    @seed(3)
+    @settings(deadline=None)
+    @given(st.integers(0, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(exprs(max(n, 1)), min_size=n, max_size=n))
+    ))
+    def test_galois_transition(self, case):
+        n, updates = case
+        for e in updates:
+            assert structure_matrix(e, n) == ref_structure_matrix(e, n)
+        spec = FsrSpec.galois(n, updates)
+        assert galois_transition(spec) == ref_galois_transition(n, updates)
+
+    @seed(3)
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(3, 6), st.randoms(use_true_random=False), st.integers(0, 2**32))
+    def test_enumerated_candidates(self, n, rng, sample_seed):
+        feedback = table(n, rng.getrandbits(1 << n))
+        L_f = fib_transition(feedback)
+        for cand in enumerate_equivalents(L_f, budget=3, seed=sample_seed):
+            for k in range(1, n + 1):
+                C = coordinate_structure(cand.matrix, k)
+                assert C == ref_coordinate_structure(cand.matrix, k)
+                check_table_ops(C)
+                _, reduced = restrict_support(C)
+                check_table_ops(reduced)
