@@ -166,13 +166,6 @@ class DerivedDigraph:
     l: int
     successors: dict[int, frozenset[int]] = field(hash=False)
 
-    @property
-    def nodes(self) -> frozenset[int]:
-        out = set(self.successors)
-        for targets in self.successors.values():
-            out |= targets
-        return frozenset(out)
-
 
 def derived_digraph(seqs: Iterable[OutputSeq], l: int) -> DerivedDigraph:
     """Unroll each sequence one full period beyond window repetition."""
@@ -239,6 +232,9 @@ class MinStageResult:
     sequences: tuple[OutputSeq, ...]
 
 
+_BITS_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageResult:
     """Smallest window length whose derived digraph is deterministic,
     plus the partial Fibonacci matrix and all its shift-law completions.
@@ -247,34 +243,28 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
     at most max_free; beyond that only the lexicographically least
     completion is returned alongside the total count.
     """
-    n = L_g.n
-    seqs = sorted(
-        set(all_output_sequences(L_g).values()),
-        key=lambda s: (s.preperiod, s.period),
-    )
-    r = max(len(s.period) for s in seqs)
-    l = max(1, (r - 1).bit_length())  # ceil(log2(r)), at least 1
-    # Fine-Wilf: two suffixes with preperiods <= P and periods <= r that
-    # agree on P + 2r - 1 bits are equal, so that window length is realizable
-    bound = max(len(s.preperiod) for s in seqs) + 2 * r
-    while True:
-        G = derived_digraph(seqs, l)
-        if realizable(G):
-            break
-        l += 1
-        if l > bound:
-            raise AssertionError("window search failed to terminate")
+    seq_of = all_output_sequences(L_g)
+    seqs = sorted(set(seq_of.values()), key=lambda s: (s.preperiod, s.period))
+    # The sequences of all states are closed under shift, so when two
+    # distinct ones share k > 0 leading bits, their shifts share k - 1: the
+    # shared prefix lengths fill 0..K, and l-bit windows have unique
+    # successors exactly when l > K. By Fine-Wilf, distinct sequences with
+    # preperiods <= P and periods <= r differ within P + 2r bits, so K is
+    # the longest prefix that neighbours share among the sorted prefixes.
+    bound = max(len(s.preperiod) for s in seqs) + 2 * max(len(s.period) for s in seqs)
+    keys = sorted(int(bytes(s.bits(bound)).translate(_BITS_TO_DIGITS), 2) for s in seqs)
+    l = 1 + max((bound - (a ^ b).bit_length() for a, b in zip(keys, keys[1:])), default=0)
 
+    window_map = tuple(encode_state(s.bits(l)) for s in seq_of.values())
+    # the window after T'(z) is T'(L_g(z))
     size = 1 << l
     cols: list[int | None] = [None] * size
-    for w, targets in G.successors.items():
-        (t,) = tuple(targets)
+    for w, z in zip(window_map, L_g.cols):
+        t = window_map[z - 1]
+        if cols[w - 1] not in (None, t):
+            raise AssertionError(f"window {w} has two successors")
         cols[w - 1] = t
     partial = PartialTransition(l, tuple(cols))
-
-    window_map = tuple(
-        encode_state(simulate(L_g, z, l)) for z in range(1, (1 << n) + 1)
-    )
 
     free = tuple(j for j in range(1, size + 1) if cols[j - 1] is None)
     for j in range(1, size + 1):

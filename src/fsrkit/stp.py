@@ -145,12 +145,6 @@ class FsrSpec:
             return self.updates
         return tuple(Var(j + 1) for j in range(1, self.n)) + (self.updates[0],)
 
-    @property
-    def feedback(self) -> BoolExpr:
-        if self.kind != "fibonacci":
-            raise ValueError("only Fibonacci specs have a single feedback")
-        return self.updates[0]
-
 
 # ---------------------------------------------------------------------------
 # Truth tables

@@ -1,14 +1,18 @@
+import contextlib
+import io
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from fsrkit import ParseError, TransitionMatrix, simulate, transition_from_delta
+from fsrkit import ParseError, TransitionMatrix, render, simulate, transition_from_delta
 from fsrkit.cli import FsrFileError, main, parse_fsr_file
 
-from conftest import LF4_COLS, LG4_COLS, PI4
+from conftest import LF4_COLS, LG4_COLS, PI4, exprs
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIB4 = str(FIXTURES / "fib4_debruijn.fsr")
@@ -299,3 +303,66 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "d8[3 4 2 3 6 6 4 4]"
+
+
+# lines that break a file in the ways parse_fsr_file checks for, plus a
+# comment and a blank line that it skips
+MALFORMED = [
+    "junk line",
+    "n=0 type=fib",
+    "n=2 type=xor",
+    "n=two type=gal",
+    "f0 = x1",
+    "f9 = x1",
+    "f1 = x7",
+    "f1 = (x1",
+    "f1 = x1 & ",
+    "f1 = x1 <-> <-> x2",
+    "= x1",
+    "L = d4[1 2",
+    "L = d4[1 2 3 9]",
+    "L = d3[1 2 3]",
+    "L = d4[1 * 3 4]",
+    "# a comment",
+    "",
+]
+
+
+@st.composite
+def fsr_texts(draw):
+    """A small FSR file of either kind, with up to two malformed lines
+    inserted anywhere, the header's place included."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["fib", "gal"]))
+    regs = [n] if kind == "fib" else range(1, n + 1)
+    lines = [f"n={n} type={kind}"]
+    lines += [f"f{k} = {render(draw(exprs(n)))}" for k in regs]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(MALFORMED)))
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    """Any file gives exit code 0, 1 or 2, and 2 comes with an error line."""
+
+    @seed(5)
+    @settings(deadline=None, max_examples=60)
+    @given(fsr_texts())
+    def test_commands_exit_cleanly(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "in.fsr")
+            Path(path).write_text(text)
+            for argv in (
+                ["to-matrix", path],
+                ["gal2fib", path, "--max-free", "4"],
+                ["verify", path, path],
+                ["simulate", path, "--init", "1", "--steps", "8"],
+                ["fib2gal", path, "--budget", "4", "--seed", "1"],
+                ["fib2gal", path, "--budget", "4", "--seed", "1", "--minimize"],
+            ):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = main(argv)
+                assert rc in (0, 1, 2), argv
+                if rc == 2:
+                    assert err.getvalue().startswith("error: "), argv

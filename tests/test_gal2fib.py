@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from fsrkit import (
     OutputSeq,
@@ -69,6 +70,48 @@ def is_primitive_oracle(period):
         d % k == 0 and all(period[i] == period[i % k] for i in range(d))
         for k in range(1, d)
     )
+
+
+def min_stage_oracle(L, max_free):
+    """The window search: the least l from ceil(log2 r) whose derived
+    digraph is deterministic, P read off its edges, T' by simulation, and
+    the shift-law completions of P (only the least beyond max_free)."""
+    seqs = set(all_output_sequences(L).values())
+    r = max(len(s.period) for s in seqs)
+    bound = max(len(s.preperiod) for s in seqs) + 2 * r
+    l = max(1, (r - 1).bit_length())
+    while not realizable(G := derived_digraph(seqs, l)):
+        l += 1
+        assert l <= bound
+    cols = [None] * (1 << l)
+    for w, (t,) in G.successors.items():
+        cols[w - 1] = t
+    window_map = tuple(encode_state(simulate(L, z, l)) for z in range(1, (1 << L.n) + 1))
+    free = tuple(j for j, c in enumerate(cols, start=1) if c is None)
+    half = 1 << (l - 1)
+    choices = [(2 * ((j - 1) % half) + 1, 2 * ((j - 1) % half) + 2) for j in free]
+    if len(free) <= max_free:
+        picks = itertools.product(*choices)
+    else:
+        picks = [tuple(c[0] for c in choices)]
+    completions = []
+    for pick in picks:
+        filled = list(cols)
+        for j, v in zip(free, pick):
+            filled[j - 1] = v
+        completions.append(tuple(filled))
+    return l, tuple(cols), window_map, free, completions
+
+
+def assert_matches_search(L, max_free=6):
+    got = min_stage_fibonacci(L, max_free=max_free)
+    l, cols, window_map, free, completions = min_stage_oracle(L, max_free)
+    assert got.l == l
+    assert got.partial.cols == cols
+    assert got.window_map == window_map
+    assert got.free_columns == free
+    assert [c.cols for c in got.completions] == completions
+    assert got.total_completions == 1 << len(free)
 
 
 def differential_matrices():
@@ -302,8 +345,9 @@ class TestMinStage:
         assert fixed + len(r.free_columns) == 1 << r.l
 
     def test_window_beyond_preperiod_plus_period(self):
-        # l = 5 exceeds the longest preperiod plus period (3) by two; the
-        # search runs up to the Fine-Wilf bound P + 2r
+        # l = 5 exceeds the longest preperiod plus period (3) by two: the
+        # distinct sequences 10111... and 101101... share the four bits 1011,
+        # which is within the Fine-Wilf bound P + 2r = 8
         L = TransitionMatrix(3, (8, 6, 3, 1, 3, 3, 3, 4))
         r = min_stage_fibonacci(L)
         assert r.l == 5
@@ -318,6 +362,34 @@ class TestMinStage:
         assert r.total_completions == 8
         assert len(r.completions) == 1
         assert r.completions[0].cols == (1, 4, 6, 8, 1, 3, 5, 8)
+
+
+class TestMinStageAgainstSearch:
+    def test_differential_matrices(self):
+        for L in differential_matrices():
+            assert_matches_search(L)
+
+    @seed(4)
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.integers(1, 1 << n), min_size=1 << n, max_size=1 << n)
+        .map(lambda cols: TransitionMatrix(n, tuple(cols)))))
+    def test_random_maps(self, L):
+        assert_matches_search(L)
+
+    def test_prefixes_need_the_full_fine_wilf_bound(self):
+        # periods 3 and 4 share the 3 + 4 - 2 = 5 bits 00100, more than
+        # P + r = 4, so shorter prefixes would not tell them apart
+        L = galois_from_sequences([OutputSeq((), (0, 0, 1)), OutputSeq((), (0, 0, 1, 0))]).matrix
+        assert min_stage_fibonacci(L).l == 6
+        assert_matches_search(L)
+
+    def test_single_sequence(self):
+        # a 0-stage register has one state and one sequence, so no pair;
+        # simulate has no output bit at n = 0, so the search cannot run
+        r = min_stage_fibonacci(TransitionMatrix(0, (1,)))
+        assert r.sequences == (OutputSeq((), (0,)),)
+        assert (r.l, r.partial.cols, r.window_map) == (1, (None, 2), (2,))
 
 
 class TestGaloisFromSequences:
