@@ -91,6 +91,8 @@ def enumerate_equivalents(
     """
     if not is_fibonacci(L_f):
         raise ValueError("source matrix is not Fibonacci")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     half = 1 << (L_f.n - 1)
     total = math.factorial(half) ** 2
     if budget is None or total <= budget:

@@ -8,7 +8,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .stp import TransitionMatrix, encode_state, output_bit
+from .stp import TransitionMatrix, output_bit
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +89,8 @@ def parse_sequence(text: str) -> OutputSeq:
 
 def simulate(L: TransitionMatrix, x0: int, steps: int) -> tuple[int, ...]:
     """Output bits from state x0; the bit at t=0 is the output of x0 itself."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if not 1 <= x0 <= (1 << L.n):
         raise ValueError(f"initial state {x0} out of range [1, {1 << L.n}]")
     out = []
@@ -113,14 +115,19 @@ def output_sequence(L: TransitionMatrix, x0: int) -> OutputSeq:
     return normalize_sequence(bits[:p], bits[p:])
 
 
-def all_output_sequences(L: TransitionMatrix) -> dict[int, OutputSeq]:
-    """Output sequence of every initial state, in one pass over the
-    functional graph of L: each state is walked once, then takes its
-    sequence from its cycle or from its successor's sequence."""
+def _sequence_table(L: TransitionMatrix) -> list[tuple[bytes, bytes]]:
+    """Normalized (preperiod, period) of every state's output sequence, as
+    0/1 bytes in state order (entry i is state i + 1).
+
+    One pass over the functional graph of L: each state is walked once,
+    then takes its sequence from its cycle or from its successor's. A
+    cycle's rotations are sliced once and shared by the cycle's states.
+    bytes cache their hash, so an entry hashes in O(1) however long it is.
+    """
     size = 1 << L.n
     half = size >> 1
     cols = L.cols
-    seq: list[OutputSeq | None] = [None] * (size + 1)
+    seq: list[tuple[bytes, bytes] | None] = [None] * (size + 1)
     # 1 + position on the current walk; stale marks sit on states that
     # already have a sequence, which stops a walk before the mark is read
     on_path = [0] * (size + 1)
@@ -140,19 +147,31 @@ def all_output_sequences(L: TransitionMatrix) -> dict[int, OutputSeq]:
             b = bytes(1 if x <= half else 0 for x in cycle)
             bb = b + b
             d = bb.find(b, 1)  # primitive period of the cycle's output
-            rotations = [OutputSeq((), tuple(bb[k:k + d])) for k in range(d)]
+            rotations = [(b"", bb[k:k + d]) for k in range(d)]
             for k, x in enumerate(cycle):
                 seq[x] = rotations[k % d]
-        nxt = seq[s]
+        pre, per = seq[s]  # type: ignore[misc]
         for x in reversed(tail):
-            bit = 1 if x <= half else 0
-            pre, per = nxt.preperiod, nxt.period  # type: ignore[union-attr]
-            if not pre and per[-1] == bit:
-                nxt = OutputSeq((), (bit,) + per[:-1])
+            bit = b"\1" if x <= half else b"\0"
+            if not pre and per[-1:] == bit:
+                per = bit + per[:-1]
             else:
-                nxt = OutputSeq((bit,) + pre, per)
-            seq[x] = nxt
-    return {i: seq[i] for i in range(1, size + 1)}  # type: ignore[misc]
+                pre = bit + pre
+            seq[x] = (pre, per)
+    return seq[1:]  # type: ignore[return-value]
+
+
+def all_output_sequences(L: TransitionMatrix) -> dict[int, OutputSeq]:
+    """Output sequence of every initial state, one OutputSeq per distinct
+    sequence."""
+    table = _sequence_table(L)
+    periods: dict[bytes, tuple[int, ...]] = {}
+    view = {}
+    for pre, per in set(table):
+        if per not in periods:
+            periods[per] = tuple(per)
+        view[pre, per] = OutputSeq(tuple(pre), periods[per])
+    return {i: view[e] for i, e in enumerate(table, start=1)}
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +252,14 @@ class MinStageResult:
 
 
 _BITS_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+# a window's index is 1 + its complemented bits, first bit most significant
+_BITS_TO_COMPLEMENT_DIGITS = bytes.maketrans(b"\0\1", b"10")
+
+
+def _prefix(pre: bytes, per: bytes, length: int) -> bytes:
+    """First `length` bits of the sequence pre per per per ..."""
+    reps = max(0, -(-(length - len(pre)) // len(per)))
+    return (pre + per * reps)[:length]
 
 
 def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageResult:
@@ -243,19 +270,24 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
     at most max_free; beyond that only the lexicographically least
     completion is returned alongside the total count.
     """
-    seq_of = all_output_sequences(L_g)
-    seqs = sorted(set(seq_of.values()), key=lambda s: (s.preperiod, s.period))
+    if max_free < 0:
+        raise ValueError(f"max_free must be >= 0, got {max_free}")
+    table = _sequence_table(L_g)
+    seqs = sorted(set(table))  # bytes sort as the 0/1 tuples do
     # The sequences of all states are closed under shift, so when two
     # distinct ones share k > 0 leading bits, their shifts share k - 1: the
     # shared prefix lengths fill 0..K, and l-bit windows have unique
     # successors exactly when l > K. By Fine-Wilf, distinct sequences with
     # preperiods <= P and periods <= r differ within P + 2r bits, so K is
     # the longest prefix that neighbours share among the sorted prefixes.
-    bound = max(len(s.preperiod) for s in seqs) + 2 * max(len(s.period) for s in seqs)
-    keys = sorted(int(bytes(s.bits(bound)).translate(_BITS_TO_DIGITS), 2) for s in seqs)
+    bound = max(len(pre) for pre, _ in seqs) + 2 * max(len(per) for _, per in seqs)
+    keys = sorted(int(_prefix(*e, bound).translate(_BITS_TO_DIGITS), 2) for e in seqs)
     l = 1 + max((bound - (a ^ b).bit_length() for a, b in zip(keys, keys[1:])), default=0)
 
-    window_map = tuple(encode_state(s.bits(l)) for s in seq_of.values())
+    window_of = {
+        e: 1 + int(_prefix(*e, l).translate(_BITS_TO_COMPLEMENT_DIGITS), 2) for e in seqs
+    }
+    window_map = tuple(window_of[e] for e in table)
     # the window after T'(z) is T'(L_g(z))
     size = 1 << l
     cols: list[int | None] = [None] * size
@@ -291,7 +323,7 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
         completions=tuple(completions),
         free_columns=free,
         total_completions=total,
-        sequences=tuple(seqs),
+        sequences=tuple(OutputSeq(tuple(pre), tuple(per)) for pre, per in seqs),
     )
 
 
@@ -366,15 +398,13 @@ class EquivalenceResult:
 
 def equivalent(A: TransitionMatrix, B: TransitionMatrix) -> EquivalenceResult:
     """Set equality of normalized output sequences over all initial states."""
-    seq_a = all_output_sequences(A)
-    seq_b = all_output_sequences(B)
-    by_seq_b: dict[OutputSeq, int] = {}
-    for j in sorted(seq_b):
-        by_seq_b.setdefault(seq_b[j], j)
-    by_seq_a: dict[OutputSeq, int] = {}
-    for i in sorted(seq_a):
-        by_seq_a.setdefault(seq_a[i], i)
-    forward = {i: by_seq_b.get(s) for i, s in seq_a.items()}
-    backward = {j: by_seq_a.get(s) for j, s in seq_b.items()}
-    equal = by_seq_a.keys() == by_seq_b.keys()
+    seq_a = _sequence_table(A)
+    seq_b = _sequence_table(B)
+    # each sequence -> its smallest state index: the last write wins
+    by_seq_a = dict(zip(reversed(seq_a), range(len(seq_a), 0, -1)))
+    by_seq_b = dict(zip(reversed(seq_b), range(len(seq_b), 0, -1)))
+    forward = dict(zip(range(1, len(seq_a) + 1), map(by_seq_b.get, seq_a)))
+    backward = dict(zip(range(1, len(seq_b) + 1), map(by_seq_a.get, seq_b)))
+    # the sets are equal iff every sequence has a partner both ways
+    equal = None not in forward.values() and None not in backward.values()
     return EquivalenceResult(equal, forward, backward)

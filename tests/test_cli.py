@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import fsrkit
 from fsrkit import ParseError, TransitionMatrix, render, simulate, transition_from_delta
 from fsrkit.cli import FsrFileError, main, parse_fsr_file
 
@@ -151,6 +153,12 @@ class TestFib2Gal:
         assert int(fields["support_sum"]) == r.support_sum
         assert float(fields["area_um2"]) == pytest.approx(r.area_um2)
 
+    @pytest.mark.parametrize("extra", [(), ("--minimize",)])
+    def test_negative_budget_exits_two(self, capsys, extra):
+        code, out, err = run(capsys, "fib2gal", FIB4, "--budget", "-3", "--seed", "1", *extra)
+        assert (code, out) == (2, [])
+        assert err.startswith("error:") and "budget" in err
+
     def test_rejects_galois_input(self, capsys):
         code, _, err = run(capsys, "fib2gal", GAL3A)
         assert code == 2
@@ -191,6 +199,10 @@ class TestGal2Fib:
         assert "completions = 2^3" in out
         assert [ln for ln in out if ln.startswith("d8[")] == ["d8[1 4 6 8 1 3 5 8]"]
 
+    def test_negative_max_free_exits_two(self, capsys):
+        code, out, err = run(capsys, "gal2fib", GAL3B, "--max-free", "-1")
+        assert (code, out) == (2, [])
+        assert err.startswith("error:") and "max_free" in err
 
     def test_long_window_prints_completion_count_as_power(self, capsys, tmp_path):
         # z2..z5 count up to 1111 and stay there; z1 is 1 for one step, so
@@ -283,6 +295,11 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", GAL3B, "--init", "9", "--steps", "4")
         assert code == 2
 
+    def test_negative_steps_exits_two(self, capsys):
+        code, out, err = run(capsys, "simulate", GAL3B, "--init", "2", "--steps", "-4")
+        assert (code, out) == (2, [])
+        assert err.startswith("error:") and "steps" in err
+
 
 class TestEntryPoint:
     def test_console_script(self):
@@ -296,10 +313,14 @@ class TestEntryPoint:
         assert proc.stdout.strip() == LF4_DELTA
 
     def test_module_invocation(self):
+        # the child imports the fsrkit under test, installed or not
+        src = str(Path(fsrkit.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", "import fsrkit.cli as c; raise SystemExit(c.main(['to-matrix', %r]))" % GAL3A],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "d8[3 4 2 3 6 6 4 4]"

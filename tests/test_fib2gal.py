@@ -109,6 +109,10 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_equivalents(TransitionMatrix(3, (5, 3, 7, 6, 4, 1, 8, 7))))
 
+    def test_rejects_negative_budget(self):
+        with pytest.raises(ValueError, match="budget"):
+            list(enumerate_equivalents(debruijn3(), budget=-3, seed=1))
+
 
 class TestCountAudit:
     def test_n2_by_exhaustion(self):

@@ -6,9 +6,11 @@ from hypothesis import given, seed, settings, strategies as st
 
 from fsrkit import (
     OutputSeq,
+    PermutationTransform,
     StructureMatrix,
     TransitionMatrix,
     all_output_sequences,
+    conjugate,
     derived_digraph,
     equivalent,
     fib_transition,
@@ -50,6 +52,38 @@ def random_transition(rng, n):
 
 def all_output_sequences_oracle(L):
     return {i: output_sequence(L, i) for i in range(1, (1 << L.n) + 1)}
+
+
+def equivalent_oracle(A, B):
+    """Equality of the OutputSeq sets; each state maps to the smallest
+    state of the other matrix with the same sequence, or None."""
+    seq_a = all_output_sequences_oracle(A)
+    seq_b = all_output_sequences_oracle(B)
+    by_seq_b = {}
+    for j in sorted(seq_b):
+        by_seq_b.setdefault(seq_b[j], j)
+    by_seq_a = {}
+    for i in sorted(seq_a):
+        by_seq_a.setdefault(seq_a[i], i)
+    forward = {i: by_seq_b.get(s) for i, s in seq_a.items()}
+    backward = {j: by_seq_a.get(s) for j, s in seq_b.items()}
+    return by_seq_a.keys() == by_seq_b.keys(), forward, backward
+
+
+def assert_matches_equivalent_oracle(A, B):
+    got = equivalent(A, B)
+    assert (got.equal, got.forward, got.backward) == equivalent_oracle(A, B)
+    return got
+
+
+def random_conjugate(rng, L):
+    """L relabeled by a random permutation that keeps each output half."""
+    half = 1 << (L.n - 1)
+    top = list(range(1, half + 1))
+    bottom = list(range(half + 1, 2 * half + 1))
+    rng.shuffle(top)
+    rng.shuffle(bottom)
+    return conjugate(L, PermutationTransform(L.n, tuple(top + bottom)))
 
 
 def derived_successors_oracle(seqs, l):
@@ -145,6 +179,10 @@ class TestSimulate:
 
     def test_zero_steps(self, lg3b):
         assert simulate(lg3b, 3, 0) == ()
+
+    def test_rejects_negative_steps(self, lg3b):
+        with pytest.raises(ValueError, match="steps"):
+            simulate(lg3b, 3, -4)
 
     def test_rejects_bad_state(self, lg3b):
         with pytest.raises(ValueError):
@@ -357,6 +395,10 @@ class TestMinStage:
             steps = len(s.preperiod) + 2 * len(s.period) + r.l
             assert simulate(r.completions[0], r.window_map[z - 1], steps) == s.bits(steps)
 
+    def test_rejects_negative_max_free(self, lg3b):
+        with pytest.raises(ValueError, match="max_free"):
+            min_stage_fibonacci(lg3b, max_free=-1)
+
     def test_max_free_cap(self, lg3b):
         r = min_stage_fibonacci(lg3b, max_free=1)
         assert r.total_completions == 8
@@ -461,3 +503,76 @@ class TestEquivalent:
         result = equivalent(TransitionMatrix(1, (1, 2)), TransitionMatrix(1, (1, 1)))
         assert not result
         assert result.forward[2] is None
+
+
+matrices = st.integers(1, 8).flatmap(
+    lambda n: st.one_of(
+        st.lists(st.integers(1, 1 << n), min_size=1 << n, max_size=1 << n),
+        st.permutations(range(1, (1 << n) + 1)),
+    ).map(lambda cols: TransitionMatrix(n, tuple(cols)))
+)
+
+
+class TestEquivalentAgainstOracle:
+    """equivalent against the OutputSeq-keyed oracle: equal, and every
+    forward and backward entry."""
+
+    @seed(6)
+    @settings(deadline=None, max_examples=150)
+    @given(matrices, matrices)
+    def test_random_pairs(self, A, B):
+        # the two sizes differ in most draws
+        assert_matches_equivalent_oracle(A, B)
+
+    @seed(7)
+    @settings(deadline=None, max_examples=100)
+    @given(matrices, st.randoms(use_true_random=False))
+    def test_random_conjugates(self, L, rng):
+        got = assert_matches_equivalent_oracle(L, random_conjugate(rng, L))
+        assert got.equal
+        assert assert_matches_equivalent_oracle(L, L).equal
+
+    def test_differential_matrices_against_conjugates(self):
+        rng = random.Random(11)
+        for L in differential_matrices():
+            assert assert_matches_equivalent_oracle(L, random_conjugate(rng, L)).equal
+
+    def test_purely_periodic_tail(self):
+        # 2 -> 3 -> 1 -> 3 and 4 -> 2: state 3 is on the cycle 0101...,
+        # and states 2 and 4 prepend the bit the period ends with, so their
+        # sequences are rotations of the cycle's with no preperiod
+        L = TransitionMatrix(2, (3, 3, 1, 2))
+        seqs = all_output_sequences(L)
+        assert seqs[2] == OutputSeq((), (1, 0))
+        assert seqs[4] == OutputSeq((), (0, 1))
+        got = assert_matches_equivalent_oracle(L, TransitionMatrix(2, (3, 4, 1, 2)))
+        assert got.equal
+        assert got.forward == {1: 1, 2: 1, 3: 3, 4: 3}
+        assert got.backward == {1: 1, 2: 1, 3: 3, 4: 3}
+
+    def test_one_word_on_two_cycles_at_different_rotations(self):
+        # 1 <-> 5 is first walked from its 1-state, 6 <-> 3 from its
+        # 0-state (via 2): both carry 10, at opposite rotations
+        L = TransitionMatrix(3, (5, 6, 6, 4, 1, 3, 7, 8))
+        seqs = all_output_sequences(L)
+        assert seqs[1] == seqs[3] == seqs[2] == OutputSeq((), (1, 0))
+        assert seqs[5] == seqs[6] == OutputSeq((), (0, 1))
+        got = assert_matches_equivalent_oracle(L, L)
+        assert got.equal
+        assert [got.forward[i] for i in (1, 2, 3, 5, 6)] == [1, 1, 1, 5, 5]
+        # without the constant-0 sequence of states 7 and 8
+        B = TransitionMatrix(3, (5, 2, 3, 4, 1, 5, 5, 5))
+        assert not assert_matches_equivalent_oracle(L, B).equal
+
+    def test_builds_no_output_seq(self, monkeypatch):
+        rng = random.Random(12)
+        pairs = [(L, random_conjugate(rng, L)) for L in differential_matrices()[::7]]
+        want = [equivalent_oracle(A, B) for A, B in pairs]
+
+        def refuse(self):
+            raise AssertionError("equivalent built an OutputSeq")
+
+        monkeypatch.setattr(OutputSeq, "__post_init__", refuse)
+        for (A, B), expected in zip(pairs, want):
+            got = equivalent(A, B)
+            assert (got.equal, got.forward, got.backward) == expected
