@@ -21,17 +21,25 @@ from .fib2gal import (
 )
 from .gal2fib import equivalent, min_stage_fibonacci, simulate
 from .stp import (
-    FsrSpec,
     PermutationTransform,
+    StructureMatrix,
     TransitionMatrix,
+    _mask_to_rows,
+    _read_table,
+    _transition_of_tables,
+    _var_masks,
     encode_state,
     format_delta,
-    galois_transition,
     parse_delta,
-    structure_matrix,
     transition_from_delta,
     transition_to_delta,
 )
+# not called here: bench/tracing.py wraps these two at this module's bindings
+from .stp import galois_transition, structure_matrix
+
+#: Largest register count a file may declare. Its update lines are read into
+#: truth tables of 2^n bits each, and its transition matrix has 2^n columns.
+MAX_STAGES = 20
 
 
 class FsrFileError(Exception):
@@ -42,16 +50,16 @@ class FsrFileError(Exception):
 class FsrFile:
     n: int
     kind: str  # "fibonacci" | "galois"
-    functions: dict[int, ex.BoolExpr]
+    tables: dict[int, int]  # register -> truth table of its update function
     matrices: dict[str, TransitionMatrix]
 
-    def spec(self) -> FsrSpec:
-        if self.kind == "fibonacci":
-            return FsrSpec.fibonacci(self.n, self.functions[self.n])
-        return FsrSpec.galois(self.n, [self.functions[k] for k in range(1, self.n + 1)])
-
     def transition(self) -> TransitionMatrix:
-        return galois_transition(self.spec())
+        # a Fibonacci file defines only f_n; below it f_k = x_(k+1)
+        shifts = _var_masks(self.n)[1:]
+        return _transition_of_tables(self.n, [
+            self.tables[k] if k in self.tables else shifts[k - 1]
+            for k in range(1, self.n + 1)
+        ])
 
 
 def parse_fsr_file(text: str) -> FsrFile:
@@ -71,7 +79,9 @@ def parse_fsr_file(text: str) -> FsrFile:
     kind = {"fib": "fibonacci", "gal": "galois"}.get(header["type"])
     if kind is None or n < 1:
         raise FsrFileError("header must be `n=<int> type=<fib|gal>` with n >= 1")
-    functions: dict[int, ex.BoolExpr] = {}
+    if n > MAX_STAGES:
+        raise FsrFileError(f"register count {n} exceeds the limit of {MAX_STAGES}")
+    tables: dict[int, int] = {}
     matrices: dict[str, TransitionMatrix] = {}
     for ln in lines[1:]:
         if "=" not in ln:
@@ -81,21 +91,21 @@ def parse_fsr_file(text: str) -> FsrFile:
             k = int(name[1:])
             if not 1 <= k <= n:
                 raise FsrFileError(f"register {name} out of range for n={n}")
-            if k in functions:
+            if k in tables:
                 raise FsrFileError(f"duplicate definition of {name}")
-            functions[k] = ex.parse(rhs, n)
+            tables[k] = _read_table(rhs, n)
         elif rhs.startswith("d"):
             matrices[name] = transition_from_delta(rhs)
         else:
             raise FsrFileError(f"unrecognized line: {ln!r}")
     if kind == "fibonacci":
-        if set(functions) != {n}:
+        if set(tables) != {n}:
             raise FsrFileError(f"Fibonacci files must define exactly f{n}")
     else:
-        if set(functions) != set(range(1, n + 1)):
-            missing = sorted(set(range(1, n + 1)) - set(functions))
+        if set(tables) != set(range(1, n + 1)):
+            missing = sorted(set(range(1, n + 1)) - set(tables))
             raise FsrFileError(f"missing update functions: {missing}")
-    return FsrFile(n, kind, functions, matrices)
+    return FsrFile(n, kind, tables, matrices)
 
 
 def load_fsr_file(path: str) -> FsrFile:
@@ -134,7 +144,7 @@ def cmd_fib2gal(args) -> int:
     fsr = load_fsr_file(args.input)
     if fsr.kind != "fibonacci":
         raise FsrFileError("fib2gal needs a Fibonacci input file")
-    L_f = fib_transition(structure_matrix(fsr.functions[fsr.n], fsr.n))
+    L_f = fib_transition(StructureMatrix(fsr.n, _mask_to_rows(fsr.tables[fsr.n], fsr.n)))
 
     if args.perm is not None:
         size, entries = parse_delta(args.perm)
@@ -274,7 +284,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the expression walkers recurse once per nesting level or operand
+        # substitute, gate_cost and render recurse once per nesting level or
+        # operand; synthesized dense logic at n >= 11 can reach the limit
         print("error: expression nested too deeply", file=sys.stderr)
         return 2
 

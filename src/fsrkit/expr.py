@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping, NoReturn
 
 
 class ExprError(Exception):
@@ -71,18 +71,23 @@ class Iff(BoolExpr):
     right: BoolExpr
 
 
+# binary node classes, loosest-binding first
 _BINOPS = (Iff, Implies, Or, Xor, And)
 
 
 def variables(expr: BoolExpr) -> set[int]:
     """Free variable indices of an expression."""
-    if isinstance(expr, Var):
-        return {expr.index}
-    if isinstance(expr, Const):
-        return set()
-    if isinstance(expr, Not):
-        return variables(expr.child)
-    return variables(expr.left) | variables(expr.right)
+    found = set()
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Var):
+            found.add(node.index)
+        elif isinstance(node, Not):
+            todo.append(node.child)
+        elif not isinstance(node, Const):
+            todo += (node.left, node.right)
+    return found
 
 
 def substitute(expr: BoolExpr, mapping: Mapping[int, int]) -> BoolExpr:
@@ -100,110 +105,106 @@ def substitute(expr: BoolExpr, mapping: Mapping[int, int]) -> BoolExpr:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<var>[xz](?P<idx>\d+))|(?P<const>[01])|(?P<op><->|->|[!&|^()]))"
-)
+# One token per match: a variable, a constant, an operator, or any other
+# non-space character, which no token starts with and so is an error.
+_TOKEN_RE = re.compile(r"\s*([xz]\d+|[01]|<->|->|[!&|^()]|\S)")
+_SYMBOLS = frozenset("01!&|^()")  # the valid one-character tokens
+_END = ""  # the token after the last one
+
+# binary operator tokens, loosest first: the index is the precedence and
+# indexes _BINOPS; "(" and "!" wait on the operator stack under these codes
+_PRECEDENCE = {"<->": 0, "->": 1, "|": 2, "^": 3, "&": 4}
+_OPEN, _NOT = -1, len(_BINOPS)
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             len(text) - len(stripped))
-        if m.group("var"):
-            yield "var", m.group("idx"), m.start("var")
-        elif m.group("const"):
-            yield "const", m.group("const"), m.start("const")
+def _is_var(tok: str) -> bool:
+    return len(tok) > 1 and tok[0] in "xz"
+
+
+def _shown(tok: str) -> str:
+    """A token as error messages quote it: a variable by its index."""
+    return tok[1:] if _is_var(tok) else tok or "end of input"
+
+
+def _fail(text: str, tokens: list[str], i: int, message: str) -> NoReturn:
+    """Raise `message` at token i, unless a character anywhere in the text
+    starts no token: the first such character is the error then."""
+    starts = [m.start(1) for m in _TOKEN_RE.finditer(text)] + [len(text)]
+    for j, tok in enumerate(tokens):
+        if len(tok) == 1 and tok not in _SYMBOLS:
+            raise ParseError(f"unexpected character {tok!r}", starts[j])
+    raise ParseError(message, starts[i])
+
+
+def _evaluate(text: str, n: int, var, const, negate, binary):
+    """One operator-precedence pass over: iff < imp < or < xor < and < unary < atom.
+
+    The value is built bottom-up from var(index), const(bit), negate(value)
+    and binary(node_class, left, right); parse passes the AST constructors.
+    Explicit operand and operator stacks stand in for recursion, so nesting
+    depth and chain length are bounded by memory alone. Every error passes
+    through _fail, so a bad character anywhere outranks a grammar error.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append(_END)
+    values: list = []
+    ops: list[int] = []
+
+    def reduce(floor: int) -> None:
+        # "!" is applied as soon as its operand is complete, so only binary
+        # operators and "(" are ever on top here
+        while ops and ops[-1] >= floor:
+            right = values.pop()
+            values[-1] = binary(_BINOPS[ops.pop()], values[-1], right)
+
+    i = 0
+    while True:
+        # operand position: prefixes "!" and "(", then an atom
+        tok = tokens[i]
+        if tok == "!" or tok == "(":
+            ops.append(_NOT if tok == "!" else _OPEN)
+            i += 1
+            continue
+        if tok == "0" or tok == "1":
+            values.append(const(int(tok)))
+        elif _is_var(tok):
+            idx = int(tok[1:])
+            if not 1 <= idx <= n:
+                _fail(text, tokens, i, f"variable index {idx} out of range [1, {n}]")
+            values.append(var(idx))
         else:
-            yield m.group("op"), m.group("op"), m.start("op")
-        pos = m.end()
-    yield "end", "", len(text)
-
-
-class _Parser:
-    """Recursive descent over: iff < imp < or < xor < and < unary < atom."""
-
-    def __init__(self, text: str, n: int):
-        self.tokens = list(_tokenize(text))
-        self.n = n
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
-                             tok[2])
-        return tok
-
-    def parse(self) -> BoolExpr:
-        expr = self.iff()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
-        return expr
-
-    def _chain(self, op: str, node: type, sub) -> BoolExpr:
-        expr = sub()
-        while self.peek()[0] == op:
-            self.advance()
-            expr = node(expr, sub())
-        return expr
-
-    def iff(self) -> BoolExpr:
-        return self._chain("<->", Iff, self.imp)
-
-    def imp(self) -> BoolExpr:
-        return self._chain("->", Implies, self.or_)
-
-    def or_(self) -> BoolExpr:
-        return self._chain("|", Or, self.xor)
-
-    def xor(self) -> BoolExpr:
-        return self._chain("^", Xor, self.and_)
-
-    def and_(self) -> BoolExpr:
-        return self._chain("&", And, self.unary)
-
-    def unary(self) -> BoolExpr:
-        if self.peek()[0] == "!":
-            self.advance()
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> BoolExpr:
-        tok = self.advance()
-        kind, value, pos = tok
-        if kind == "var":
-            idx = int(value)
-            if not 1 <= idx <= self.n:
-                raise ParseError(f"variable index {idx} out of range [1, {self.n}]",
-                                 pos)
-            return Var(idx)
-        if kind == "const":
-            return Const(int(value))
-        if kind == "(":
-            expr = self.iff()
-            self.expect(")")
-            return expr
-        raise ParseError(f"unexpected token {value or 'end of input'!r}", pos)
+            _fail(text, tokens, i, f"unexpected token {_shown(tok)!r}")
+        i += 1
+        # operator position: close parentheses, negating each finished operand
+        while True:
+            while ops and ops[-1] == _NOT:
+                ops.pop()
+                values[-1] = negate(values[-1])
+            tok = tokens[i]
+            if tok != ")":
+                break
+            reduce(0)
+            if not ops:
+                _fail(text, tokens, i, "unexpected token ')'")
+            ops.pop()
+            i += 1
+        prec = _PRECEDENCE.get(tok)
+        if prec is not None:
+            reduce(prec)  # every operator is left-associative
+            ops.append(prec)
+            i += 1
+            continue
+        reduce(0)
+        if ops:
+            _fail(text, tokens, i, f"expected ')', found {_shown(tok)!r}")
+        if tok != _END:
+            _fail(text, tokens, i, f"unexpected token {_shown(tok)!r}")
+        return values[0]
 
 
 def parse(text: str, n: int) -> BoolExpr:
     """Parse a Boolean expression over variables x1..xn (z1..zn accepted)."""
-    return _Parser(text, n).parse()
+    return _evaluate(text, n, Var, Const, Not, lambda node, a, b: node(a, b))
 
 
 # ---------------------------------------------------------------------------

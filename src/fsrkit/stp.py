@@ -167,26 +167,50 @@ def _var_masks(n: int) -> tuple[int, ...]:
     )
 
 
+# the one place operator semantics on truth tables live: node class ->
+# f(a, b, full) on the operands' tables
+_TABLE_OPS = {
+    _expr.And: lambda a, b, full: a & b,
+    _expr.Or: lambda a, b, full: a | b,
+    _expr.Xor: lambda a, b, full: a ^ b,
+    _expr.Implies: lambda a, b, full: (full ^ a) | b,
+    _expr.Iff: lambda a, b, full: full ^ a ^ b,
+}
+
+
 def _truth_mask(f: BoolExpr, masks: Sequence[int], full: int) -> int:
-    if isinstance(f, Var):
-        return masks[f.index - 1]
-    if isinstance(f, Const):
-        return full if f.value else 0
-    if isinstance(f, _expr.Not):
-        return full ^ _truth_mask(f.child, masks, full)
-    a = _truth_mask(f.left, masks, full)
-    b = _truth_mask(f.right, masks, full)
-    if isinstance(f, _expr.And):
-        return a & b
-    if isinstance(f, _expr.Or):
-        return a | b
-    if isinstance(f, _expr.Xor):
-        return a ^ b
-    if isinstance(f, _expr.Implies):
-        return (full ^ a) | b
-    if isinstance(f, _expr.Iff):
-        return full ^ a ^ b
-    raise TypeError(f"not a BoolExpr node: {f!r}")
+    # post-order on explicit stacks: an operator's class waits on `todo`
+    # under its operands and combines their tables from `out`
+    out: list[int] = []
+    todo: list = [f]
+    while todo:
+        node = todo.pop()
+        if node is _expr.Not:
+            out[-1] ^= full
+        elif isinstance(node, type):
+            b = out.pop()
+            out[-1] = _TABLE_OPS[node](out[-1], b, full)
+        elif isinstance(node, Var):
+            out.append(masks[node.index - 1])
+        elif isinstance(node, Const):
+            out.append(full if node.value else 0)
+        elif isinstance(node, _expr.Not):
+            todo += (_expr.Not, node.child)
+        elif type(node) in _TABLE_OPS:
+            todo += (type(node), node.right, node.left)
+        else:
+            raise TypeError(f"not a BoolExpr node: {node!r}")
+    return out[0]
+
+
+def _read_table(text: str, n: int) -> int:
+    """Truth table of an expression's text, read without building its AST."""
+    masks = _var_masks(n)
+    full = (1 << (1 << n)) - 1
+    return _expr._evaluate(
+        text, n, lambda i: masks[i - 1], lambda v: full if v else 0, full.__xor__,
+        lambda node, a, b: _TABLE_OPS[node](a, b, full),
+    )
 
 
 def _rows_to_mask(rows: Sequence[int]) -> int:
@@ -217,17 +241,20 @@ def structure_matrix(f: BoolExpr, n: int) -> StructureMatrix:
 
 def galois_transition(spec: FsrSpec) -> TransitionMatrix:
     """Transition matrix of the full system: column k encodes the successor."""
-    n = spec.n
+    masks = _var_masks(spec.n)
+    full = (1 << (1 << spec.n)) - 1
+    return _transition_of_tables(
+        spec.n, [_truth_mask(f, masks, full) for f in spec.update_functions()])
+
+
+def _transition_of_tables(n: int, tables: Sequence[int]) -> TransitionMatrix:
+    """Transition matrix whose coordinate i updates by truth table tables[i-1]."""
     size = 1 << n
     full = (1 << size) - 1
-    masks = _var_masks(n)
     # digit u of row i is 1 - f_i on state u + 1, so the digits of state u,
     # read down the rows, are its successor's index minus one (the leading
     # row of zeros keeps n = 0 well formed)
-    digits = ["0" * size] + [
-        format(full ^ _truth_mask(f, masks, full), f"0{size}b")[::-1]
-        for f in spec.update_functions()
-    ]
+    digits = ["0" * size] + [format(full ^ t, f"0{size}b")[::-1] for t in tables]
     return TransitionMatrix(n, tuple(int("".join(d), 2) + 1 for d in zip(*digits)))
 
 

@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import pytest
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from fsrkit import (
     Implies,
     Not,
     Or,
+    ParseError,
     StructureMatrix,
     TransitionMatrix,
     Var,
@@ -142,6 +144,117 @@ def anf_evaluate(anf: Anf, bits) -> int:
     for mono in anf.monomials:
         acc ^= all(bits[i - 1] for i in mono)
     return int(acc)
+
+
+# -- parser oracle --------------------------------------------------------------
+#
+# The recursive-descent parser fsrkit used before its single operator-precedence
+# pass; parse must give the same AST, or the same ParseError message and
+# position, on every text.
+
+ORACLE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<var>[xz](?P<idx>\d+))|(?P<const>[01])|(?P<op><->|->|[!&|^()]))"
+)
+
+
+def oracle_tokenize(text: str):
+    pos = 0
+    while pos < len(text):
+        m = ORACLE_TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             len(text) - len(stripped))
+        if m.group("var"):
+            yield "var", m.group("idx"), m.start("var")
+        elif m.group("const"):
+            yield "const", m.group("const"), m.start("const")
+        else:
+            yield m.group("op"), m.group("op"), m.start("op")
+        pos = m.end()
+    yield "end", "", len(text)
+
+
+class OracleParser:
+    """Recursive descent over: iff < imp < or < xor < and < unary < atom."""
+
+    def __init__(self, text: str, n: int):
+        self.tokens = list(oracle_tokenize(text))
+        self.n = n
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
+                             tok[2])
+        return tok
+
+    def parse(self):
+        expr = self.iff()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+        return expr
+
+    def _chain(self, op: str, node: type, sub):
+        expr = sub()
+        while self.peek()[0] == op:
+            self.advance()
+            expr = node(expr, sub())
+        return expr
+
+    def iff(self):
+        return self._chain("<->", Iff, self.imp)
+
+    def imp(self):
+        return self._chain("->", Implies, self.or_)
+
+    def or_(self):
+        return self._chain("|", Or, self.xor)
+
+    def xor(self):
+        return self._chain("^", Xor, self.and_)
+
+    def and_(self):
+        return self._chain("&", And, self.unary)
+
+    def unary(self):
+        if self.peek()[0] == "!":
+            self.advance()
+            return Not(self.unary())
+        return self.atom()
+
+    def atom(self):
+        tok = self.advance()
+        kind, value, pos = tok
+        if kind == "var":
+            idx = int(value)
+            if not 1 <= idx <= self.n:
+                raise ParseError(f"variable index {idx} out of range [1, {self.n}]",
+                                 pos)
+            return Var(idx)
+        if kind == "const":
+            return Const(int(value))
+        if kind == "(":
+            expr = self.iff()
+            self.expect(")")
+            return expr
+        raise ParseError(f"unexpected token {value or 'end of input'!r}", pos)
+
+
+def oracle_parse(text: str, n: int):
+    return OracleParser(text, n).parse()
 
 
 def ref_structure_matrix(expr, n: int) -> StructureMatrix:

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import fsrkit
+from fsrkit import cli, stp
 from fsrkit import ParseError, TransitionMatrix, render, simulate, transition_from_delta
-from fsrkit.cli import FsrFileError, main, parse_fsr_file
+from fsrkit.cli import MAX_STAGES, FsrFileError, main, parse_fsr_file
 
 from conftest import LF4_COLS, LG4_COLS, PI4, exprs
 
@@ -259,17 +260,40 @@ class TestVerify:
 
 class TestDeepExpressions:
     @pytest.mark.parametrize(
-        "feedback",
-        ["(" * 2000 + "x1" + ")" * 2000, " ^ ".join(["x1"] * 3000)],
-        ids=["nested", "long-chain"],
+        "feedback,want",
+        [
+            ("(" * 2000 + "x1" + ")" * 2000, "d2[1 2]"),
+            (" ^ ".join(["x1"] * 3000), "d2[2 2]"),
+            ("!" * 3001 + "x1", "d2[2 1]"),
+        ],
+        ids=["nested", "long-chain", "negations"],
     )
-    def test_recursion_limit_exits_two(self, capsys, tmp_path, feedback):
+    def test_deep_input_gives_matrix(self, capsys, tmp_path, feedback, want):
         f = tmp_path / "deep.fsr"
         f.write_text(f"n=1 type=fib\nf1 = {feedback}\n")
-        code, out, err = run(capsys, "to-matrix", str(f))
-        assert code == 2
-        assert out == []
-        assert err.startswith("error:")
+        assert run(capsys, "to-matrix", str(f)) == (0, [want], "")
+
+
+class TestSizeLimit:
+    def test_largest_register_count_is_read(self, monkeypatch):
+        # small stand-ins for the 2^20-bit variable tables, which take seconds
+        fake = tuple(1 << i for i in range(MAX_STAGES))
+        monkeypatch.setattr(stp, "_var_masks", lambda n: fake)
+        n = MAX_STAGES
+        fsr = parse_fsr_file(f"n={n} type=fib\nf{n} = x1 ^ x{n}\n")
+        assert fsr.tables[n] == fake[0] ^ fake[-1]
+
+    @pytest.mark.parametrize("n", [MAX_STAGES + 1, 1000000])
+    def test_larger_count_exits_two_before_allocating(self, capsys, tmp_path, monkeypatch, n):
+        def refuse(m):
+            raise AssertionError(f"truth tables built for n={m}")
+
+        monkeypatch.setattr(stp, "_var_masks", refuse)
+        monkeypatch.setattr(cli, "_var_masks", refuse)
+        f = tmp_path / "big.fsr"
+        f.write_text(f"n={n} type=fib\nf{n} = x1 ^ x{n}\n")
+        assert run(capsys, "to-matrix", str(f)) == (
+            2, [], f"error: register count {n} exceeds the limit of {MAX_STAGES}\n")
 
 
 class TestSimulate:

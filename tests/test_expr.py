@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings, strategies as st
 
 from fsrkit import expr as ex
 from fsrkit.expr import (
@@ -22,9 +22,10 @@ from fsrkit.expr import (
     parse,
     render,
 )
+from fsrkit import stp
 from fsrkit.stp import encode_state, structure_matrix, synthesize_expr
 
-from conftest import anf_evaluate, eval_expr, exprs, to_anf, truth_table
+from conftest import anf_evaluate, eval_expr, exprs, oracle_parse, to_anf, truth_table
 
 
 def value(e, bits):
@@ -255,3 +256,83 @@ def test_anf_agrees_with_truth_table(e):
     for m in range(16):
         bits = [(m >> i) & 1 for i in range(4)]
         assert anf_evaluate(anf, bits) == eval_expr(e, bits) == value(e, bits)
+
+
+# -- the operator-precedence pass against the recursive-descent oracle ---------
+
+# tokens, out-of-range and odd variables, and characters no token starts with;
+# the last are rare, since one anywhere in a text decides its error
+SOUP_TOKENS = ["x1", "x2", "x7", "z3", "x0", "x01", "x\u0663", "0", "1", "2",
+               "!", "&", "|", "^", "->", "<->", "(", ")"]
+BAD_CHARACTERS = ["x", "-", "<", "?"]
+SEPARATORS = ["", " ", "  ", "\t"]
+
+
+def outcome(read, text, n):
+    try:
+        return "value", read(text, n)
+    except ParseError as err:
+        return "error", str(err), err.position
+
+
+def check_against_oracle(text, n):
+    """parse gives the oracle's AST or its error, and the table read agrees."""
+    want = outcome(oracle_parse, text, n)
+    assert outcome(parse, text, n) == want
+    got = outcome(stp._read_table, text, n)
+    if want[0] == "error":
+        assert got == want
+    else:
+        full = (1 << (1 << n)) - 1
+        assert got == ("value", stp._truth_mask(want[1], stp._var_masks(n), full))
+
+
+soup_token = st.sampled_from(SOUP_TOKENS * 5 + BAD_CHARACTERS)
+token_soup = st.lists(
+    st.tuples(soup_token, st.sampled_from(SEPARATORS)), max_size=12
+).map(lambda parts: "".join(tok + sep for tok, sep in parts))
+
+
+@st.composite
+def spliced_renders(draw):
+    """A rendered expression with one slice replaced by a soup token or nothing."""
+    text = render(draw(exprs(4)))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 4)))
+    return text[:i] + draw(st.sampled_from(SOUP_TOKENS + BAD_CHARACTERS + [""])) + text[j:]
+
+
+class TestParserAgainstOracle:
+    @seed(6)
+    @settings(deadline=None, max_examples=300)
+    @given(exprs(6), st.integers(1, 6))
+    def test_rendered_expressions(self, e, n):
+        check_against_oracle(render(e), n)
+
+    @seed(6)
+    @settings(deadline=None, max_examples=300)
+    @given(token_soup, st.integers(1, 4))
+    def test_token_soup(self, text, n):
+        check_against_oracle(text, n)
+
+    @seed(6)
+    @settings(deadline=None, max_examples=150)
+    @given(spliced_renders(), st.integers(1, 4))
+    def test_spliced_renders(self, text, n):
+        check_against_oracle(text, n)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x1 x2", "", "  ", "(x1 & x2", "x1 & x2)", "(x1 x2)", "!", "x1 &", "x1 ? (",
+         "(((x1)) ^ !(x2 -> 0)) <-> 1", "!!x1 & !(x1 | !x2)", "x1 -> x2 -> x1"],
+    )
+    def test_edge_cases(self, text):
+        check_against_oracle(text, 2)
+
+    def test_bad_character_outranks_grammar_error(self):
+        with pytest.raises(ParseError) as err:
+            parse("x1 x2 ?", 2)
+        assert (str(err.value), err.value.position) == ("unexpected character '?' at position 6", 6)
+        with pytest.raises(ParseError) as err:
+            parse("x1 x2", 2)
+        assert (str(err.value), err.value.position) == ("unexpected token '2' at position 3", 3)

@@ -137,6 +137,20 @@ class TestGaloisTransition:
             assert L.column(k) == encode_state(succ)
 
 
+class TestDeepExpressions:
+    """Truth tables of expressions deeper than the interpreter's recursion limit."""
+
+    @pytest.mark.parametrize(
+        "text,rows",
+        [(" ^ ".join(["x1"] * 3000), (2, 2)), ("!" * 3001 + "x1", (2, 1))],
+        ids=["long-chain", "negations"],
+    )
+    def test_structure_matrix_and_transition(self, text, rows):
+        e = parse(text, 1)
+        assert structure_matrix(e, 1).rows == rows
+        assert galois_transition(FsrSpec.fibonacci(1, e)).cols == rows
+
+
 class TestCoordinateStructure:
     def test_identity(self):
         L = TransitionMatrix(1, (1, 2))
