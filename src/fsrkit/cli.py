@@ -11,9 +11,8 @@ import sys
 from dataclasses import dataclass
 
 from . import expr as ex
-from .fib import fib_transition, is_fibonacci
+from .fib import fib_transition
 from .fib2gal import (
-    GaloisCandidate,
     conjugate,
     enumerate_equivalents,
     reduce_candidate,
@@ -27,7 +26,6 @@ from .stp import (
     _mask_to_rows,
     _read_table,
     _transition_of_tables,
-    _var_masks,
     encode_state,
     format_delta,
     parse_delta,
@@ -54,12 +52,10 @@ class FsrFile:
     matrices: dict[str, TransitionMatrix]
 
     def transition(self) -> TransitionMatrix:
-        # a Fibonacci file defines only f_n; below it f_k = x_(k+1)
-        shifts = _var_masks(self.n)[1:]
-        return _transition_of_tables(self.n, [
-            self.tables[k] if k in self.tables else shifts[k - 1]
-            for k in range(1, self.n + 1)
-        ])
+        if self.kind == "fibonacci":  # only f_n is defined; the rest shift
+            return fib_transition(
+                StructureMatrix(self.n, _mask_to_rows(self.tables[self.n], self.n)))
+        return _transition_of_tables(self.n, [self.tables[k] for k in range(1, self.n + 1)])
 
 
 def parse_fsr_file(text: str) -> FsrFile:
@@ -144,7 +140,7 @@ def cmd_fib2gal(args) -> int:
     fsr = load_fsr_file(args.input)
     if fsr.kind != "fibonacci":
         raise FsrFileError("fib2gal needs a Fibonacci input file")
-    L_f = fib_transition(StructureMatrix(fsr.n, _mask_to_rows(fsr.tables[fsr.n], fsr.n)))
+    L_f = fsr.transition()
 
     if args.perm is not None:
         size, entries = parse_delta(args.perm)

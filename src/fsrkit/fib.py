@@ -1,45 +1,43 @@
 """Fibonacci-specific transition-matrix law: construction, recognition, inversion.
 
 For a shift-with-feedback system the transition matrix is forced by the
-feedback's structure matrix: column j goes to 2j-2+i_j on the first half
-and column 2^(n-1)+j to 2j-2+i_(2^(n-1)+j) on the second.
+feedback's structure matrix. `_shift_bases` states that law once, for both
+directions of the transformation.
 """
 
 from __future__ import annotations
 
+import itertools
+from typing import Iterator
+
 from .stp import StructureMatrix, TransitionMatrix
+
+
+def _shift_bases(n: int) -> Iterator[int]:
+    """Per-column base of the shift law, in column order: column j of an
+    n-stage Fibonacci matrix is base_j + 1 where the feedback is 1 and
+    base_j + 2 where it is 0, with base_j = 2 * ((j - 1) mod 2^(n-1)).
+
+    The shift drops the first register, so states j and 2^(n-1) + j share
+    their successors.
+    """
+    bases = range(0, 2 << (n - 1), 2)
+    return itertools.chain(bases, bases)
 
 
 def fib_transition(M_f: StructureMatrix) -> TransitionMatrix:
     """Transition matrix of the Fibonacci FSR with feedback structure M_f."""
-    n = M_f.n
-    half = 1 << (n - 1)
-    cols = [0] * (1 << n)
-    for j in range(1, half + 1):
-        cols[j - 1] = 2 * j - 2 + M_f.rows[j - 1]
-        cols[half + j - 1] = 2 * j - 2 + M_f.rows[half + j - 1]
-    return TransitionMatrix(n, tuple(cols))
+    return TransitionMatrix(
+        M_f.n, tuple(b + r for b, r in zip(_shift_bases(M_f.n), M_f.rows)))
 
 
 def is_fibonacci(L: TransitionMatrix) -> bool:
-    """True iff every column obeys the shift law (column j in {2j-1, 2j})."""
-    half = 1 << (L.n - 1)
-    for j in range(1, half + 1):
-        lo, hi = 2 * j - 1, 2 * j
-        if L.cols[j - 1] not in (lo, hi):
-            return False
-        if L.cols[half + j - 1] not in (lo, hi):
-            return False
-    return True
+    """True iff every column obeys the shift law."""
+    return all(c - b in (1, 2) for b, c in zip(_shift_bases(L.n), L.cols))
 
 
 def feedback_of(L: TransitionMatrix) -> StructureMatrix:
     """Recover the feedback structure matrix; rejects non-Fibonacci input."""
     if not is_fibonacci(L):
         raise ValueError("transition matrix does not satisfy the Fibonacci law")
-    half = 1 << (L.n - 1)
-    rows = [0] * (1 << L.n)
-    for j in range(1, half + 1):
-        rows[j - 1] = L.cols[j - 1] - 2 * j + 2
-        rows[half + j - 1] = L.cols[half + j - 1] - 2 * j + 2
-    return StructureMatrix(L.n, tuple(rows))
+    return StructureMatrix(L.n, tuple(c - b for b, c in zip(_shift_bases(L.n), L.cols)))

@@ -8,6 +8,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .fib import _shift_bases
 from .stp import TransitionMatrix, output_bit
 
 
@@ -53,13 +54,12 @@ def normalize_sequence(pre: Sequence[int], per: Sequence[int]) -> OutputSeq:
     if not per:
         raise ValueError("period must be non-empty")
     bits = list(pre) + list(per)
-    p, q = len(pre), len(per)
-    cycle = bits[p:]
-    d = q
-    for k in range(1, q):
-        if q % k == 0 and all(cycle[i] == cycle[i % k] for i in range(q)):
-            d = k
-            break
+    p = len(pre)
+    try:
+        b = bytes(bits[p:])
+    except (TypeError, ValueError):
+        raise ValueError("sequence entries must be bits") from None
+    d = (b + b).find(b, 1)  # primitive period, as OutputSeq checks it
     while p > 0 and bits[p - 1] == bits[p - 1 + d]:
         p -= 1
     return OutputSeq(tuple(bits[:p]), tuple(bits[p:p + d]))
@@ -233,13 +233,6 @@ class PartialTransition:
                 raise ValueError(f"column value {c} out of range")
 
 
-def _free_choices(j: int, l: int) -> tuple[int, int]:
-    # legal values for column j under the shift law
-    half = 1 << (l - 1)
-    j0 = (j - 1) % half
-    return (2 * j0 + 1, 2 * j0 + 2)
-
-
 @dataclass(frozen=True)
 class MinStageResult:
     l: int
@@ -299,21 +292,20 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
     partial = PartialTransition(l, tuple(cols))
 
     free = tuple(j for j in range(1, size + 1) if cols[j - 1] is None)
-    for j in range(1, size + 1):
-        if cols[j - 1] is not None and cols[j - 1] not in _free_choices(j, l):
+    # cols becomes the least completion: base + 1 in every free column
+    for u, b in enumerate(_shift_bases(l)):
+        if cols[u] is None:
+            cols[u] = b + 1
+        elif cols[u] - b not in (1, 2):
             raise AssertionError("fixed column violates the Fibonacci law")
     total = 1 << len(free)
+    # the others raise some free columns to base + 2; past max_free, none
+    raises = itertools.product((0, 1), repeat=len(free)) if len(free) <= max_free else [()]
     completions = []
-    if len(free) <= max_free:
-        for picks in itertools.product(*(_free_choices(j, l) for j in free)):
-            filled = list(cols)
-            for j, v in zip(free, picks):
-                filled[j - 1] = v
-            completions.append(TransitionMatrix(l, tuple(filled)))  # type: ignore[arg-type]
-    else:
+    for picks in raises:
         filled = list(cols)
-        for j in free:
-            filled[j - 1] = _free_choices(j, l)[0]
+        for j, v in zip(free, picks):
+            filled[j - 1] += v
         completions.append(TransitionMatrix(l, tuple(filled)))  # type: ignore[arg-type]
 
     return MinStageResult(

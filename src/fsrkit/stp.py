@@ -160,11 +160,15 @@ _DIGITS_TO_ROWS = bytes.maketrans(b"10", b"\x01\x02")
 @functools.cache
 def _var_masks(n: int) -> tuple[int, ...]:
     """Truth table of each variable: runs of s = 2^(n-i) ones and s zeros."""
-    full = (1 << (1 << n)) - 1
-    return tuple(
-        ((1 << s) - 1) * (full // ((1 << 2 * s) - 1))
-        for s in (1 << (n - i) for i in range(1, n + 1))
-    )
+    masks = []
+    for i in range(1, n + 1):
+        width = 2 << (n - i)
+        m = (1 << (width >> 1)) - 1
+        while width < 1 << n:  # double the pattern until it covers 2^n bits
+            m |= m << width
+            width <<= 1
+        masks.append(m)
+    return tuple(masks)
 
 
 # the one place operator semantics on truth tables live: node class ->

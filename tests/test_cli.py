@@ -12,10 +12,13 @@ from hypothesis import given, seed, settings, strategies as st
 
 import fsrkit
 from fsrkit import cli, stp
-from fsrkit import ParseError, TransitionMatrix, render, simulate, transition_from_delta
+from fsrkit import (
+    ParseError, TransitionMatrix, Var, render, simulate, transition_from_delta,
+    transition_to_delta,
+)
 from fsrkit.cli import MAX_STAGES, FsrFileError, main, parse_fsr_file
 
-from conftest import LF4_COLS, LG4_COLS, PI4, exprs
+from conftest import LF4_COLS, LG4_COLS, PI4, exprs, ref_galois_transition
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIB4 = str(FIXTURES / "fib4_debruijn.fsr")
@@ -83,6 +86,22 @@ class TestToMatrix:
         assert (code, out) == (0, ["d8[3 4 2 3 6 6 4 4]"])
         code, out, _ = run(capsys, "to-matrix", GAL3B)
         assert (code, out) == (0, ["d8[5 3 7 6 4 1 8 7]"])
+
+    @seed(7)
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(st.just(n), exprs(n))))
+    def test_random_fibonacci_file_matches_reference(self, case):
+        n, feedback = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fib.fsr"
+            path.write_text(f"n={n} type=fib\nf{n} = {render(feedback)}\n")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["to-matrix", str(path)]) == 0
+        updates = [Var(k) for k in range(2, n + 1)] + [feedback]
+        want = transition_to_delta(ref_galois_transition(n, updates))
+        assert out.getvalue() == want + "\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "to-matrix", "no_such_file.fsr")
@@ -289,7 +308,6 @@ class TestSizeLimit:
             raise AssertionError(f"truth tables built for n={m}")
 
         monkeypatch.setattr(stp, "_var_masks", refuse)
-        monkeypatch.setattr(cli, "_var_masks", refuse)
         f = tmp_path / "big.fsr"
         f.write_text(f"n={n} type=fib\nf{n} = x1 ^ x{n}\n")
         assert run(capsys, "to-matrix", str(f)) == (

@@ -55,6 +55,32 @@ class TestIsFibonacci:
         assert is_fibonacci(TransitionMatrix(1, (2, 1)))
 
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_agrees_with_shift_oracle(self, n):
+        # a Fibonacci successor is the state shifted by one register
+        def shifts(L):
+            return all(
+                decode_state(L.column(k), n)[:-1] == decode_state(k, n)[1:]
+                for k in range(1, (1 << n) + 1)
+            )
+
+        rng = random.Random(n)
+        size = 1 << n
+        seen = set()
+        for _ in range(200):
+            rows = tuple(rng.choice((1, 2)) for _ in range(size))
+            cols = list(fib_transition(StructureMatrix(n, rows)).cols)
+            # uniform matrices are almost never Fibonacci; perturb a few
+            # columns of one instead, sometimes none
+            for _ in range(rng.choice((0, 0, 1, 2, size))):
+                cols[rng.randrange(size)] = rng.randint(1, size)
+            L = TransitionMatrix(n, tuple(cols))
+            seen.add(is_fibonacci(L))
+            assert is_fibonacci(L) == shifts(L)
+        if n > 1:  # at n = 1 every matrix is a shift
+            assert seen == {True, False}
+
+
 class TestFeedbackOf:
     def test_reference_round_trip(self):
         L = TransitionMatrix(4, LF4_COLS)

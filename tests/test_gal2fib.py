@@ -207,6 +207,23 @@ class TestOutputSeq:
         s = normalize_sequence([1, 0, 0], [0, 1, 0, 0, 1, 0])
         assert s == OutputSeq((1, 0), (0, 0, 1))
 
+    def test_normalize_agrees_with_divisor_loop(self):
+        for q in range(1, 7):
+            for per in itertools.product((0, 1), repeat=q):
+                for p in range(4):
+                    for pre in itertools.product((0, 1), repeat=p):
+                        s = normalize_sequence(pre, per)
+                        assert is_primitive_oracle(s.period)
+                        assert s.bits(p + 2 * q) == (pre + per * 2)
+
+    @pytest.mark.parametrize("pre, per", [
+        ([], [2]), ([], [2, 2]), ([], [0.5]), ([], ["1"]), ([], [256]),
+        ([], [-1, 0]), ([2], [0]), ([], "01"),
+    ])
+    def test_normalize_rejects_non_bits(self, pre, per):
+        with pytest.raises(ValueError, match="bits"):
+            normalize_sequence(pre, per)
+
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             OutputSeq((), (1, 0, 1, 0))
