@@ -11,10 +11,10 @@ from fsrkit import (
     classify_pairs,
     conjugate,
     fib_transition,
+    format_delta,
     parse,
     simulate,
     structure_matrix,
-    structure_to_delta,
     transition_to_delta,
 )
 
@@ -26,7 +26,7 @@ print("feedback:", FEEDBACK)
 # The structure matrix is the truth table in canonical-vector form; the
 # transition matrix then follows from the shift law.
 M = structure_matrix(parse(FEEDBACK, N), N)
-print("M_f =", structure_to_delta(M))
+print("M_f =", format_delta(2, M.rows))
 
 L_f = fib_transition(M)
 print("L_f =", transition_to_delta(L_f))

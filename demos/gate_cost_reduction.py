@@ -1,4 +1,4 @@
-"""Pick the cheapest equivalent Galois register under a gate cost model.
+"""Pick the cheapest equivalent Galois register under the 90nm gate table.
 
 All (2^(n-1))!^2 partition-preserving relabelings of a Fibonacci register
 give equivalent Galois registers, but their update logic differs wildly.
@@ -8,7 +8,6 @@ variables, breaking ties by synthesized gate area (90nm cell library).
 """
 
 from fsrkit import (
-    CMOS_90NM,
     StructureMatrix,
     enumerate_equivalents,
     fib_transition,
@@ -31,7 +30,7 @@ print(f"{len(costs)} candidates")
 print("support sums range:", min(c[0] for c in costs), "..", max(c[0] for c in costs))
 print("areas range (um^2):", min(c[1] for c in costs), "..", max(c[1] for c in costs))
 
-best = select_minimal(enumerate_equivalents(L_f), model=CMOS_90NM)
+best = select_minimal(enumerate_equivalents(L_f))
 print("selected L_g =", transition_to_delta(best.candidate.matrix))
 r = best.reduction
 print(f"support_sum={r.support_sum} area={r.area_um2:g}um^2 "

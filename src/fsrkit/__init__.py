@@ -5,11 +5,8 @@ from .expr import (
     And,
     Anf,
     BoolExpr,
-    CMOS_90NM,
     Const,
     Cost,
-    GateCostModel,
-    GateSpec,
     Iff,
     Implies,
     Not,
@@ -37,7 +34,6 @@ from .stp import (
     parse_delta,
     restrict_support,
     structure_matrix,
-    structure_to_delta,
     synthesize_expr,
     transition_from_delta,
     transition_to_delta,

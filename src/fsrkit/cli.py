@@ -6,7 +6,6 @@ Exit codes: 0 success (verify: equivalent), 1 verify mismatch, 2 any error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass
 
@@ -16,6 +15,7 @@ from .fib2gal import (
     conjugate,
     enumerate_equivalents,
     reduce_candidate,
+    search_plan,
     select_minimal,
 )
 from .gal2fib import equivalent, min_stage_fibonacci, simulate
@@ -155,9 +155,8 @@ def cmd_fib2gal(args) -> int:
         return 0
 
     budget = None if args.budget == "full" else int(args.budget)
-    total = math.factorial(1 << (fsr.n - 1)) ** 2
     if budget == 0:
-        print(f"# examined=0 emitted=0 total_permutations={total}")
+        print(f"# examined=0 emitted=0 total_permutations=(2^{fsr.n - 1})!^2")
         return 0
     candidates = enumerate_equivalents(L_f, budget=budget, seed=args.seed)
 
@@ -175,14 +174,14 @@ def cmd_fib2gal(args) -> int:
             print(_emit_logic(fsr.n, r.updates))
         return 0
 
-    examined = emitted = 0
+    emitted = 0
     for cand in candidates:
         emitted += 1
         if args.emit in ("matrix", "all"):
             print(transition_to_delta(cand.matrix))
         if args.emit in ("logic", "all"):
             print(_emit_logic(fsr.n, reduce_candidate(cand.matrix).updates))
-    examined = total if budget is None or total <= budget else budget
+    _, examined = search_plan(fsr.n, budget)
     print(f"# examined={examined} emitted={emitted}")
     return 0
 

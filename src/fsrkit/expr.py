@@ -271,32 +271,16 @@ def anf_to_expr(anf: Anf) -> BoolExpr:
 # Gate costs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GateSpec:
-    area_um2: float
-    area_ge: float
-    delay_ps: float
-
-    def __post_init__(self):
-        if min(self.area_um2, self.area_ge, self.delay_ps) <= 0:
-            raise ValueError("gate parameters must be strictly positive")
-
-
-@dataclass(frozen=True)
-class GateCostModel:
-    nand2: GateSpec
-    nor2: GateSpec
-    and2: GateSpec
-    xor2: GateSpec
-
-
-#: 90nm CMOS figures: NAND 3.7/1/33, NOR 3.7/1/57, AND 5/1.4/87, XOR 10/2.7/115.
-CMOS_90NM = GateCostModel(
-    nand2=GateSpec(3.7, 1.0, 33.0),
-    nor2=GateSpec(3.7, 1.0, 57.0),
-    and2=GateSpec(5.0, 1.4, 87.0),
-    xor2=GateSpec(10.0, 2.7, 115.0),
-)
+#: The 90 nm CMOS gate each binary node class is costed as, (area um^2, delay ps):
+#: AND2 5/87; NOR2 3.7/57 for | and -> (a -> b is !a | b); XOR2 10/115 for ^
+#: and <-> (a <-> b is !(a ^ b)).
+GATES = {
+    And: (5.0, 87.0),
+    Or: (3.7, 57.0),
+    Implies: (3.7, 57.0),
+    Xor: (10.0, 115.0),
+    Iff: (10.0, 115.0),
+}
 
 
 @dataclass(frozen=True)
@@ -306,11 +290,11 @@ class Cost:
     gate_count: int
 
 
-def gate_cost(expr: BoolExpr, model: GateCostModel = CMOS_90NM) -> Cost:
+def gate_cost(expr: BoolExpr) -> Cost:
     """Area sums over all gates, delay along the deepest path.
 
-    Inverters are absorbed (zero cost, not counted); OR is costed as a
-    2-input NOR with the inverter absorbed downstream.
+    Each binary node is its GATES entry; inverters are absorbed (zero cost,
+    not counted).
     """
     def walk(node: BoolExpr) -> tuple[float, float, int]:
         if isinstance(node, (Var, Const)):
@@ -319,15 +303,8 @@ def gate_cost(expr: BoolExpr, model: GateCostModel = CMOS_90NM) -> Cost:
             return walk(node.child)
         la, ld, lc = walk(node.left)
         ra, rd, rc = walk(node.right)
-        if isinstance(node, And):
-            spec = model.and2
-        elif isinstance(node, (Or, Implies)):  # a -> b is !a | b
-            spec = model.nor2
-        elif isinstance(node, (Xor, Iff)):  # a <-> b is !(a ^ b)
-            spec = model.xor2
-        else:
-            raise TypeError(f"uncosted node {node!r}")
-        return la + ra + spec.area_um2, max(ld, rd) + spec.delay_ps, lc + rc + 1
+        area, delay = GATES[type(node)]
+        return la + ra + area, max(ld, rd) + delay, lc + rc + 1
 
     area, delay, count = walk(expr)
     return Cost(area, delay, count)

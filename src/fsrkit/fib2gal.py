@@ -8,12 +8,11 @@ the new matrix satisfies L_g . pi = pi . L as column rewiring.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .expr import BoolExpr, GateCostModel, CMOS_90NM, gate_cost, substitute
+from .expr import BoolExpr, gate_cost, substitute
 from .fib import is_fibonacci
 from .stp import (
     PermutationTransform,
@@ -79,6 +78,35 @@ def partition_permutations(n: int) -> Iterator[PermutationTransform]:
             yield PermutationTransform(n, top + bottom)
 
 
+def sampled_permutations(n: int, count: int, seed: int) -> Iterator[PermutationTransform]:
+    """`count` uniform partition-preserving permutations, drawn with replacement."""
+    half = 1 << (n - 1)
+    rng = random.Random(seed)
+    for _ in range(count):
+        top = list(range(1, half + 1))
+        bottom = list(range(half + 1, 2 * half + 1))
+        rng.shuffle(top)
+        rng.shuffle(bottom)
+        yield PermutationTransform(n, tuple(top + bottom))
+
+
+def search_plan(n: int, budget: int | None) -> tuple[bool, int]:
+    """Whether a search of budget permutations (None: no limit) is exhaustive,
+    and how many permutations it examines.
+
+    The count (2^(n-1))!^2 is multiplied out only until it passes the budget,
+    so a sampled search never builds it in full.
+    """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    total = 1
+    for k in range(1, (1 << (n - 1)) + 1):
+        total *= k * k
+        if budget is not None and total > budget:
+            return False, budget
+    return True, total
+
+
 def enumerate_equivalents(
     L_f: TransitionMatrix,
     budget: int | None = None,
@@ -91,25 +119,15 @@ def enumerate_equivalents(
     """
     if not is_fibonacci(L_f):
         raise ValueError("source matrix is not Fibonacci")
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    half = 1 << (L_f.n - 1)
-    total = math.factorial(half) ** 2
-    if budget is None or total <= budget:
-        for pi in partition_permutations(L_f.n):
-            L_g = conjugate(L_f, pi)
-            if L_g.cols != L_f.cols:
-                yield GaloisCandidate(L_g, pi)
-        return
-    if seed is None:
-        raise ValueError(f"{total} permutations exceed budget {budget}: a seed is required")
-    rng = random.Random(seed)
-    for _ in range(budget):
-        top = list(range(1, half + 1))
-        bottom = list(range(half + 1, 2 * half + 1))
-        rng.shuffle(top)
-        rng.shuffle(bottom)
-        pi = PermutationTransform(L_f.n, tuple(top + bottom))
+    # an unlimited search needs no count, which takes seconds to multiply out at n >= 17
+    if budget is None or search_plan(L_f.n, budget)[0]:
+        source = partition_permutations(L_f.n)
+    elif seed is None:
+        raise ValueError(f"(2^{L_f.n - 1})!^2 permutations exceed budget {budget}: "
+                         "a seed is required")
+    else:
+        source = sampled_permutations(L_f.n, budget, seed)
+    for pi in source:
         L_g = conjugate(L_f, pi)
         if L_g.cols != L_f.cols:
             yield GaloisCandidate(L_g, pi)
@@ -160,7 +178,7 @@ class SelectedCandidate:
     reduction: Reduction
 
 
-def reduce_candidate(L_g: TransitionMatrix, model: GateCostModel = CMOS_90NM) -> Reduction:
+def reduce_candidate(L_g: TransitionMatrix) -> Reduction:
     """Per-coordinate support reduction and synthesis with cost totals."""
     updates = []
     supports = []
@@ -171,7 +189,7 @@ def reduce_candidate(L_g: TransitionMatrix, model: GateCostModel = CMOS_90NM) ->
         e = synthesize_expr(reduced)
         # reduced expression speaks positions 1..|support|; map back
         e = substitute(e, {pos + 1: j for pos, j in enumerate(support)})
-        cost = gate_cost(e, model)
+        cost = gate_cost(e)
         updates.append(e)
         supports.append(support)
         area += cost.area_um2
@@ -181,10 +199,7 @@ def reduce_candidate(L_g: TransitionMatrix, model: GateCostModel = CMOS_90NM) ->
     return Reduction(tuple(updates), tuple(supports), support_sum, area, delay, gates)
 
 
-def select_minimal(
-    candidates: Iterable[GaloisCandidate],
-    model: GateCostModel = CMOS_90NM,
-) -> SelectedCandidate:
+def select_minimal(candidates: Iterable[GaloisCandidate]) -> SelectedCandidate:
     """Pick the candidate with the fewest dependent variables overall.
 
     Primary key is the summed support size over coordinates, then total gate
@@ -193,7 +208,7 @@ def select_minimal(
     best: SelectedCandidate | None = None
     best_key: tuple | None = None
     for cand in candidates:
-        r = reduce_candidate(cand.matrix, model)
+        r = reduce_candidate(cand.matrix)
         key = (r.support_sum, r.area_um2, cand.matrix.cols)
         if best_key is None or key < best_key:
             best_key = key

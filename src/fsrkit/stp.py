@@ -96,12 +96,6 @@ class PermutationTransform:
     def __call__(self, i: int) -> int:
         return self.perm[i - 1]
 
-    def inverse(self) -> "PermutationTransform":
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm, start=1):
-            inv[p - 1] = i
-        return PermutationTransform(self.n, tuple(inv))
-
     def is_partition_preserving(self) -> bool:
         """True iff the first half of the index range maps onto itself."""
         half = 1 << (self.n - 1)
@@ -361,7 +355,3 @@ def transition_from_delta(text: str) -> TransitionMatrix:
     if any(e is None for e in entries):
         raise ValueError("transition matrix may not contain free (*) columns")
     return TransitionMatrix(n, entries)  # type: ignore[arg-type]
-
-
-def structure_to_delta(M: StructureMatrix) -> str:
-    return format_delta(2, M.rows)

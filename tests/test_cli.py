@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import fsrkit
-from fsrkit import cli, stp
+from fsrkit import stp
 from fsrkit import (
     ParseError, TransitionMatrix, Var, render, simulate, transition_from_delta,
     transition_to_delta,
 )
 from fsrkit.cli import MAX_STAGES, FsrFileError, main, parse_fsr_file
 
-from conftest import LF4_COLS, LG4_COLS, PI4, exprs, ref_galois_transition
+from conftest import LF4_COLS, LG4_COLS, exprs, ref_galois_transition
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIB4 = str(FIXTURES / "fib4_debruijn.fsr")
@@ -127,7 +127,21 @@ class TestFib2Gal:
     def test_zero_budget_reports_total(self, capsys):
         code, out, _ = run(capsys, "fib2gal", FIB4, "--budget", "0")
         assert code == 0
-        assert out == ["# examined=0 emitted=0 total_permutations=1625702400"]
+        assert out == ["# examined=0 emitted=0 total_permutations=(2^3)!^2"]
+
+    def test_zero_budget_count_at_eleven_stages(self, capsys, tmp_path):
+        # (2^10)!^2 has more decimal digits than Python converts to a string
+        f = tmp_path / "fib11.fsr"
+        f.write_text("n=11 type=fib\nf11 = x1 ^ x2\n")
+        assert run(capsys, "fib2gal", str(f), "--budget", "0") == (
+            0, ["# examined=0 emitted=0 total_permutations=(2^10)!^2"], "")
+
+    def test_budget_without_seed_fails_at_eleven_stages(self, capsys, tmp_path):
+        f = tmp_path / "fib11.fsr"
+        f.write_text("n=11 type=fib\nf11 = x1 ^ x2\n")
+        code, out, err = run(capsys, "fib2gal", str(f), "--budget", "5")
+        assert (code, out) == (2, [])
+        assert err == "error: (2^10)!^2 permutations exceed budget 5: a seed is required\n"
 
     def test_sampled_run_is_deterministic(self, capsys):
         args = ("fib2gal", FIB4, "--budget", "5", "--seed", "3")

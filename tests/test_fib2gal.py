@@ -18,9 +18,9 @@ from fsrkit import (
     simulate,
     structure_matrix,
 )
-from fsrkit.fib2gal import GaloisCandidate, reduce_candidate
+from fsrkit.fib2gal import GaloisCandidate, reduce_candidate, search_plan
 
-from conftest import LF4_COLS, LG4_COLS, PI4, debruijn3
+from conftest import LG4_COLS, PI4, debruijn3
 
 
 class TestClassifyPairs:
@@ -69,7 +69,8 @@ class TestConjugate:
 
     def test_inverse_round_trip(self, lf4):
         pi = PermutationTransform(4, PI4)
-        assert conjugate(conjugate(lf4, pi), pi.inverse()).cols == lf4.cols
+        inverse = PermutationTransform(4, tuple(sorted(range(1, 17), key=pi)))
+        assert conjugate(conjugate(lf4, pi), inverse).cols == lf4.cols
 
     def test_rejects_partition_breaker(self, lf4):
         swap_halves = tuple(range(9, 17)) + tuple(range(1, 9))
@@ -112,6 +113,26 @@ class TestEnumeration:
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError, match="budget"):
             list(enumerate_equivalents(debruijn3(), budget=-3, seed=1))
+
+
+class TestSearchPlan:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_unlimited_is_exhaustive(self, n):
+        assert search_plan(n, None) == (True, math.factorial(1 << (n - 1)) ** 2)
+
+    def test_budget_boundary(self):
+        assert search_plan(3, 576) == (True, 576)
+        assert search_plan(3, 575) == (False, 575)
+        assert search_plan(1, 1) == (True, 1)
+        assert search_plan(1, 0) == (False, 0)
+
+    def test_stops_multiplying_past_the_budget(self):
+        # (2^19)!^2 has millions of digits; 1 * 2^2 already passes the budget
+        assert search_plan(20, 1) == (False, 1)
+
+    def test_rejects_negative_budget(self):
+        with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+            search_plan(3, -1)
 
 
 class TestCountAudit:

@@ -1,4 +1,4 @@
-"""No fsrkit module imports a name it does not use.
+"""No fsrkit module, test or demo imports a name it does not use.
 
 A name counts as used when the module reads it.
 The package's `__init__.py` imports only to re-export, so it is not checked.
@@ -14,7 +14,11 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCES = sorted(p for p in (ROOT / "src" / "fsrkit").glob("*.py") if p.name != "__init__.py")
+SOURCES = [
+    *sorted(p for p in (ROOT / "src" / "fsrkit").glob("*.py") if p.name != "__init__.py"),
+    *sorted((ROOT / "tests").glob("*.py")),
+    *sorted((ROOT / "demos").glob("*.py")),
+]
 TRACING = ROOT / "bench" / "tracing.py"
 
 

@@ -23,7 +23,7 @@ from fsrkit import (
     transition_to_delta,
 )
 from fsrkit import stp
-from fsrkit.expr import Not, Var
+from fsrkit.expr import Var
 from fsrkit.fib import fib_transition
 from fsrkit.fib2gal import enumerate_equivalents
 
