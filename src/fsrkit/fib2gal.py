@@ -12,11 +12,14 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .expr import BoolExpr, gate_cost, substitute
+from .expr import GATES, And, BoolExpr, Xor, gate_cost, substitute
 from .fib import is_fibonacci
 from .stp import (
     PermutationTransform,
     TransitionMatrix,
+    _coordinate_tables,
+    _moebius,
+    _var_masks,
     coordinate_structure,
     restrict_support,
     synthesize_expr,
@@ -58,9 +61,10 @@ def conjugate(L: TransitionMatrix, pi: PermutationTransform) -> TransitionMatrix
         raise ValueError("permutation and matrix sizes differ")
     if not pi.is_partition_preserving():
         raise ValueError("permutation does not preserve the output partition")
-    cols = [0] * (1 << L.n)
-    for i in range(1, (1 << L.n) + 1):
-        cols[pi(i) - 1] = pi(L.column(i))
+    perm = pi.perm
+    cols = [0] * len(perm)
+    for p, c in zip(perm, L.cols):
+        cols[p - 1] = perm[c - 1]
     return TransitionMatrix(L.n, tuple(cols))
 
 
@@ -199,20 +203,51 @@ def reduce_candidate(L_g: TransitionMatrix) -> Reduction:
     return Reduction(tuple(updates), tuple(supports), support_sum, area, delay, gates)
 
 
+def _rank_key(L_g: TransitionMatrix) -> tuple[int, float]:
+    """(support_sum, area_um2) of reduce_candidate(L_g), in closed form.
+
+    Synthesis writes k monomials with k - 1 XOR2 gates and a monomial m with
+    |m| - 1 AND2 gates; the constant 1 is free. Both areas are integers, so
+    every partial sum is exact and the total equals the expression walk's.
+    """
+    n = L_g.n
+    masks = _var_masks(n)
+    top = (1 << n) - 1  # bit of the constant monomial: the all-zeros state
+    support_sum = ands = xors = 0
+    for table in _coordinate_tables(L_g):
+        anf = _moebius(table, n)
+        if not anf:
+            continue  # the constant 0 needs no gate
+        k = anf.bit_count()
+        # variable i occurs in degrees[i] monomials
+        degrees = [(anf & mask).bit_count() for mask in masks]
+        support_sum += n - degrees.count(0)
+        ands += sum(degrees) - k + (anf >> top)
+        xors += k - 1
+    return support_sum, GATES[And][0] * ands + GATES[Xor][0] * xors
+
+
 def select_minimal(candidates: Iterable[GaloisCandidate]) -> SelectedCandidate:
     """Pick the candidate with the fewest dependent variables overall.
 
     Primary key is the summed support size over coordinates, then total gate
     area, then the column sequence (so parallel folds agree with sequential).
+    Candidates are ranked on their ANF costs; only the winner is reduced.
     """
-    best: SelectedCandidate | None = None
+    best: GaloisCandidate | None = None
     best_key: tuple | None = None
     for cand in candidates:
-        r = reduce_candidate(cand.matrix)
-        key = (r.support_sum, r.area_um2, cand.matrix.cols)
+        key = (*_rank_key(cand.matrix), cand.matrix.cols)
         if best_key is None or key < best_key:
             best_key = key
-            best = SelectedCandidate(cand, r)
+            best = cand
     if best is None:
         raise ValueError("no candidates to select from")
-    return best
+    r = reduce_candidate(best.matrix)
+    # an explicit check, kept under python -O: a ranking key that disagrees
+    # with the reduction would pick the wrong candidate silently
+    if (r.support_sum, r.area_um2) != best_key[:2]:
+        raise RuntimeError(
+            f"ranking key {best_key[:2]} disagrees with the selected candidate's "
+            f"reduction {(r.support_sum, r.area_um2)}")
+    return SelectedCandidate(best, r)

@@ -219,6 +219,14 @@ def _mask_to_rows(mask: int, n: int) -> tuple[int, ...]:
     return tuple(format(mask, f"0{1 << n}b").encode()[::-1].translate(_DIGITS_TO_ROWS))
 
 
+def _moebius(f: int, n: int) -> int:
+    """ANF of truth table f: bit u becomes the coefficient of the monomial
+    over the variables that are 1 on state u + 1."""
+    for i, var in enumerate(_var_masks(n), start=1):
+        f ^= (f >> (1 << (n - i))) & var
+    return f
+
+
 def _depends(f: int, n: int, j: int) -> bool:
     # states u and u + 2^(n-j) differ only in variable j
     return bool((f ^ (f >> (1 << (n - j)))) & _var_masks(n)[j - 1])
@@ -264,6 +272,25 @@ def coordinate_structure(L: TransitionMatrix, k: int) -> StructureMatrix:
     return StructureMatrix(L.n, tuple(1 + (((c - 1) >> shift) & 1) for c in L.cols))
 
 
+# _BIT_DIGITS[b] maps a byte to digit 0 where its bit b is set, 1 where clear
+_BIT_DIGITS = tuple(bytes(48 if (x >> b) & 1 else 49 for x in range(256)) for b in range(8))
+
+
+def _coordinate_tables(L: TransitionMatrix) -> list[int]:
+    """Truth table of every coordinate of the dynamics, coordinate 1 first.
+
+    Coordinate k is true on state u + 1 where bit n - k of its successor's
+    index minus one is 0; the successors' bits are read a byte at a time.
+    """
+    n = L.n
+    tables = [0] * n
+    for low in range(0, n, 8):
+        chunk = bytes(((c - 1) >> low) & 255 for c in reversed(L.cols))
+        for b in range(low, min(low + 8, n)):
+            tables[n - 1 - b] = int(chunk.translate(_BIT_DIGITS[b - low]), 2)
+    return tables
+
+
 # ---------------------------------------------------------------------------
 # Variable dependence and reduction
 # ---------------------------------------------------------------------------
@@ -295,11 +322,7 @@ def restrict_support(M: StructureMatrix) -> tuple[tuple[int, ...], StructureMatr
 def synthesize_expr(M: StructureMatrix) -> BoolExpr:
     """Canonical expression (via ANF) whose structure matrix equals M."""
     n = M.n
-    f = _rows_to_mask(M.rows)
-    # Moebius transform: afterwards bit u is the coefficient of the monomial
-    # over the variables that are 1 on state u + 1
-    for i, var in enumerate(_var_masks(n), start=1):
-        f ^= (f >> (1 << (n - i))) & var
+    f = _moebius(_rows_to_mask(M.rows), n)
     monomials = frozenset(
         frozenset(i for i in range(1, n + 1) if not (u >> (n - i)) & 1)
         for u, d in enumerate(format(f, f"0{1 << n}b")[::-1])

@@ -25,6 +25,7 @@ from fsrkit import (
     structure_matrix,
 )
 from fsrkit.expr import variables
+from fsrkit.fib2gal import SelectedCandidate, reduce_candidate
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -319,3 +320,19 @@ def ref_synthesize_expr(M: StructureMatrix):
         if f[m]
     )
     return anf_to_expr(Anf(monomials))
+
+
+def ref_select_minimal(candidates) -> SelectedCandidate:
+    """select_minimal as it was before ranking by ANF cost: every candidate is
+    reduced, keyed on (support_sum, area_um2, cols)."""
+    best = None
+    best_key = None
+    for cand in candidates:
+        r = reduce_candidate(cand.matrix)
+        key = (r.support_sum, r.area_um2, cand.matrix.cols)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = SelectedCandidate(cand, r)
+    if best is None:
+        raise ValueError("no candidates to select from")
+    return best

@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from fsrkit import (
+    FsrSpec,
     PermutationTransform,
     StructureMatrix,
     TransitionMatrix,
@@ -13,14 +15,17 @@ from fsrkit import (
     count_distinct_equivalents,
     enumerate_equivalents,
     fib_transition,
+    galois_transition,
+    parse,
     partition_permutations,
     select_minimal,
     simulate,
     structure_matrix,
 )
-from fsrkit.fib2gal import GaloisCandidate, reduce_candidate, search_plan
+from fsrkit import fib2gal
+from fsrkit.fib2gal import GaloisCandidate, _rank_key, reduce_candidate, search_plan
 
-from conftest import LG4_COLS, PI4, debruijn3
+from conftest import LG4_COLS, PI4, debruijn3, ref_select_minimal
 
 
 class TestClassifyPairs:
@@ -206,3 +211,65 @@ class TestSelectMinimal:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             select_minimal([])
+
+    def test_winner_guard_rejects_a_wrong_ranking_key(self, monkeypatch):
+        # every candidate ties at a key no candidate reaches, so the winner's
+        # reduction disagrees with it
+        monkeypatch.setattr(fib2gal, "_rank_key", lambda L: (0, 0.0))
+        with pytest.raises(RuntimeError, match="disagrees"):
+            select_minimal(enumerate_equivalents(debruijn3(), budget=10, seed=1))
+
+    @pytest.mark.parametrize("n, sample_seed",
+                             [(3, None)] + [(n, s) for n in range(4, 8) for s in range(1, 6)])
+    def test_matches_reference_selection(self, n, sample_seed):
+        if sample_seed is None:
+            L_f, kwargs = debruijn3(), {}
+        else:
+            rng = random.Random(sample_seed)
+            a, b, c = rng.sample(range(2, n + 1), 3)
+            L_f = fib_transition(structure_matrix(parse(f"x1 ^ x{a} ^ x{b} & x{c}", n), n))
+            kwargs = {"budget": 20, "seed": sample_seed}
+        assert select_minimal(enumerate_equivalents(L_f, **kwargs)) == ref_select_minimal(
+            enumerate_equivalents(L_f, **kwargs))
+
+
+def matrices(max_n: int):
+    """Random transition matrices (any map of the states) at n = 1..max_n."""
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        st.integers(1, 1 << n), min_size=1 << n, max_size=1 << n,
+    ).map(lambda cols: TransitionMatrix(n, tuple(cols))))
+
+
+class TestRankKey:
+    """_rank_key is reduce_candidate's (support_sum, area_um2) without synthesis."""
+
+    @seed(9)
+    @settings(deadline=None, max_examples=100)
+    @given(matrices(8))
+    def test_matches_reduction(self, L):
+        r = reduce_candidate(L)
+        assert _rank_key(L) == (r.support_sum, r.area_um2)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_constant_coordinates(self, n):
+        # every successor all zeros: each coordinate is 0; all ones: each is 1
+        for state in (1 << n, 1):
+            L = TransitionMatrix(n, (state,) * (1 << n))
+            r = reduce_candidate(L)
+            assert _rank_key(L) == (r.support_sum, r.area_um2) == (0, 0.0)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_single_monomial_coordinates(self, n):
+        # coordinate k is x1 & ... & xk: support k, k - 1 AND2 gates, no XOR2
+        L = galois_transition(FsrSpec.galois(n, [
+            parse(" & ".join(f"x{i}" for i in range(1, k + 1)), n) for k in range(1, n + 1)
+        ]))
+        r = reduce_candidate(L)
+        expected = (n * (n + 1) // 2, 5.0 * (n * (n - 1) // 2))
+        assert _rank_key(L) == (r.support_sum, r.area_um2) == expected
+
+    def test_constant_monomial_is_free(self):
+        # 1 ^ x1 & x2 ^ x3: one AND2, two XOR2
+        L = galois_transition(FsrSpec.galois(3, [parse("1 ^ x1 & x2 ^ x3", 3)] * 3))
+        r = reduce_candidate(L)
+        assert _rank_key(L) == (r.support_sum, r.area_um2) == (9, 3 * (5.0 + 2 * 10.0))

@@ -346,6 +346,15 @@ class TestAgainstReference:
             assert coordinate_structure(L, k) == ref_coordinate_structure(L, k)
 
     @seed(3)
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 11), st.randoms(use_true_random=False))
+    def test_coordinate_tables_of_random_maps(self, n, rng):
+        # n > 8 reads the successor indices in more than one byte
+        L = TransitionMatrix(n, tuple(rng.randint(1, 1 << n) for _ in range(1 << n)))
+        assert stp._coordinate_tables(L) == [
+            stp._rows_to_mask(ref_coordinate_structure(L, k).rows) for k in range(1, n + 1)]
+
+    @seed(3)
     @settings(deadline=None)
     @given(st.integers(0, 6).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(exprs(max(n, 1)), min_size=n, max_size=n))
