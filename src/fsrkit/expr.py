@@ -112,9 +112,10 @@ _SYMBOLS = frozenset("01!&|^()")  # the valid one-character tokens
 _END = ""  # the token after the last one
 
 # binary operator tokens, loosest first: the index is the precedence and
-# indexes _BINOPS; "(" and "!" wait on the operator stack under these codes
+# indexes _BINOPS; "(" and "!" wait on the operator stack under these codes,
+# above a bottom marker
 _PRECEDENCE = {"<->": 0, "->": 1, "|": 2, "^": 3, "&": 4}
-_OPEN, _NOT = -1, len(_BINOPS)
+_BOTTOM, _OPEN, _NOT = -2, -1, len(_BINOPS)
 
 
 def _is_var(tok: str) -> bool:
@@ -136,75 +137,81 @@ def _fail(text: str, tokens: list[str], i: int, message: str) -> NoReturn:
     raise ParseError(message, starts[i])
 
 
-def _evaluate(text: str, n: int, var, const, negate, binary):
+def _evaluate(text: str, n: int, var, const, negate, binops):
     """One operator-precedence pass over: iff < imp < or < xor < and < unary < atom.
 
     The value is built bottom-up from var(index), const(bit), negate(value)
-    and binary(node_class, left, right); parse passes the AST constructors.
-    Explicit operand and operator stacks stand in for recursion, so nesting
-    depth and chain length are bounded by memory alone. Every error passes
-    through _fail, so a bad character anywhere outranks a grammar error.
+    and binops[p](left, right), the binary operator of precedence p (loosest
+    first, as in _BINOPS); parse passes the AST constructors. Explicit
+    operand and operator stacks stand in for recursion, so nesting depth and
+    chain length are bounded by memory alone. Every error passes through
+    _fail, so a bad character anywhere outranks a grammar error.
     """
     tokens = _TOKEN_RE.findall(text)
     tokens.append(_END)
+    # each operand spelling is read and range-checked once, then looked up
+    atoms: dict = {}
+    # left operands waiting on the binary operators in ops; ops holds
+    # precedences, _OPEN and _NOT above a _BOTTOM that no loop pops
     values: list = []
-    ops: list[int] = []
-
-    def reduce(floor: int) -> None:
-        # "!" is applied as soon as its operand is complete, so only binary
-        # operators and "(" are ever on top here
-        while ops and ops[-1] >= floor:
-            right = values.pop()
-            values[-1] = binary(_BINOPS[ops.pop()], values[-1], right)
-
+    ops = [_BOTTOM]
     i = 0
     while True:
         # operand position: prefixes "!" and "(", then an atom
         tok = tokens[i]
-        if tok == "!" or tok == "(":
-            ops.append(_NOT if tok == "!" else _OPEN)
-            i += 1
-            continue
-        if tok == "0" or tok == "1":
-            values.append(const(int(tok)))
-        elif _is_var(tok):
-            idx = int(tok[1:])
-            if not 1 <= idx <= n:
-                _fail(text, tokens, i, f"variable index {idx} out of range [1, {n}]")
-            values.append(var(idx))
-        else:
-            _fail(text, tokens, i, f"unexpected token {_shown(tok)!r}")
+        cur = atoms.get(tok)
+        if cur is None:
+            if tok == "!" or tok == "(":
+                ops.append(_NOT if tok == "!" else _OPEN)
+                i += 1
+                continue
+            if tok == "0" or tok == "1":
+                cur = const(int(tok))
+            elif _is_var(tok):
+                idx = int(tok[1:])
+                if not 1 <= idx <= n:
+                    _fail(text, tokens, i, f"variable index {idx} out of range [1, {n}]")
+                cur = var(idx)
+            else:
+                _fail(text, tokens, i, f"unexpected token {_shown(tok)!r}")
+            atoms[tok] = cur
         i += 1
-        # operator position: close parentheses, negating each finished operand
+        # operator position: close parentheses, negating each finished operand;
+        # "!" is applied as soon as its operand is complete, so only binary
+        # operators and "(" are ever on top when operators are applied
         while True:
-            while ops and ops[-1] == _NOT:
+            while ops[-1] == _NOT:
                 ops.pop()
-                values[-1] = negate(values[-1])
+                cur = negate(cur)
             tok = tokens[i]
             if tok != ")":
                 break
-            reduce(0)
-            if not ops:
+            while ops[-1] >= 0:
+                cur = binops[ops.pop()](values.pop(), cur)
+            if ops[-1] != _OPEN:
                 _fail(text, tokens, i, "unexpected token ')'")
             ops.pop()
             i += 1
         prec = _PRECEDENCE.get(tok)
         if prec is not None:
-            reduce(prec)  # every operator is left-associative
+            while ops[-1] >= prec:  # every operator is left-associative
+                cur = binops[ops.pop()](values.pop(), cur)
+            values.append(cur)
             ops.append(prec)
             i += 1
             continue
-        reduce(0)
-        if ops:
+        while ops[-1] >= 0:
+            cur = binops[ops.pop()](values.pop(), cur)
+        if ops[-1] == _OPEN:
             _fail(text, tokens, i, f"expected ')', found {_shown(tok)!r}")
         if tok != _END:
             _fail(text, tokens, i, f"unexpected token {_shown(tok)!r}")
-        return values[0]
+        return cur
 
 
 def parse(text: str, n: int) -> BoolExpr:
     """Parse a Boolean expression over variables x1..xn (z1..zn accepted)."""
-    return _evaluate(text, n, Var, Const, Not, lambda node, a, b: node(a, b))
+    return _evaluate(text, n, Var, Const, Not, _BINOPS)
 
 
 # ---------------------------------------------------------------------------

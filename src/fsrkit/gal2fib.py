@@ -4,6 +4,7 @@ minimal-stage reconstruction, and the brute-force equivalence oracle."""
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -41,6 +42,15 @@ class OutputSeq:
             raise ValueError("period is not primitive")
         if self.preperiod and self.preperiod[-1] == self.period[-1]:
             raise ValueError("preperiod is not minimal")
+
+    @classmethod
+    def _trusted(cls, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "OutputSeq":
+        """An OutputSeq from parts already in normalized form, such as
+        _sequence_table's entries, without __post_init__'s checks."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "preperiod", preperiod)
+        object.__setattr__(seq, "period", period)
+        return seq
 
     def bits(self, length: int) -> tuple[int, ...]:
         """First `length` bits of the unrolled sequence."""
@@ -170,7 +180,7 @@ def all_output_sequences(L: TransitionMatrix) -> dict[int, OutputSeq]:
     for pre, per in set(table):
         if per not in periods:
             periods[per] = tuple(per)
-        view[pre, per] = OutputSeq(tuple(pre), periods[per])
+        view[pre, per] = OutputSeq._trusted(tuple(pre), periods[per])
     return {i: view[e] for i, e in enumerate(table, start=1)}
 
 
@@ -228,9 +238,11 @@ class PartialTransition:
         size = 1 << self.n
         if len(self.cols) != size:
             raise ValueError(f"expected {size} columns, got {len(self.cols)}")
-        for c in self.cols:
-            if c is not None and not 1 <= c <= size:
-                raise ValueError(f"column value {c} out of range")
+        fixed = set(self.cols)
+        fixed.discard(None)
+        if fixed and (min(fixed) < 1 or max(fixed) > size):
+            bad = next(c for c in self.cols if c is not None and not 1 <= c <= size)
+            raise ValueError(f"column value {bad} out of range")
 
 
 @dataclass(frozen=True)
@@ -281,23 +293,25 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
         e: 1 + int(_prefix(*e, l).translate(_BITS_TO_COMPLEMENT_DIGITS), 2) for e in seqs
     }
     window_map = tuple(window_of[e] for e in table)
-    # the window after T'(z) is T'(L_g(z))
-    size = 1 << l
-    cols: list[int | None] = [None] * size
+    # the window after T'(z) is T'(L_g(z)): one fixed column per distinct window
+    fixed: dict[int, int] = {}
     for w, z in zip(window_map, L_g.cols):
         t = window_map[z - 1]
-        if cols[w - 1] not in (None, t):
+        if fixed.setdefault(w, t) != t:
             raise AssertionError(f"window {w} has two successors")
-        cols[w - 1] = t
-    partial = PartialTransition(l, tuple(cols))
-
-    free = tuple(j for j in range(1, size + 1) if cols[j - 1] is None)
-    # cols becomes the least completion: base + 1 in every free column
-    for u, b in enumerate(_shift_bases(l)):
-        if cols[u] is None:
-            cols[u] = b + 1
-        elif cols[u] - b not in (1, 2):
+    # the least completion is base + 1 in every column; the fixed columns
+    # must sit at base + 1 or base + 2, and overlay it
+    size = 1 << l
+    cols = list(map(operator.add, _shift_bases(l), itertools.repeat(1)))
+    fixed_cols: list[int | None] = [None] * size
+    for w, t in fixed.items():
+        if t - cols[w - 1] not in (0, 1):
             raise AssertionError("fixed column violates the Fibonacci law")
+        cols[w - 1] = fixed_cols[w - 1] = t
+    partial = PartialTransition(l, tuple(fixed_cols))
+    del fixed_cols  # P holds the same entries; 2^l of them at long windows
+    free = tuple(itertools.compress(
+        range(1, size + 1), map(operator.is_, partial.cols, itertools.repeat(None))))
     total = 1 << len(free)
     # the others raise some free columns to base + 2; past max_free, none
     raises = itertools.product((0, 1), repeat=len(free)) if len(free) <= max_free else [()]
@@ -306,7 +320,7 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
         filled = list(cols)
         for j, v in zip(free, picks):
             filled[j - 1] += v
-        completions.append(TransitionMatrix(l, tuple(filled)))  # type: ignore[arg-type]
+        completions.append(TransitionMatrix(l, tuple(filled)))
 
     return MinStageResult(
         l=l,
@@ -315,7 +329,7 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
         completions=tuple(completions),
         free_columns=free,
         total_completions=total,
-        sequences=tuple(OutputSeq(tuple(pre), tuple(per)) for pre, per in seqs),
+        sequences=tuple(OutputSeq._trusted(tuple(pre), tuple(per)) for pre, per in seqs),
     )
 
 

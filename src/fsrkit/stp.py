@@ -8,6 +8,7 @@ matrices are stored as index sequences, never as dense 0/1 arrays.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -74,7 +75,7 @@ class TransitionMatrix:
         size = 1 << self.n
         if len(self.cols) != size:
             raise ValueError(f"expected {size} columns, got {len(self.cols)}")
-        if any(not 1 <= c <= size for c in self.cols):
+        if min(self.cols) < 1 or max(self.cols) > size:
             raise ValueError("column index out of range")
 
     def column(self, j: int) -> int:
@@ -166,19 +167,20 @@ def _var_masks(n: int) -> tuple[int, ...]:
 
 
 # the one place operator semantics on truth tables live: node class ->
-# f(a, b, full) on the operands' tables
+# make(full), the operator on two tables of 2^n bits with full = 2^(2^n) - 1
 _TABLE_OPS = {
-    _expr.And: lambda a, b, full: a & b,
-    _expr.Or: lambda a, b, full: a | b,
-    _expr.Xor: lambda a, b, full: a ^ b,
-    _expr.Implies: lambda a, b, full: (full ^ a) | b,
-    _expr.Iff: lambda a, b, full: full ^ a ^ b,
+    _expr.And: lambda full: operator.and_,
+    _expr.Or: lambda full: operator.or_,
+    _expr.Xor: lambda full: operator.xor,
+    _expr.Implies: lambda full: lambda a, b: (full ^ a) | b,
+    _expr.Iff: lambda full: lambda a, b: full ^ a ^ b,
 }
 
 
 def _truth_mask(f: BoolExpr, masks: Sequence[int], full: int) -> int:
     # post-order on explicit stacks: an operator's class waits on `todo`
     # under its operands and combines their tables from `out`
+    table_ops = {node: make(full) for node, make in _TABLE_OPS.items()}
     out: list[int] = []
     todo: list = [f]
     while todo:
@@ -187,7 +189,7 @@ def _truth_mask(f: BoolExpr, masks: Sequence[int], full: int) -> int:
             out[-1] ^= full
         elif isinstance(node, type):
             b = out.pop()
-            out[-1] = _TABLE_OPS[node](out[-1], b, full)
+            out[-1] = table_ops[node](out[-1], b)
         elif isinstance(node, Var):
             out.append(masks[node.index - 1])
         elif isinstance(node, Const):
@@ -207,7 +209,7 @@ def _read_table(text: str, n: int) -> int:
     full = (1 << (1 << n)) - 1
     return _expr._evaluate(
         text, n, lambda i: masks[i - 1], lambda v: full if v else 0, full.__xor__,
-        lambda node, a, b: _TABLE_OPS[node](a, b, full),
+        tuple(_TABLE_OPS[node](full) for node in _expr._BINOPS),
     )
 
 

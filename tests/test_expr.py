@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -300,6 +301,36 @@ def spliced_renders(draw):
     i = draw(st.integers(0, len(text)))
     j = draw(st.integers(i, min(len(text), i + 4)))
     return text[:i] + draw(st.sampled_from(SOUP_TOKENS + BAD_CHARACTERS + [""])) + text[j:]
+
+
+@st.composite
+def dense_anf_lines(draw):
+    """An update line as the benchmark's Galois files hold them: the XOR of
+    up to 2^n distinct monomials over n = 6..12 variables, here with each
+    variable spelled x or z and the operators spaced or not."""
+    n = draw(st.sampled_from(range(6, 13)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    count = rng.choice((rng.randint(0, 1 << n), 1 << n))  # half of them full
+
+    def op(symbol):
+        return rng.choice(("", " ")) + symbol + rng.choice(("", " "))
+
+    terms = []
+    for mono in sorted(rng.sample(range(1 << n), count)):
+        names = [rng.choice("xz") + str(i) for i in range(1, n + 1) if mono >> (i - 1) & 1]
+        terms.append(op("&").join(names) or "1")
+    return op("^").join(terms) or "0", n
+
+
+class TestDenseAnfLines:
+    @seed(10)
+    @settings(deadline=None, max_examples=40)
+    @given(dense_anf_lines())
+    def test_table_read_matches_oracle(self, line):
+        text, n = line
+        full = (1 << (1 << n)) - 1
+        want = stp._truth_mask(oracle_parse(text, n), stp._var_masks(n), full)
+        assert stp._read_table(text, n) == want
 
 
 class TestParserAgainstOracle:

@@ -6,6 +6,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from fsrkit import (
     OutputSeq,
+    PartialTransition,
     PermutationTransform,
     StructureMatrix,
     TransitionMatrix,
@@ -25,6 +26,9 @@ from fsrkit import (
     simulate,
 )
 
+from fsrkit import stp
+from fsrkit.cli import parse_fsr_file
+from fsrkit.fib import _shift_bases
 from fsrkit.stp import encode_state
 
 from conftest import LF4_COLS, LG3_SHRINKABLE_COLS, LG3_TWO_ATTRACTORS_COLS, LG4_COLS
@@ -146,6 +150,52 @@ def assert_matches_search(L, max_free=6):
     assert got.free_columns == free
     assert [c.cols for c in got.completions] == completions
     assert got.total_completions == 1 << len(free)
+    # the distinct sequences, validated one state at a time, in sorted order
+    seqs = set(all_output_sequences_oracle(L).values())
+    assert got.sequences == tuple(sorted(seqs, key=lambda s: (s.preperiod, s.period)))
+
+
+def least_completion_oracle(L, window_map, l, max_free):
+    """P, its free columns and its completions, one column at a time: the
+    fixed columns from the (window, successor) pairs, then every column
+    checked against the shift law and the free ones set to base + 1."""
+    size = 1 << l
+    cols = [None] * size
+    for w, z in zip(window_map, L.cols):
+        t = window_map[z - 1]
+        assert cols[w - 1] in (None, t)
+        cols[w - 1] = t
+    partial = tuple(cols)
+    free = tuple(j for j in range(1, size + 1) if cols[j - 1] is None)
+    for u, b in enumerate(_shift_bases(l)):
+        if cols[u] is None:
+            cols[u] = b + 1
+        else:
+            assert cols[u] - b in (1, 2)
+    raises = itertools.product((0, 1), repeat=len(free)) if len(free) <= max_free else [()]
+    completions = []
+    for picks in raises:
+        filled = list(cols)
+        for j, v in zip(free, picks):
+            filled[j - 1] += v
+        completions.append(tuple(filled))
+    return partial, free, completions
+
+
+def sparse_galois(rng, n):
+    """A Galois register whose coordinates XOR 2..4 random monomials of degree 1..3."""
+    masks = stp._var_masks(n)
+    full = (1 << (1 << n)) - 1
+    tables = []
+    for _ in range(n):
+        table = 0
+        for _ in range(rng.randint(2, 4)):
+            mono = full
+            for i in rng.sample(range(n), rng.randint(1, 3)):
+                mono &= masks[i]
+            table ^= mono
+        tables.append(table)
+    return stp._transition_of_tables(n, tables)
 
 
 def differential_matrices():
@@ -449,6 +499,66 @@ class TestMinStageAgainstSearch:
         r = min_stage_fibonacci(TransitionMatrix(0, (1,)))
         assert r.sequences == (OutputSeq((), (0,)),)
         assert (r.l, r.partial.cols, r.window_map) == (1, (None, 2), (2,))
+
+
+# z2..z5 count up to 1111 and stay there; z1 is 1 for one step, so the
+# output 0^13 1 0... needs 14-bit windows
+COUNTER5 = (
+    "n=5 type=gal\n"
+    "f1 = z2 & z3 ^ z2 & z3 & z4 ^ z2 & z3 & z5 ^ z2 & z3 & z4 & z5\n"
+    "f2 = z2 ^ z3 & z4 & z5 ^ z2 & z3 & z4 & z5\n"
+    "f3 = z3 ^ z4 & z5 ^ z2 & z3 & z4 & z5\n"
+    "f4 = z4 ^ z5 ^ z2 & z3 & z4 & z5\n"
+    "f5 = 1 ^ z5 ^ z2 & z3 & z4 & z5\n"
+)
+
+
+class TestCompletionAtLongWindows:
+    """P, the free columns and the completions against the column-by-column
+    oracle, mostly at window lengths of 14 to 16, where almost every column
+    is free."""
+
+    def check(self, L, max_free):
+        got = min_stage_fibonacci(L, max_free=max_free)
+        partial, free, completions = least_completion_oracle(
+            L, got.window_map, got.l, max_free)
+        assert got.partial.cols == partial
+        assert got.free_columns == free
+        assert [c.cols for c in got.completions] == completions
+        assert got.total_completions == 1 << len(free)
+        return got
+
+    @pytest.mark.parametrize("max_free", [0, 20])
+    def test_saturating_counter(self, max_free):
+        got = self.check(parse_fsr_file(COUNTER5).transition(), max_free)
+        assert (got.l, len(got.free_columns)) == (14, 16356)
+
+    @pytest.mark.parametrize("seed_, l", [(9, 15), (24, 15), (50, 16), (78, 16)])
+    def test_nine_stage_registers(self, seed_, l):
+        got = self.check(sparse_galois(random.Random(seed_), 9), max_free=20)
+        assert got.l == l
+
+    def test_every_completion_while_free_columns_fit(self):
+        L = TransitionMatrix(3, LG3_TWO_ATTRACTORS_COLS)
+        assert len(self.check(L, max_free=3).completions) == 8
+
+
+class TestPartialTransition:
+    @pytest.mark.parametrize("bad", [0, 9])
+    @pytest.mark.parametrize("at", [0, 4, 7])
+    def test_rejects_out_of_range_column(self, bad, at):
+        cols = [None, 4, 6, 8, None, 3, None, 8]
+        cols[at] = bad
+        with pytest.raises(ValueError, match=f"^column value {bad} out of range$"):
+            PartialTransition(3, tuple(cols))
+
+    def test_reports_the_first_bad_column(self):
+        with pytest.raises(ValueError, match="^column value 12 out of range$"):
+            PartialTransition(3, (None, 12, 0, None, None, None, None, 9))
+
+    def test_accepts_all_free_and_all_fixed(self):
+        assert PartialTransition(2, (None,) * 4).cols == (None,) * 4
+        assert PartialTransition(2, (1, 4, 1, 4)).cols == (1, 4, 1, 4)
 
 
 class TestGaloisFromSequences:

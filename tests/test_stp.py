@@ -262,6 +262,24 @@ class TestSynthesis:
             assert structure_matrix(synthesize_expr(M), n).rows == rows
 
 
+class TestTransitionMatrix:
+    @pytest.mark.parametrize("n", [0, 1, 3, 6])
+    def test_rejects_out_of_range_column(self, n):
+        size = 1 << n
+        for at in sorted({0, size // 2, size - 1}):  # first, middle and last column
+            for bad in (0, size + 1):
+                cols = list(range(1, size + 1))
+                cols[at] = bad
+                with pytest.raises(ValueError, match="^column index out of range$"):
+                    TransitionMatrix(n, tuple(cols))
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 6])
+    def test_accepts_both_ends_of_the_range(self, n):
+        size = 1 << n
+        for cols in ((1,) * size, (size,) * size, tuple(range(size, 0, -1))):
+            assert TransitionMatrix(n, cols).cols == cols
+
+
 class TestDeltaFormat:
     def test_round_trip(self):
         text = "d16[2 4 6 8 10 12 13 16 1 3 5 7 9 11 14 15]"
