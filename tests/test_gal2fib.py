@@ -515,32 +515,25 @@ COUNTER5 = (
 
 class TestCompletionAtLongWindows:
     """P, the free columns and the completions against the column-by-column
-    oracle, mostly at window lengths of 14 to 16, where almost every column
-    is free."""
+    oracle at window lengths of 14 to 16, where almost every column is free."""
 
-    def check(self, L, max_free):
-        got = min_stage_fibonacci(L, max_free=max_free)
-        partial, free, completions = least_completion_oracle(
-            L, got.window_map, got.l, max_free)
+    def check(self, L):
+        got = min_stage_fibonacci(L)
+        partial, free, completions = least_completion_oracle(L, got.window_map, got.l, 20)
         assert got.partial.cols == partial
         assert got.free_columns == free
         assert [c.cols for c in got.completions] == completions
         assert got.total_completions == 1 << len(free)
         return got
 
-    @pytest.mark.parametrize("max_free", [0, 20])
-    def test_saturating_counter(self, max_free):
-        got = self.check(parse_fsr_file(COUNTER5).transition(), max_free)
+    def test_saturating_counter(self):
+        got = self.check(parse_fsr_file(COUNTER5).transition())
         assert (got.l, len(got.free_columns)) == (14, 16356)
 
     @pytest.mark.parametrize("seed_, l", [(9, 15), (24, 15), (50, 16), (78, 16)])
     def test_nine_stage_registers(self, seed_, l):
-        got = self.check(sparse_galois(random.Random(seed_), 9), max_free=20)
+        got = self.check(sparse_galois(random.Random(seed_), 9))
         assert got.l == l
-
-    def test_every_completion_while_free_columns_fit(self):
-        L = TransitionMatrix(3, LG3_TWO_ATTRACTORS_COLS)
-        assert len(self.check(L, max_free=3).completions) == 8
 
 
 class TestPartialTransition:
