@@ -204,11 +204,10 @@ def cmd_verify(args) -> int:
     A = load_matrix(args.a)
     B = load_matrix(args.b)
     result = equivalent(A, B)
-    print("equivalent" if result else "not equivalent")
-    for i in sorted(result.forward):
-        print(f"A {i} -> B {result.forward[i]}")
-    for j in sorted(result.backward):
-        print(f"B {j} -> A {result.backward[j]}")
+    lines = ["equivalent" if result else "not equivalent"]
+    lines += [f"A {i} -> B {b}" for i, b in sorted(result.forward.items())]
+    lines += [f"B {j} -> A {a}" for j, a in sorted(result.backward.items())]
+    print("\n".join(lines))  # one write: the mapping has 2^(n+1) lines
     return 0 if result else 1
 
 

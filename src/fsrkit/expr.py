@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, repeat
 from typing import Mapping, NoReturn
 
 
@@ -110,6 +112,8 @@ def substitute(expr: BoolExpr, mapping: Mapping[int, int]) -> BoolExpr:
 _TOKEN_RE = re.compile(r"\s*([xz]\d+|[01]|<->|->|[!&|^()]|\S)")
 _SYMBOLS = frozenset("01!&|^()")  # the valid one-character tokens
 _END = ""  # the token after the last one
+# a piece between "^" and "&" that the flat reader takes: one atom token
+_FLAT_ATOM_RE = re.compile(r"\s*([xz]\d+|[01])\s*")
 
 # binary operator tokens, loosest first: the index is the precedence and
 # indexes _BINOPS; "(" and "!" wait on the operator stack under these codes,
@@ -137,15 +141,57 @@ def _fail(text: str, tokens: list[str], i: int, message: str) -> NoReturn:
     raise ParseError(message, starts[i])
 
 
+def _atom(tok: str, n: int, var, const):
+    """The value of an atom token, or None for a variable outside [1, n]."""
+    if _is_var(tok):
+        idx = int(tok[1:])
+        return var(idx) if 1 <= idx <= n else None
+    return const(int(tok))
+
+
+def _flat_atoms(terms: list[list[str]], n: int, var, const) -> dict | None:
+    """Each distinct piece of the split text, read as an atom, or None unless
+    every piece is one in-range atom with optional spacing.
+
+    Any other operator, a parenthesis, a stray character, an empty operand
+    or two adjacent atoms lands in some piece and fails it, so only XOR-of-AND
+    text, the form ANF is written in, gets atoms here.
+    """
+    atoms = {}
+    for piece in set(chain.from_iterable(terms)):
+        m = _FLAT_ATOM_RE.fullmatch(piece)
+        if m is None:
+            return None
+        value = _atom(m[1], n, var, const)
+        if value is None:
+            return None
+        atoms[piece] = value
+    return atoms
+
+
 def _evaluate(text: str, n: int, var, const, negate, binops):
+    """Read text bottom-up from var(index), const(bit), negate(value) and
+    binops[p](left, right), the binary operator of precedence p (loosest
+    first, as in _BINOPS); parse passes the AST constructors.
+
+    XOR-of-AND text is split on "^" and then on "&" in C and folded
+    left-deep, as the general pass would fold it. Any other text, and every
+    error, goes to the general pass.
+    """
+    terms = list(map(str.split, text.split("^"), repeat("&")))
+    atoms = _flat_atoms(terms, n, var, const)
+    if atoms is None:
+        return _general_pass(text, n, var, const, negate, binops)
+    return reduce(binops[_PRECEDENCE["^"]], map(
+        reduce, repeat(binops[_PRECEDENCE["&"]]), map(map, repeat(atoms.__getitem__), terms)))
+
+
+def _general_pass(text: str, n: int, var, const, negate, binops):
     """One operator-precedence pass over: iff < imp < or < xor < and < unary < atom.
 
-    The value is built bottom-up from var(index), const(bit), negate(value)
-    and binops[p](left, right), the binary operator of precedence p (loosest
-    first, as in _BINOPS); parse passes the AST constructors. Explicit
-    operand and operator stacks stand in for recursion, so nesting depth and
-    chain length are bounded by memory alone. Every error passes through
-    _fail, so a bad character anywhere outranks a grammar error.
+    Explicit operand and operator stacks stand in for recursion, so nesting
+    depth and chain length are bounded by memory alone. Every error passes
+    through _fail, so a bad character anywhere outranks a grammar error.
     """
     tokens = _TOKEN_RE.findall(text)
     tokens.append(_END)
@@ -165,15 +211,11 @@ def _evaluate(text: str, n: int, var, const, negate, binops):
                 ops.append(_NOT if tok == "!" else _OPEN)
                 i += 1
                 continue
-            if tok == "0" or tok == "1":
-                cur = const(int(tok))
-            elif _is_var(tok):
-                idx = int(tok[1:])
-                if not 1 <= idx <= n:
-                    _fail(text, tokens, i, f"variable index {idx} out of range [1, {n}]")
-                cur = var(idx)
-            else:
+            if not (tok == "0" or tok == "1" or _is_var(tok)):
                 _fail(text, tokens, i, f"unexpected token {_shown(tok)!r}")
+            cur = _atom(tok, n, var, const)
+            if cur is None:
+                _fail(text, tokens, i, f"variable index {int(tok[1:])} out of range [1, {n}]")
             atoms[tok] = cur
         i += 1
         # operator position: close parentheses, negating each finished operand;

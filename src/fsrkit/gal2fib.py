@@ -257,8 +257,6 @@ class MinStageResult:
 
 
 _BITS_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-# a window's index is 1 + its complemented bits, first bit most significant
-_BITS_TO_COMPLEMENT_DIGITS = bytes.maketrans(b"\0\1", b"10")
 
 
 def _prefix(pre: bytes, per: bytes, length: int) -> bytes:
@@ -286,12 +284,14 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
     # preperiods <= P and periods <= r differ within P + 2r bits, so K is
     # the longest prefix that neighbours share among the sorted prefixes.
     bound = max(len(pre) for pre, _ in seqs) + 2 * max(len(per) for _, per in seqs)
-    keys = sorted(int(_prefix(*e, bound).translate(_BITS_TO_DIGITS), 2) for e in seqs)
-    l = 1 + max((bound - (a ^ b).bit_length() for a, b in zip(keys, keys[1:])), default=0)
+    keys = [int(_prefix(*e, bound).translate(_BITS_TO_DIGITS), 2) for e in seqs]
+    ordered = sorted(keys)
+    l = 1 + max((bound - (a ^ b).bit_length() for a, b in zip(ordered, ordered[1:])), default=0)
 
-    window_of = {
-        e: 1 + int(_prefix(*e, l).translate(_BITS_TO_COMPLEMENT_DIGITS), 2) for e in seqs
-    }
+    # a window's index is 1 + its complemented bits, first bit most
+    # significant: 1 + the complement of the key's top l bits
+    ones, drop = (1 << l) - 1, bound - l
+    window_of = {e: 1 + (ones ^ (key >> drop)) for e, key in zip(seqs, keys)}
     window_map = tuple(window_of[e] for e in table)
     # the window after T'(z) is T'(L_g(z)): one fixed column per distinct window
     fixed: dict[int, int] = {}

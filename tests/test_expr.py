@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -22,9 +24,12 @@ from fsrkit.expr import (
     render,
 )
 from fsrkit import stp
+from fsrkit.cli import load_fsr_file
 from fsrkit.stp import encode_state, structure_matrix, synthesize_expr
 
-from conftest import anf_evaluate, eval_expr, exprs, oracle_parse, to_anf, truth_table
+from conftest import (
+    FIXTURES, anf_evaluate, eval_expr, exprs, oracle_parse, to_anf, truth_table,
+)
 
 
 def value(e, bits):
@@ -367,3 +372,116 @@ class TestParserAgainstOracle:
         with pytest.raises(ParseError) as err:
             parse("x1 x2", 2)
         assert (str(err.value), err.value.position) == ("unexpected token '2' at position 3", 3)
+
+
+# -- the flat XOR-of-AND reader -------------------------------------------------
+
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+FLAT_FAULTS = ["out of range", "zero", "empty", "adjacent"]
+
+
+@st.composite
+def flat_lines(draw):
+    """XOR-of-AND text over n = 1..12 variables: x and z spellings, leading
+    zeros, Arabic-Indic digits, constants, repeated terms and random spacing.
+    Half of the lines carry one fault at a random operand: an index out of
+    range or 0, an empty piece ("x1 ^ ^ x2", "x1 &", "^ x1") or two atoms
+    with no operator between them."""
+    n = draw(st.integers(1, 12))
+    index = st.integers(1, n)
+    atom = st.one_of(
+        st.tuples(st.sampled_from("xz"), index).map(lambda p: f"{p[0]}{p[1]}"),
+        index.map(lambda i: f"x0{i}"),
+        index.map(lambda i: "z" + str(i).translate(ARABIC_INDIC_DIGITS)),
+        st.sampled_from(["0", "1"]),
+    )
+    terms = draw(st.lists(st.lists(atom, min_size=1, max_size=5), min_size=1, max_size=12))
+    terms = [list(t) for t in terms + draw(st.lists(st.sampled_from(terms), max_size=3))]
+    fault = draw(st.sampled_from(FLAT_FAULTS)) if draw(st.booleans()) else None
+    if fault is not None:
+        term = draw(st.sampled_from(terms))
+        term[draw(st.integers(0, len(term) - 1))] = {
+            "out of range": f"x{n + draw(st.integers(1, 3))}",
+            "zero": draw(st.sampled_from(["x0", "z00"])),
+            "empty": "",
+            "adjacent": draw(st.sampled_from(["x1 x2", "01", "1 z1"])),
+        }[fault]
+
+    def joined(symbol, parts):
+        out = parts[0]
+        for part in parts[1:]:
+            out += draw(st.sampled_from(SEPARATORS)) + symbol + draw(st.sampled_from(SEPARATORS)) + part
+        return out
+
+    return joined("^", [joined("&", term) for term in terms]), n, fault
+
+
+class TestFlatLines:
+    @seed(11)
+    @settings(deadline=None, max_examples=300)
+    @given(flat_lines())
+    def test_matches_oracle(self, line):
+        text, n, fault = line
+        check_against_oracle(text, n)
+        if fault is None:  # a fault-free line takes the flat reader
+            terms = [term.split("&") for term in text.split("^")]
+            assert ex._flat_atoms(terms, n, Var, Const) is not None
+
+    @pytest.mark.parametrize("text", ["x1 ^ ^ x2", "x1 &", "^ x1", "x1 x2", "01", "x0 ^ x1",
+                                      "x3 & x1", "x1 ^ x1", " z01&x٢ ^1 ", "0"])
+    def test_edge_cases(self, text):
+        check_against_oracle(text, 2)
+
+
+class GeneralPassReached(Exception):
+    pass
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def build_workload(name, seed_, work):
+    """The benchmark's input files for one workload and seed, written to work."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+        return workloads.build(name, seed_, work)
+    finally:
+        sys.path.remove(str(BENCH))
+        for module in ("workloads", "model", "check"):
+            sys.modules.pop(module, None)
+
+
+class TestFlatReaderRuns:
+    """XOR-of-AND lines never reach the general pass; a line that silently
+    fell through would lose the flat reader's speed with every value right."""
+
+    @pytest.fixture
+    def no_general_pass(self, monkeypatch):
+        def general_pass(text, *args):
+            raise GeneralPassReached(text)
+        monkeypatch.setattr(ex, "_general_pass", general_pass)
+
+    def test_benchmark_galois_files(self, tmp_path, no_general_pass):
+        build_workload("gal2fib-reconstruct", 1, tmp_path)
+        files = sorted(tmp_path.glob("*.fsr"))
+        assert len(files) == 64
+        for path in files:
+            fsr = load_fsr_file(str(path))
+            assert sorted(fsr.tables) == list(range(1, fsr.n + 1))
+
+    @pytest.mark.parametrize("name", ["fib3_debruijn.fsr", "fib6_sparse.fsr", "fib8_sparse.fsr"])
+    def test_flat_fixtures(self, name, no_general_pass):
+        load_fsr_file(str(FIXTURES / name))
+
+    @pytest.mark.parametrize("text", ["(x1 ^ x2)", "!x1 & x2", "x1 | x2", "x1 -> x2",
+                                      "x1 <-> x2", "x1 ^ x3", "x1 ^ ^ x2"])
+    def test_other_lines_reach_the_general_pass(self, text, no_general_pass):
+        with pytest.raises(GeneralPassReached):
+            parse(text, 2)
+        with pytest.raises(GeneralPassReached):
+            stp._read_table(text, 2)
+
+    def test_parenthesised_fixture_reaches_the_general_pass(self, no_general_pass):
+        with pytest.raises(GeneralPassReached):
+            load_fsr_file(str(FIXTURES / "fib4_debruijn.fsr"))
