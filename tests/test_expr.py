@@ -381,6 +381,14 @@ ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 FLAT_FAULTS = ["out of range", "zero", "empty", "adjacent"]
 
 
+class GeneralPassReached(Exception):
+    pass
+
+
+def general_pass_reached(text, *args):
+    raise GeneralPassReached(text)
+
+
 @st.composite
 def flat_lines(draw):
     """XOR-of-AND text over n = 1..12 variables: x and z spellings, leading
@@ -424,13 +432,10 @@ class TestFlatLines:
     def test_matches_oracle(self, line):
         text, n, fault = line
         check_against_oracle(text, n)
-        if fault is None:  # a fault-free line takes the flat reader
-            terms = [term.split("&") for term in text.split("^")]
-            assert ex._flat_atoms(terms, n, Var, Const) is not None
-
-
-class GeneralPassReached(Exception):
-    pass
+        if fault is None:  # a fault-free line never reaches the general pass
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ex, "_general_pass", general_pass_reached)
+                parse(text, n)
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -454,9 +459,7 @@ class TestFlatReaderRuns:
 
     @pytest.fixture
     def no_general_pass(self, monkeypatch):
-        def general_pass(text, *args):
-            raise GeneralPassReached(text)
-        monkeypatch.setattr(ex, "_general_pass", general_pass)
+        monkeypatch.setattr(ex, "_general_pass", general_pass_reached)
 
     def test_benchmark_galois_files(self, tmp_path, no_general_pass):
         build_workload("gal2fib-reconstruct", 1, tmp_path)
