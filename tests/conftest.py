@@ -42,6 +42,30 @@ FIB4_FEEDBACK = "(x1 & !x2 & !x3 & x4) | (!x1 & (x2 | x3)) | (!x1 & !x2 & !x3 & 
 LG3_SHRINKABLE_COLS = (3, 4, 2, 3, 6, 6, 4, 4)
 LG3_TWO_ATTRACTORS_COLS = (5, 3, 7, 6, 4, 1, 8, 7)
 
+# z2..z5 count up to 1111 and stay there; z1 is 1 for one step, so the
+# output 0^13 1 0... needs 14-bit windows
+COUNTER5 = (
+    "n=5 type=gal\n"
+    "f1 = z2 & z3 ^ z2 & z3 & z4 ^ z2 & z3 & z5 ^ z2 & z3 & z4 & z5\n"
+    "f2 = z2 ^ z3 & z4 & z5 ^ z2 & z3 & z4 & z5\n"
+    "f3 = z3 ^ z4 & z5 ^ z2 & z3 & z4 & z5\n"
+    "f4 = z4 ^ z5 ^ z2 & z3 & z4 & z5\n"
+    "f5 = 1 ^ z5 ^ z2 & z3 & z4 & z5\n"
+)
+
+
+def sparse_galois_text(rng, n) -> str:
+    """An FSR file for a Galois register whose coordinates XOR 2..4 random
+    monomials of degree 1..3."""
+    lines = [f"n={n} type=gal"]
+    for k in range(1, n + 1):
+        monomials = (
+            " & ".join(f"z{i + 1}" for i in rng.sample(range(n), rng.randint(1, 3)))
+            for _ in range(rng.randint(2, 4))
+        )
+        lines.append(f"f{k} = " + " ^ ".join(monomials))
+    return "\n".join(lines) + "\n"
+
 
 @pytest.fixture
 def lf4() -> TransitionMatrix:

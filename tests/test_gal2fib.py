@@ -26,12 +26,18 @@ from fsrkit import (
     simulate,
 )
 
-from fsrkit import stp
 from fsrkit.cli import parse_fsr_file
 from fsrkit.fib import _shift_bases
 from fsrkit.stp import encode_state
 
-from conftest import LF4_COLS, LG3_SHRINKABLE_COLS, LG3_TWO_ATTRACTORS_COLS, LG4_COLS
+from conftest import (
+    COUNTER5,
+    LF4_COLS,
+    LG3_SHRINKABLE_COLS,
+    LG3_TWO_ATTRACTORS_COLS,
+    LG4_COLS,
+    sparse_galois_text,
+)
 
 
 @pytest.fixture
@@ -184,18 +190,7 @@ def least_completion_oracle(L, window_map, l, max_free):
 
 def sparse_galois(rng, n):
     """A Galois register whose coordinates XOR 2..4 random monomials of degree 1..3."""
-    masks = stp._var_masks(n)
-    full = (1 << (1 << n)) - 1
-    tables = []
-    for _ in range(n):
-        table = 0
-        for _ in range(rng.randint(2, 4)):
-            mono = full
-            for i in rng.sample(range(n), rng.randint(1, 3)):
-                mono &= masks[i]
-            table ^= mono
-        tables.append(table)
-    return stp._transition_of_tables(n, tables)
+    return parse_fsr_file(sparse_galois_text(rng, n)).transition()
 
 
 def differential_matrices():
@@ -499,18 +494,6 @@ class TestMinStageAgainstSearch:
         r = min_stage_fibonacci(TransitionMatrix(0, (1,)))
         assert r.sequences == (OutputSeq((), (0,)),)
         assert (r.l, r.partial.cols, r.window_map) == (1, (None, 2), (2,))
-
-
-# z2..z5 count up to 1111 and stay there; z1 is 1 for one step, so the
-# output 0^13 1 0... needs 14-bit windows
-COUNTER5 = (
-    "n=5 type=gal\n"
-    "f1 = z2 & z3 ^ z2 & z3 & z4 ^ z2 & z3 & z5 ^ z2 & z3 & z4 & z5\n"
-    "f2 = z2 ^ z3 & z4 & z5 ^ z2 & z3 & z4 & z5\n"
-    "f3 = z3 ^ z4 & z5 ^ z2 & z3 & z4 & z5\n"
-    "f4 = z4 ^ z5 ^ z2 & z3 & z4 & z5\n"
-    "f5 = 1 ^ z5 ^ z2 & z3 & z4 & z5\n"
-)
 
 
 class TestCompletionAtLongWindows:
