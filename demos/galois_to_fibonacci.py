@@ -37,7 +37,7 @@ def show(title, updates):
         G = derived_digraph(result.sequences, l)
         print(f"  l={l}: realizable={realizable(G)}")
 
-    print("  partial matrix:", format_delta(1 << result.l, result.partial.cols))
+    print("  partial matrix:", format_delta(1 << result.l, result.partial.fixed))
     print(f"  {result.total_completions} completions, e.g.")
     for L_c in result.completions[:3]:
         fb = feedback_of(L_c)

@@ -191,9 +191,10 @@ def cmd_gal2fib(args) -> int:
     L_g = fsr.transition()
     result = min_stage_fibonacci(L_g, max_free=args.max_free)
     print(f"l = {result.l}")
-    print(f"P = {format_delta(1 << result.l, result.partial.cols)}")
+    print(f"P = {format_delta(1 << result.l, result.partial.fixed)}")
     print(f"T' = {format_delta(1 << result.l, result.window_map)}")
-    print(f"completions = 2^{len(result.free_columns)}")
+    # from a count: listing the free columns would take 2^l - (at most 2^n) entries
+    print(f"completions = 2^{(1 << result.l) - len(result.partial.fixed)}")
     shown = result.completions if args.all_completions else result.completions[:1]
     for L_c in shown:
         print(transition_to_delta(L_c))

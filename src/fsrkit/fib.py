@@ -25,6 +25,13 @@ def _shift_bases(n: int) -> Iterator[int]:
     return itertools.chain(bases, bases)
 
 
+def _least_columns(n: int) -> list[int]:
+    """Columns of the least n-stage Fibonacci matrix, the one whose feedback
+    is 1 everywhere: base_j + 1 of `_shift_bases`, built in one C-level pass
+    as the odd numbers below 2^n, twice."""
+    return list(range(1, 1 << n, 2)) * 2
+
+
 def fib_transition(M_f: StructureMatrix) -> TransitionMatrix:
     """Transition matrix of the Fibonacci FSR with feedback structure M_f."""
     return TransitionMatrix(

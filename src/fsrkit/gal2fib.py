@@ -4,12 +4,12 @@ minimal-stage reconstruction, and the brute-force equivalence oracle."""
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .fib import _shift_bases
+from .fib import _least_columns
 from .stp import TransitionMatrix, output_bit
 
 
@@ -229,31 +229,61 @@ def realizable(G: DerivedDigraph) -> bool:
 
 @dataclass(frozen=True)
 class PartialTransition:
-    """Column sequence with free entries (None) still to satisfy the shift law."""
+    """Column sequence with free entries still to satisfy the shift law.
+
+    `fixed` maps each fixed column (1-based) to its successor; every other
+    column is free. At long windows almost every column is free, so only
+    the fixed ones are stored and checked.
+    """
 
     n: int
-    cols: tuple[int | None, ...]
+    fixed: dict[int, int] = field(hash=False)
 
     def __post_init__(self):
         size = 1 << self.n
-        if len(self.cols) != size:
-            raise ValueError(f"expected {size} columns, got {len(self.cols)}")
-        fixed = set(self.cols)
-        fixed.discard(None)
+        fixed = self.fixed
         if fixed and (min(fixed) < 1 or max(fixed) > size):
-            bad = next(c for c in self.cols if c is not None and not 1 <= c <= size)
-            raise ValueError(f"column value {bad} out of range")
+            bad = min(c for c in fixed if not 1 <= c <= size)
+            raise ValueError(f"column {bad} out of range [1, {size}]")
+        values = fixed.values()
+        if fixed and (min(values) < 1 or max(values) > size):
+            bad = min(c for c, t in fixed.items() if not 1 <= t <= size)
+            raise ValueError(f"column value {fixed[bad]} out of range")
+
+    @cached_property
+    def cols(self) -> tuple[int | None, ...]:
+        """All 2^n columns, None where free; built when first read."""
+        cols: list[int | None] = [None] * (1 << self.n)
+        for c, t in self.fixed.items():
+            cols[c - 1] = t
+        return tuple(cols)
+
+    @cached_property
+    def free_columns(self) -> tuple[int, ...]:
+        """The free columns in increasing order; built when first read."""
+        return tuple(itertools.filterfalse(self.fixed.__contains__, range(1, (1 << self.n) + 1)))
 
 
 @dataclass(frozen=True)
 class MinStageResult:
+    """The window length, P, T' and P's completions. `free_columns` and
+    `sequences` are views, built when first read: the CLI prints neither."""
+
     l: int
     partial: PartialTransition
     window_map: tuple[int, ...]  # Galois state index -> window index over 2^l
     completions: tuple[TransitionMatrix, ...]
-    free_columns: tuple[int, ...]
     total_completions: int
-    sequences: tuple[OutputSeq, ...]
+    # the distinct output sequences, sorted, as (preperiod, period) 0/1 bytes
+    _distinct: tuple[tuple[bytes, bytes], ...] = field(repr=False)
+
+    @property
+    def free_columns(self) -> tuple[int, ...]:
+        return self.partial.free_columns
+
+    @cached_property
+    def sequences(self) -> tuple[OutputSeq, ...]:
+        return tuple(OutputSeq._trusted(tuple(pre), tuple(per)) for pre, per in self._distinct)
 
 
 _BITS_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -299,37 +329,33 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
         t = window_map[z - 1]
         if fixed.setdefault(w, t) != t:
             raise AssertionError(f"window {w} has two successors")
+    partial = PartialTransition(l, fixed)
     # the least completion is base + 1 in every column; the fixed columns
     # must sit at base + 1 or base + 2, and overlay it
-    size = 1 << l
-    cols = list(map(operator.add, _shift_bases(l), itertools.repeat(1)))
-    fixed_cols: list[int | None] = [None] * size
+    cols = _least_columns(l)
     for w, t in fixed.items():
         if t - cols[w - 1] not in (0, 1):
             raise AssertionError("fixed column violates the Fibonacci law")
-        cols[w - 1] = fixed_cols[w - 1] = t
-    partial = PartialTransition(l, tuple(fixed_cols))
-    del fixed_cols  # P holds the same entries; 2^l of them at long windows
-    free = tuple(itertools.compress(
-        range(1, size + 1), map(operator.is_, partial.cols, itertools.repeat(None))))
-    total = 1 << len(free)
-    # the others raise some free columns to base + 2; past max_free, none
-    raises = itertools.product((0, 1), repeat=len(free)) if len(free) <= max_free else [()]
-    completions = []
-    for picks in raises:
-        filled = list(cols)
-        for j, v in zip(free, picks):
-            filled[j - 1] += v
-        completions.append(TransitionMatrix(l, tuple(filled)))
+        cols[w - 1] = t
+    # every completion column is base + 1 or base + 2, so each is in range
+    free = (1 << l) - len(fixed)
+    if free > max_free:  # only the least completion
+        completions = [TransitionMatrix._trusted(l, tuple(cols))]
+    else:  # the others raise some free columns to base + 2
+        completions = []
+        for picks in itertools.product((0, 1), repeat=free):
+            filled = list(cols)
+            for j, v in zip(partial.free_columns, picks):
+                filled[j - 1] += v
+            completions.append(TransitionMatrix._trusted(l, tuple(filled)))
 
     return MinStageResult(
         l=l,
         partial=partial,
         window_map=window_map,
         completions=tuple(completions),
-        free_columns=free,
-        total_completions=total,
-        sequences=tuple(OutputSeq._trusted(tuple(pre), tuple(per)) for pre, per in seqs),
+        total_completions=1 << free,
+        _distinct=tuple(seqs),
     )
 
 

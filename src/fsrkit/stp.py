@@ -11,7 +11,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .expr import Anf, BoolExpr, Const, Var, anf_to_expr, variables
 from . import expr as _expr
@@ -77,6 +77,16 @@ class TransitionMatrix:
             raise ValueError(f"expected {size} columns, got {len(self.cols)}")
         if min(self.cols) < 1 or max(self.cols) > size:
             raise ValueError("column index out of range")
+
+    @classmethod
+    def _trusted(cls, n: int, cols: tuple[int, ...]) -> "TransitionMatrix":
+        """A TransitionMatrix from 2^n columns already known to be in range,
+        such as a shift-law completion of a checked partial matrix, without
+        __post_init__'s O(2^n) checks."""
+        L = object.__new__(cls)
+        object.__setattr__(L, "n", n)
+        object.__setattr__(L, "cols", cols)
+        return L
 
     def column(self, j: int) -> int:
         return self.cols[j - 1]
@@ -340,15 +350,28 @@ def synthesize_expr(M: StructureMatrix) -> BoolExpr:
 _DELTA_RE = re.compile(r"^\s*d(\d+)\s*\[([^\]]*)\]\s*$")
 
 
-def format_delta(size: int, entries: Sequence[int | None]) -> str:
-    """`d16[2 4 ...]`; None entries print as `*` (partial matrices)."""
-    # joined in chunks, so a 2^16-entry matrix never holds one str per entry
+def format_delta(size: int, entries: Sequence[int | None] | Mapping[int, int]) -> str:
+    """`d16[2 4 ...]`; None entries print as `*` (partial matrices).
+
+    A mapping gives only the fixed entries, by 1-based position; every other
+    entry prints as `*`.
+    """
+    if isinstance(entries, Mapping):
+        parts = ["*"] * size
+        for j, e in entries.items():
+            parts[j - 1] = str(e)
+        return f"d{size}[{' '.join(parts)}]"
+    # chunks without None take one C-level format each; formatting in chunks
+    # keeps a 2^16-entry matrix from holding one str per entry
     chunk = 4096
-    body = " ".join(
-        " ".join("*" if e is None else str(e) for e in entries[i:i + chunk])
-        for i in range(0, len(entries), chunk)
-    )
-    return f"d{size}[{body}]"
+    pieces = []
+    for i in range(0, len(entries), chunk):
+        part = tuple(entries[i:i + chunk])
+        if None in part:
+            pieces.append(" ".join("*" if e is None else str(e) for e in part))
+        else:
+            pieces.append(("%s " * len(part) % part)[:-1])
+    return f"d{size}[{' '.join(pieces)}]"
 
 
 def parse_delta(text: str) -> tuple[int, tuple[int | None, ...]]:

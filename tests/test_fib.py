@@ -18,6 +18,8 @@ from fsrkit import (
     synthesize_expr,
 )
 
+from fsrkit.fib import _least_columns, _shift_bases
+
 from conftest import LF4_COLS, LG4_COLS, MF4_ROWS
 
 
@@ -153,3 +155,9 @@ class TestShiftProperty:
                 succ = decode_state(L.column(k), n)
                 fb_bit = M.value(k)
                 assert succ == bits[1:] + (fb_bit,)
+
+
+class TestLeastColumns:
+    @pytest.mark.parametrize("l", range(1, 17))
+    def test_is_base_plus_one(self, l):
+        assert _least_columns(l) == [b + 1 for b in _shift_bases(l)]

@@ -520,21 +520,40 @@ class TestCompletionAtLongWindows:
 
 
 class TestPartialTransition:
+    # P of the two-attractor register: (None, 4, 6, 8, None, 3, None, 8)
+    FIXED = {2: 4, 3: 6, 4: 8, 6: 3, 8: 8}
+
     @pytest.mark.parametrize("bad", [0, 9])
     @pytest.mark.parametrize("at", [0, 4, 7])
     def test_rejects_out_of_range_column(self, bad, at):
-        cols = [None, 4, 6, 8, None, 3, None, 8]
-        cols[at] = bad
+        fixed = dict(self.FIXED)
+        fixed[at + 1] = bad
         with pytest.raises(ValueError, match=f"^column value {bad} out of range$"):
-            PartialTransition(3, tuple(cols))
+            PartialTransition(3, fixed)
 
     def test_reports_the_first_bad_column(self):
+        # the lowest bad column, whatever order the map holds them in
         with pytest.raises(ValueError, match="^column value 12 out of range$"):
-            PartialTransition(3, (None, 12, 0, None, None, None, None, 9))
+            PartialTransition(3, {8: 9, 3: 0, 2: 12})
+
+    @pytest.mark.parametrize("key", [0, -1, 9, 100])
+    def test_rejects_out_of_range_key(self, key):
+        fixed = {**self.FIXED, key: 1}
+        with pytest.raises(ValueError, match=rf"^column {key} out of range \[1, 8\]$"):
+            PartialTransition(3, fixed)
+
+    def test_reports_the_lowest_bad_key_before_any_value(self):
+        with pytest.raises(ValueError, match=r"^column -2 out of range \[1, 8\]$"):
+            PartialTransition(3, {2: 0, 9: 1, -2: 1})
 
     def test_accepts_all_free_and_all_fixed(self):
-        assert PartialTransition(2, (None,) * 4).cols == (None,) * 4
-        assert PartialTransition(2, (1, 4, 1, 4)).cols == (1, 4, 1, 4)
+        assert PartialTransition(2, {}).cols == (None,) * 4
+        assert PartialTransition(2, {1: 1, 2: 4, 3: 1, 4: 4}).cols == (1, 4, 1, 4)
+
+    def test_dense_view_and_free_columns(self):
+        P = PartialTransition(3, dict(reversed(self.FIXED.items())))
+        assert P.cols == (None, 4, 6, 8, None, 3, None, 8)
+        assert P.free_columns == (1, 5, 7)
 
 
 class TestGaloisFromSequences:

@@ -291,6 +291,20 @@ class TestDeltaFormat:
         assert size == 8
         assert entries == (None, 4, 6, 8, None, 3, None, 8)
         assert format_delta(8, entries) == "d8[* 4 6 8 * 3 * 8]"
+        assert format_delta(8, {8: 8, 2: 4, 3: 6, 6: 3, 4: 8}) == "d8[* 4 6 8 * 3 * 8]"
+
+    @pytest.mark.parametrize("size", [1, 4095, 4096, 4097, 3 * 4096 + 5])
+    def test_long_rows_against_per_entry_text(self, size):
+        rng = random.Random(size)
+        entries = [rng.randint(1, size) for _ in range(size)]
+        # None only in some 4096-entry chunks
+        for j in rng.sample(range(size), min(size, 3)):
+            entries[j] = None
+        for row in (entries, [e or 1 for e in entries]):
+            text = " ".join("*" if e is None else str(e) for e in row)
+            assert format_delta(size, row) == format_delta(size, tuple(row)) == f"d{size}[{text}]"
+        fixed = {j: e for j, e in enumerate(entries, start=1) if e is not None}
+        assert format_delta(size, fixed) == format_delta(size, entries)
 
     def test_rejects_bad_text(self):
         with pytest.raises(ValueError):
