@@ -279,8 +279,10 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
-        # substitute, gate_cost and render recurse once per nesting level or
-        # operand; synthesized dense logic at n >= 11 can reach the limit
+        # substitute, gate_cost and render walk left-deep chains in a loop,
+        # so synthesized logic never reaches the limit; they still recurse
+        # once per level into right operands, which only deep right-nested
+        # trees that library callers build themselves can exhaust
         print("error: expression nested too deeply", file=sys.stderr)
         return 2
 

@@ -93,14 +93,41 @@ def variables(expr: BoolExpr) -> set[int]:
 
 
 def substitute(expr: BoolExpr, mapping: Mapping[int, int]) -> BoolExpr:
-    """Rename variable indices according to mapping (identity if absent)."""
-    if isinstance(expr, Var):
-        return Var(mapping.get(expr.index, expr.index))
-    if isinstance(expr, Const):
+    """Rename variable indices according to mapping (identity if absent).
+
+    A mapping that sends every key to itself returns expr itself, since
+    trees are immutable.
+    """
+    if all(k == v for k, v in mapping.items()):
         return expr
-    if isinstance(expr, Not):
-        return Not(substitute(expr.child, mapping))
-    return type(expr)(substitute(expr.left, mapping), substitute(expr.right, mapping))
+
+    def walk(node: BoolExpr) -> BoolExpr:
+        cls = type(node)
+        if cls is Var:
+            return Var(mapping.get(node.index, node.index))
+        if cls is Const:
+            return node
+        if cls is Not:
+            depth = 0
+            while type(node) is Not:
+                depth += 1
+                node = node.child
+            out = walk(node)
+            for _ in range(depth):
+                out = Not(out)
+            return out
+        # a chain of one operator: down its left spine in a loop, recursing
+        # only into the right operands, then rebuilt bottom-up
+        rights = []
+        while type(node) is cls:
+            rights.append(node.right)
+            node = node.left
+        out = walk(node)
+        for right in reversed(rights):
+            out = cls(out, walk(right))
+        return out
+
+    return walk(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +293,37 @@ _SYMBOL = {Iff: "<->", Implies: "->", Or: "|", Xor: "^", And: "&"}
 
 def render(expr: BoolExpr) -> str:
     """Concrete syntax; parse(render(e), n) is function-equal to e."""
-    level = _LEVEL[type(expr)]
+    return _text(expr, 0)
 
-    def wrap(child: BoolExpr, min_level: int) -> str:
-        text = render(child)
-        if _LEVEL[type(child)] < min_level:
-            return f"({text})"
-        return text
 
-    if isinstance(expr, Var):
+def _text(expr: BoolExpr, min_level: int) -> str:
+    """render(expr), in parentheses if it binds looser than min_level."""
+    cls = type(expr)
+    if cls is Var:
         return f"x{expr.index}"
-    if isinstance(expr, Const):
+    if cls is Const:
         return str(expr.value)
-    if isinstance(expr, Not):
-        return "!" + wrap(expr.child, 5)
-    # binary, left-associative: right operand needs strictly higher level
-    return f"{wrap(expr.left, level)} {_SYMBOL[type(expr)]} {wrap(expr.right, level + 1)}"
+    level = _LEVEL[cls]
+    if cls is Not:
+        depth = 0
+        node = expr
+        while type(node) is Not:
+            depth += 1
+            node = node.child
+        text = "!" * depth + _text(node, 5)
+    else:
+        # binary, left-associative: the left spine of one operator needs no
+        # parentheses and is walked in a loop; each right operand needs a
+        # strictly higher level
+        rights = []
+        node = expr
+        while type(node) is cls:
+            rights.append(node.right)
+            node = node.left
+        parts = [_text(node, level)]
+        parts += [_text(right, level + 1) for right in reversed(rights)]
+        text = f" {_SYMBOL[cls]} ".join(parts)
+    return f"({text})" if level < min_level else text
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +338,19 @@ class Anf:
 
 
 def anf_to_expr(anf: Anf) -> BoolExpr:
-    """Canonical expression: XOR of AND-chains, deterministic monomial order."""
+    """Canonical expression: XOR of AND-chains, deterministic monomial order.
+
+    Monomials are ordered by (degree, sorted indices), and every occurrence
+    of a variable is one shared node.
+    """
     if not anf.monomials:
         return Const(0)
-    ordered = sorted(anf.monomials, key=lambda mono: (len(mono), sorted(mono)))
-    terms = []
-    for mono in ordered:
-        if not mono:
-            terms.append(Const(1))
-            continue
-        idxs = sorted(mono)
-        term: BoolExpr = Var(idxs[0])
-        for i in idxs[1:]:
-            term = And(term, Var(i))
-        terms.append(term)
-    expr = terms[0]
-    for t in terms[1:]:
-        expr = Xor(expr, t)
-    return expr
+    var = {i: Var(i) for i in set().union(*anf.monomials)}
+    terms = [
+        reduce(And, map(var.__getitem__, idxs)) if idxs else Const(1)
+        for _, idxs in sorted((len(mono), sorted(mono)) for mono in anf.monomials)
+    ]
+    return reduce(Xor, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +380,28 @@ def gate_cost(expr: BoolExpr) -> Cost:
     """Area sums over all gates, delay along the deepest path.
 
     Each binary node is its GATES entry; inverters are absorbed (zero cost,
-    not counted).
+    not counted). A node's area is (left + right) + its gate, in that order.
     """
     def walk(node: BoolExpr) -> tuple[float, float, int]:
-        if isinstance(node, (Var, Const)):
+        while type(node) is Not:
+            node = node.child
+        cls = type(node)
+        if cls is Var or cls is Const:
             return 0.0, 0.0, 0
-        if isinstance(node, Not):
-            return walk(node.child)
-        la, ld, lc = walk(node.left)
-        ra, rd, rc = walk(node.right)
-        area, delay = GATES[type(node)]
-        return la + ra + area, max(ld, rd) + delay, lc + rc + 1
+        # a chain of one operator: down its left spine in a loop, recursing
+        # only into the right operands, then summed bottom-up
+        rights = []
+        while type(node) is cls:
+            rights.append(node.right)
+            node = node.left
+        area, delay, count = walk(node)
+        gate_area, gate_delay = GATES[cls]
+        for right in reversed(rights):
+            ra, rd, rc = walk(right)
+            area = area + ra + gate_area
+            delay = max(delay, rd) + gate_delay
+            count = count + rc + 1
+        return area, delay, count
 
     area, delay, count = walk(expr)
     return Cost(area, delay, count)

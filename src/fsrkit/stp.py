@@ -335,12 +335,15 @@ def synthesize_expr(M: StructureMatrix) -> BoolExpr:
     """Canonical expression (via ANF) whose structure matrix equals M."""
     n = M.n
     f = _moebius(_rows_to_mask(M.rows), n)
-    monomials = frozenset(
-        frozenset(i for i in range(1, n + 1) if not (u >> (n - i)) & 1)
-        for u, d in enumerate(format(f, f"0{1 << n}b")[::-1])
-        if d == "1"
-    )
-    return anf_to_expr(Anf(monomials))
+    # bit u of f is the monomial of the variables that are 0 in state u + 1;
+    # only the set bits are visited
+    monomials = []
+    while f:
+        low = f & -f
+        f ^= low
+        u = low.bit_length() - 1
+        monomials.append(frozenset(i for i in range(1, n + 1) if not (u >> (n - i)) & 1))
+    return anf_to_expr(Anf(frozenset(monomials)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from fsrkit import (
     parse,
     structure_matrix,
 )
-from fsrkit.expr import variables
+from fsrkit.expr import _LEVEL, _SYMBOL, GATES, Cost, variables
+from fsrkit.stp import _moebius, _rows_to_mask
 from fsrkit.fib2gal import SelectedCandidate, reduce_candidate
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -344,6 +345,98 @@ def ref_synthesize_expr(M: StructureMatrix):
         if f[m]
     )
     return anf_to_expr(Anf(monomials))
+
+
+# -- recursive tree walks -----------------------------------------------------
+#
+# The expression layer as it was before its walks became loops: one Python
+# frame per nesting level or chain operand, so these fail on trees deeper
+# than the recursion limit. The fast versions must agree with them exactly:
+# equal trees, byte-identical text and float-identical costs.
+
+def ref_substitute(expr, mapping):
+    """Rename variable indices according to mapping (identity if absent)."""
+    if isinstance(expr, Var):
+        return Var(mapping.get(expr.index, expr.index))
+    if isinstance(expr, Const):
+        return expr
+    if isinstance(expr, Not):
+        return Not(ref_substitute(expr.child, mapping))
+    return type(expr)(ref_substitute(expr.left, mapping), ref_substitute(expr.right, mapping))
+
+
+def ref_render(expr) -> str:
+    """Concrete syntax; parse(render(e), n) is function-equal to e."""
+    level = _LEVEL[type(expr)]
+
+    def wrap(child, min_level: int) -> str:
+        text = ref_render(child)
+        if _LEVEL[type(child)] < min_level:
+            return f"({text})"
+        return text
+
+    if isinstance(expr, Var):
+        return f"x{expr.index}"
+    if isinstance(expr, Const):
+        return str(expr.value)
+    if isinstance(expr, Not):
+        return "!" + wrap(expr.child, 5)
+    # binary, left-associative: right operand needs strictly higher level
+    return f"{wrap(expr.left, level)} {_SYMBOL[type(expr)]} {wrap(expr.right, level + 1)}"
+
+
+def ref_anf_to_expr(anf: Anf):
+    """Canonical expression: XOR of AND-chains, deterministic monomial order."""
+    if not anf.monomials:
+        return Const(0)
+    ordered = sorted(anf.monomials, key=lambda mono: (len(mono), sorted(mono)))
+    terms = []
+    for mono in ordered:
+        if not mono:
+            terms.append(Const(1))
+            continue
+        idxs = sorted(mono)
+        term = Var(idxs[0])
+        for i in idxs[1:]:
+            term = And(term, Var(i))
+        terms.append(term)
+    expr = terms[0]
+    for t in terms[1:]:
+        expr = Xor(expr, t)
+    return expr
+
+
+def ref_gate_cost(expr) -> Cost:
+    """Area sums over all gates, delay along the deepest path.
+
+    Each binary node is its GATES entry; inverters are absorbed (zero cost,
+    not counted).
+    """
+    def walk(node):
+        if isinstance(node, (Var, Const)):
+            return 0.0, 0.0, 0
+        if isinstance(node, Not):
+            return walk(node.child)
+        la, ld, lc = walk(node.left)
+        ra, rd, rc = walk(node.right)
+        area, delay = GATES[type(node)]
+        return la + ra + area, max(ld, rd) + delay, lc + rc + 1
+
+    area, delay, count = walk(expr)
+    return Cost(area, delay, count)
+
+
+def ref_synthesize_scan(M: StructureMatrix):
+    """synthesize_expr as it was before it visited only the ANF's set bits:
+    every one of the 2^n digits of the mask is read."""
+    n = M.n
+    f = _moebius(_rows_to_mask(M.rows), n)
+    monomials = frozenset(
+        frozenset(i for i in range(1, n + 1) if not (u >> (n - i)) & 1)
+        for u, d in enumerate(format(f, f"0{1 << n}b")[::-1])
+        if d == "1"
+    )
+    return ref_anf_to_expr(Anf(monomials))
 
 
 def ref_select_minimal(candidates) -> SelectedCandidate:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -123,6 +124,28 @@ class TestFib2Gal:
         assert out[2] == "n=4 type=gal"
         emitted = parse_fsr_file("\n".join(out[2:]))
         assert emitted.transition().cols == LG4_COLS
+
+    def test_dense_twelve_stage_logic(self, capsys, tmp_path):
+        # a feedback of about 2^11 monomials synthesizes to an XOR chain
+        # deeper than the recursion limit; its logic is still printed
+        n = 12
+        rng = random.Random(1312)
+        monomials = [m for m in range(1 << n) if rng.random() < 0.5]
+        terms = (" & ".join(f"x{i + 1}" for i in range(n) if m >> i & 1) or "1"
+                 for m in monomials)
+        f = tmp_path / "dense12.fsr"
+        f.write_text(f"n={n} type=fib\nf{n} = {' ^ '.join(terms)}\n")
+        identity = f"d{1 << n}[{' '.join(map(str, range(1, (1 << n) + 1)))}]"
+        code, out, err = run(capsys, "fib2gal", str(f), "--perm", identity, "--emit", "logic")
+        assert (code, err) == (0, "")
+        L_g = transition_from_delta(out[0].removeprefix("L_g = "))
+        assert out[2] == f"n={n} type=gal"
+        tables = stp._coordinate_tables(L_g)
+        for k, line in enumerate(out[3:], start=1):
+            name, text = line.split(" = ", 1)
+            assert name == f"f{k}"
+            assert stp._read_table(text, n) == tables[k - 1]
+        assert len(out) == 3 + n
 
     def test_zero_budget_reports_total(self, capsys):
         code, out, _ = run(capsys, "fib2gal", FIB4, "--budget", "0")
