@@ -54,7 +54,7 @@ def chains(draw):
     steps = [op for op, length in runs for _ in range(length)][:MAX_OPERANDS]
     picks = draw(st.lists(
         st.integers(0, len(pool) - 1), min_size=len(steps) + 1, max_size=len(steps) + 1))
-    negated = draw(st.sets(st.integers(0, len(steps))))
+    negated = draw(st.sets(st.integers(0, len(steps)), max_size=20))
     left_deep = draw(st.booleans())
     acc = pool[picks[0]]
     for i, op in enumerate(steps, start=1):
@@ -69,10 +69,6 @@ trees = st.one_of(exprs(6), chains())
 mappings = st.dictionaries(st.integers(1, 6), st.integers(1, 9), max_size=6)
 
 
-def cost_fields(cost):
-    return cost.area_um2, cost.delay_ps, cost.gate_count
-
-
 @seed(1301)
 @settings(max_examples=150, deadline=None)
 @given(trees)
@@ -84,10 +80,8 @@ def test_render_matches_oracle(e):
 @settings(max_examples=150, deadline=None)
 @given(trees)
 def test_gate_cost_matches_oracle(e):
-    got, want = gate_cost(e), ref_gate_cost(e)
-    assert got == want
-    # Cost compares its floats with ==; the tuples say so field by field
-    assert cost_fields(got) == cost_fields(want)
+    # Cost compares its float fields with ==, so the sums agree to the last bit
+    assert gate_cost(e) == ref_gate_cost(e)
 
 
 @seed(1303)
@@ -153,7 +147,7 @@ class TestSummationOrder:
         e = or_spine(1, 30)
         for i in range(5):
             e = Xor(e, or_spine(10 * i + 1, 7))
-        assert cost_fields(gate_cost(e)) == cost_fields(ref_gate_cost(e))
+        assert gate_cost(e) == ref_gate_cost(e)
 
 
 def random_structure(rng, n):
