@@ -6,6 +6,7 @@ Exit codes: 0 success (verify: equivalent), 1 verify mismatch, 2 any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -270,9 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """build_parser() once per process, on main's first call, not at import.
+
+    Reuse is safe: parse_args returns a fresh namespace each call and leaves
+    the parser as it found it, since no argument has a mutable default or an
+    append or count action.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (FsrFileError, ex.ParseError, ValueError, OSError) as err:

@@ -401,7 +401,7 @@ def transition_to_delta(L: TransitionMatrix) -> str:
 def transition_from_delta(text: str) -> TransitionMatrix:
     size, entries = parse_delta(text)
     n = size.bit_length() - 1
-    if 1 << n != size:
+    if n < 0 or 1 << n != size:
         raise ValueError(f"domain size {size} is not a power of two")
     if any(e is None for e in entries):
         raise ValueError("transition matrix may not contain free (*) columns")

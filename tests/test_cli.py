@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import fsrkit
-from fsrkit import stp
+from fsrkit import cli, stp
 from fsrkit import (
     ParseError, TransitionMatrix, Var, render, simulate, transition_from_delta,
     transition_to_delta,
@@ -313,6 +313,12 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_zero_size_matrix_exits_two(self, capsys, tmp_path):
+        a = tmp_path / "a.delta"
+        a.write_text("d0[]\n")
+        assert run(capsys, "verify", str(a), str(a)) == (
+            2, [], "error: domain size 0 is not a power of two\n")
+
 
 class TestDeepExpressions:
     @pytest.mark.parametrize(
@@ -379,6 +385,93 @@ class TestSimulate:
         assert (code, out) == (2, [])
         assert err.startswith("error:") and "steps" in err
 
+    def test_zero_stage_matrix_exits_two(self, capsys, tmp_path):
+        f = tmp_path / "d1.delta"
+        f.write_text("d1[1]\n")
+        assert run(capsys, "simulate", str(f), "--init", "1", "--steps", "3") == (
+            2, [], "error: a 0-stage matrix has no output bit\n")
+
+
+def child_env():
+    """The environment for a child that imports the fsrkit under test,
+    installed or not."""
+    src = str(Path(fsrkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def exit_of(capsys, *argv):
+    """Exit code, stdout and stderr of a command line argparse exits on."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """main builds its parser on its first call in a process and reuses it;
+    no call leaves anything on it that a later call sees."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._shared_parser.cache_clear()
+        yield
+        cli._shared_parser.cache_clear()
+
+    def test_seed_does_not_carry_over(self, capsys):
+        assert run(capsys, "fib2gal", FIB4, "--budget", "3", "--seed", "1")[0] == 0
+        code, out, err = run(capsys, "fib2gal", FIB4, "--budget", "5")
+        assert (code, out) == (2, [])
+        assert err.startswith("error:") and "seed" in err
+
+    def test_all_completions_does_not_carry_over(self, capsys):
+        code, out, _ = run(capsys, "gal2fib", GAL3B, "--all-completions")
+        assert code == 0 and len([ln for ln in out if ln.startswith("d8[")]) == 8
+        code, out, _ = run(capsys, "gal2fib", GAL3B)
+        assert code == 0 and [ln for ln in out if ln.startswith("d8[")] == ["d8[1 4 6 8 1 3 5 8]"]
+
+    @pytest.mark.parametrize(
+        "argv", [("--help",), ("fib2gal", "--help"), ("frobnicate",), ("simulate", GAL3B)],
+        ids=["help", "subcommand-help", "unknown-subcommand", "missing-options"])
+    def test_exits_repeat_byte_for_byte(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        first = exit_of(capsys, *argv)
+        assert run(capsys, "gal2fib", GAL3B, "--all-completions")[0] == 0
+        assert exit_of(capsys, *argv) == first
+        assert first[0] == (0 if "--help" in argv else 2)
+        assert first[1 if "--help" in argv else 2].startswith("usage: fsrkit")
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for _ in range(4):
+            assert run(capsys, "simulate", GAL3B, "--init", "2", "--steps", "5") == (0, ["11000"], "")
+        assert built == [1]
+
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import fsrkit.cli\n"
+            "at_import = len(built)\n"
+            "fsrkit.cli.build_parser()\n"
+            "print(at_import, len(built) > at_import)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=child_env())
+        assert (proc.returncode, proc.stdout) == (0, "0 True\n"), proc.stderr
+
 
 class TestEntryPoint:
     def test_console_script(self):
@@ -392,14 +485,11 @@ class TestEntryPoint:
         assert proc.stdout.strip() == LF4_DELTA
 
     def test_module_invocation(self):
-        # the child imports the fsrkit under test, installed or not
-        src = str(Path(fsrkit.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", "import fsrkit.cli as c; raise SystemExit(c.main(['to-matrix', %r]))" % GAL3A],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "d8[3 4 2 3 6 6 4 4]"
