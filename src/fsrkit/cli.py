@@ -190,14 +190,16 @@ def cmd_fib2gal(args) -> int:
 def cmd_gal2fib(args) -> int:
     fsr = load_fsr_file(args.input)
     L_g = fsr.transition()
-    result = min_stage_fibonacci(L_g, max_free=args.max_free)
+    # only the least completion is printed without --all-completions; a cap
+    # of 0 builds just that one, and a negative cap is still refused
+    max_free = args.max_free if args.all_completions else min(args.max_free, 0)
+    result = min_stage_fibonacci(L_g, max_free=max_free)
     print(f"l = {result.l}")
     print(f"P = {format_delta(1 << result.l, result.partial.fixed)}")
     print(f"T' = {format_delta(1 << result.l, result.window_map)}")
     # from a count: listing the free columns would take 2^l - (at most 2^n) entries
     print(f"completions = 2^{(1 << result.l) - len(result.partial.fixed)}")
-    shown = result.completions if args.all_completions else result.completions[:1]
-    for L_c in shown:
+    for L_c in result.completions:
         print(transition_to_delta(L_c))
     return 0
 

@@ -4,10 +4,11 @@ minimal-stage reconstruction, and the brute-force equivalence oracle."""
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .fib import _least_columns
 from .stp import TransitionMatrix, output_bit
@@ -127,63 +128,196 @@ def output_sequence(L: TransitionMatrix, x0: int) -> OutputSeq:
     return normalize_sequence(bits[:p], bits[p:])
 
 
-def _sequence_table(L: TransitionMatrix) -> list[tuple[bytes, bytes]]:
-    """Normalized (preperiod, period) of every state's output sequence, as
-    0/1 bytes in state order (entry i is state i + 1).
+def _scan_least_rotation(word: bytes) -> int:
+    """Start of the lexicographically least rotation of word, in linear time.
+
+    Two candidate starts i and j race along word + word: at the first of
+    their next k + 1 bits that differ, the larger side's start and the k
+    starts after it are out, since each of those is beaten by the rotation
+    as far along the other side.
+    """
+    d = len(word)
+    s = word + word
+    i, j, k = 0, 1, 0
+    while i < d and j < d and k < d:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
+
+
+#: Longest runs of 0s that _least_rotation compares directly; with more,
+#: it scans
+_RUN_TIES = 8
+
+
+def _least_rotation(word: bytes) -> int:
+    """Start of the lexicographically least rotation of a 0/1 word, in
+    linear time.
+
+    The least rotation starts with a longest cyclic run of 0s, found by
+    searching word + word for ever longer runs. When at most _RUN_TIES runs
+    are that long, their rotations are compared as bytes; otherwise
+    _scan_least_rotation decides. Both ways run in C but for the scan.
+    """
+    if 0 not in word or 1 not in word:  # every rotation is the same
+        return 0
+    d = len(word)
+    ww = word + word
+    # the longest run of 0s: a 1 bounds it below d; double, then bisect
+    lo, hi = 1, 2
+    while b"\0" * hi in ww:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if b"\0" * mid in ww:
+            lo = mid
+        else:
+            hi = mid
+    run = b"\0" * lo
+    # a 1 precedes each run this long, so no two overlap
+    ties = ww.count(run, 0, d + lo - 1)
+    if ties > _RUN_TIES:
+        return _scan_least_rotation(word)
+    starts = [ww.find(run)]
+    for _ in range(ties - 1):
+        starts.append(ww.find(run, starts[-1] + lo))
+    return min(starts, key=lambda c: ww[c:c + d])
+
+
+_BIT = (b"\0", b"\1")
+
+
+class _SequenceIds:
+    """Integer ids for eventually periodic output sequences: two ids are
+    equal exactly when their sequences are.
+
+    A cycle's primitive output word is stored once, as its least rotation,
+    and its d rotations get the consecutive ids base .. base + d - 1, where
+    rotation k starts at word[k]. Every sequence is its first bit followed
+    by its successor's sequence, the one a step later, so every id has a
+    step, 2 * successor id + first bit, and `ids` inverts `steps`. A
+    sequence off the cycles gets a new id on its first step, after its
+    successor's: ids are in step order, successors first.
+    """
+
+    def __init__(self):
+        self.cycles: dict[bytes, int] = {}  # least rotation -> base id
+        self.steps: list[int] = []  # id -> 2 * successor id + first bit
+        self.ids: dict[int, int] = {}  # step -> id
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def cycle(self, word: bytes) -> list[int]:
+        """Ids of the sequences that start at word[0], word[1], ... on a
+        cycle whose states output word, one per rotation of its period."""
+        d = (word + word).find(word, 1)  # primitive period of the cycle's output
+        r = _least_rotation(word[:d])
+        least = word[r:d] + word[:r]
+        base = self.cycles.get(least)
+        if base is None:
+            base = self.cycles[least] = len(self.steps)
+            # rotation k's successor is rotation k + 1, and the last's is the first
+            steps = list(map(operator.add, range(2 * base + 2, 2 * (base + d), 2), least))
+            steps.append(2 * base + least[-1])
+            self.steps += steps
+            self.ids.update(zip(steps, range(base, base + d)))
+        # word[j] starts rotation (j - r) mod d
+        return list(range(base + d - r, base + d)) + list(range(base, base + d - r))
+
+    def extend(self, bit: int, successor: int) -> int:
+        """Id of the sequence `bit` followed by the successor's sequence."""
+        step = (successor << 1) | bit
+        i = self.ids.get(step)
+        if i is None:
+            i = self.ids[step] = len(self.steps)
+            self.steps.append(step)
+        return i
+
+    def runs(self) -> Iterator[tuple[int, bytes | None]]:
+        """(base, least rotation) for each cycle and (id, None) for each
+        id off the cycles, in id order."""
+        i = 0
+        for word, base in self.cycles.items():  # in base order
+            for t in range(i, base):
+                yield t, None
+            yield base, word
+            i = base + len(word)
+        for t in range(i, len(self.steps)):
+            yield t, None
+
+    def words(self) -> list[tuple[bytes, bytes]]:
+        """(preperiod, period) of every id, as 0/1 bytes, in id order: an
+        id off the cycles prepends its first bit to its successor's."""
+        words: list[tuple[bytes, bytes]] = []
+        for i, word in self.runs():
+            if word is None:
+                step = self.steps[i]
+                pre, per = words[step >> 1]
+                words.append((_BIT[step & 1] + pre, per))
+            else:
+                words += ((b"", word[k:] + word[:k]) for k in range(len(word)))
+        return words
+
+
+def _sequence_table(L: TransitionMatrix, ids: _SequenceIds) -> list[int]:
+    """The id in ids of every state's output sequence, in state order
+    (entry i is state i + 1).
 
     One pass over the functional graph of L: each state is walked once,
-    then takes its sequence from its cycle or from its successor's. A
-    cycle's rotations are sliced once and shared by the cycle's states.
-    bytes cache their hash, so an entry hashes in O(1) however long it is.
+    then takes its id from its cycle or from its own bit and its
+    successor's id.
     """
     size = 1 << L.n
-    half = size >> 1
-    cols = L.cols
-    seq: list[tuple[bytes, bytes] | None] = [None] * (size + 1)
-    # 1 + position on the current walk; stale marks sit on states that
-    # already have a sequence, which stops a walk before the mark is read
-    on_path = [0] * (size + 1)
+    nxt = (0,) + L.cols  # nxt[s] is state s's successor
+    # out[s] is state s's output bit: 1 on the first half of the states
+    out = bytes(1) + bytes((1,)) * (size >> 1) + bytes(size - (size >> 1))
+    # an id, or -start while the walk from start is on the state
+    seq: list[int | None] = [None] * (size + 1)
+    extend = ids.extend
     for start in range(1, size + 1):
         if seq[start] is not None:
             continue
         path = []
         s = start
-        while seq[s] is None and not on_path[s]:
+        while seq[s] is None:
             path.append(s)
-            on_path[s] = len(path)
-            s = cols[s - 1]
-        tail = path
-        if seq[s] is None:  # the walk closed a new cycle at s
-            c = on_path[s] - 1
-            tail, cycle = path[:c], path[c:]
-            b = bytes(1 if x <= half else 0 for x in cycle)
-            bb = b + b
-            d = bb.find(b, 1)  # primitive period of the cycle's output
-            rotations = [(b"", bb[k:k + d]) for k in range(d)]
-            for k, x in enumerate(cycle):
-                seq[x] = rotations[k % d]
-        pre, per = seq[s]  # type: ignore[misc]
-        for x in reversed(tail):
-            bit = b"\1" if x <= half else b"\0"
-            if not pre and per[-1:] == bit:
-                per = bit + per[:-1]
-            else:
-                pre = bit + pre
-            seq[x] = (pre, per)
+            seq[s] = -start
+            s = nxt[s]
+        if seq[s] == -start:  # the walk closed a new cycle at s
+            c = path.index(s)
+            cycle = path[c:]
+            del path[c:]
+            ring = ids.cycle(bytes(map(out.__getitem__, cycle)))
+            for x, i in zip(cycle, itertools.cycle(ring)):
+                seq[x] = i
+        i = seq[s]
+        for x in reversed(path):
+            i = seq[x] = extend(out[x], i)
     return seq[1:]  # type: ignore[return-value]
 
 
 def all_output_sequences(L: TransitionMatrix) -> dict[int, OutputSeq]:
     """Output sequence of every initial state, one OutputSeq per distinct
     sequence."""
-    table = _sequence_table(L)
+    ids = _SequenceIds()
+    table = _sequence_table(L, ids)
+    view: list[OutputSeq] = []
     periods: dict[bytes, tuple[int, ...]] = {}
-    view = {}
-    for pre, per in set(table):
+    for pre, per in ids.words():
         if per not in periods:
             periods[per] = tuple(per)
-        view[pre, per] = OutputSeq._trusted(tuple(pre), periods[per])
-    return {i: view[e] for i, e in enumerate(table, start=1)}
+        view.append(OutputSeq._trusted(tuple(pre), periods[per]))
+    return dict(zip(range(1, len(table) + 1), map(view.__getitem__, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +410,8 @@ class MinStageResult:
     window_map: tuple[int, ...]  # Galois state index -> window index over 2^l
     completions: tuple[TransitionMatrix, ...]
     total_completions: int
-    # the distinct output sequences, sorted, as (preperiod, period) 0/1 bytes
-    _distinct: tuple[tuple[bytes, bytes], ...] = field(repr=False)
+    # the ids of the distinct output sequences
+    _ids: _SequenceIds = field(repr=False, compare=False)
 
     @property
     def free_columns(self) -> tuple[int, ...]:
@@ -285,16 +419,42 @@ class MinStageResult:
 
     @cached_property
     def sequences(self) -> tuple[OutputSeq, ...]:
-        return tuple(OutputSeq._trusted(tuple(pre), tuple(per)) for pre, per in self._distinct)
+        """The distinct output sequences, sorted."""
+        return tuple(OutputSeq._trusted(tuple(pre), tuple(per))
+                     for pre, per in sorted(self._ids.words()))  # bytes sort as the 0/1 tuples do
 
 
 _BITS_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _prefix(pre: bytes, per: bytes, length: int) -> bytes:
-    """First `length` bits of the sequence pre per per per ..."""
-    reps = max(0, -(-(length - len(pre)) // len(per)))
-    return (pre + per * reps)[:length]
+def _prefix_keys(ids: _SequenceIds) -> tuple[int, list[int]]:
+    """The bound and, for each id in id order, the first `bound` bits of its
+    sequence as an int, first bit most significant.
+
+    By Fine-Wilf, distinct sequences with preperiods <= P and periods <= r
+    differ within P + 2r bits, so these keys are distinct. A cycle's keys
+    are windows of one int, its least rotation repeated; every other id's
+    key is its first bit followed by its successor's key, less its last bit.
+    """
+    steps = ids.steps
+    depth = [0] * len(steps)  # preperiod length
+    for i, word in ids.runs():
+        if word is None:
+            depth[i] = depth[steps[i] >> 1] + 1
+    bound = max(depth) + 2 * max(map(len, ids.cycles))
+    mask, top = (1 << bound) - 1, bound - 1
+    keys: list[int] = []
+    for i, word in ids.runs():
+        if word is None:
+            step = steps[i]
+            keys.append(((step & 1) << top) | (keys[step >> 1] >> 1))
+        else:
+            d = len(word)
+            reps = -(-(bound + d - 1) // d)  # rotation d - 1 reads bound bits too
+            v = int((word * reps).translate(_BITS_TO_DIGITS), 2)
+            shift = reps * d - bound
+            keys += [(v >> (shift - k)) & mask for k in range(d)]
+    return bound, keys
 
 
 def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageResult:
@@ -307,24 +467,22 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
     """
     if max_free < 0:
         raise ValueError(f"max_free must be >= 0, got {max_free}")
-    table = _sequence_table(L_g)
-    seqs = sorted(set(table))  # bytes sort as the 0/1 tuples do
+    ids = _SequenceIds()
+    table = _sequence_table(L_g, ids)
     # The sequences of all states are closed under shift, so when two
     # distinct ones share k > 0 leading bits, their shifts share k - 1: the
     # shared prefix lengths fill 0..K, and l-bit windows have unique
-    # successors exactly when l > K. By Fine-Wilf, distinct sequences with
-    # preperiods <= P and periods <= r differ within P + 2r bits, so K is
-    # the longest prefix that neighbours share among the sorted prefixes.
-    bound = max(len(pre) for pre, _ in seqs) + 2 * max(len(per) for _, per in seqs)
-    keys = [int(_prefix(*e, bound).translate(_BITS_TO_DIGITS), 2) for e in seqs]
+    # successors exactly when l > K. K is the longest prefix that
+    # neighbours share among the sorted keys.
+    bound, keys = _prefix_keys(ids)
     ordered = sorted(keys)
     l = 1 + max((bound - (a ^ b).bit_length() for a, b in zip(ordered, ordered[1:])), default=0)
 
     # a window's index is 1 + its complemented bits, first bit most
     # significant: 1 + the complement of the key's top l bits
     ones, drop = (1 << l) - 1, bound - l
-    window_of = {e: 1 + (ones ^ (key >> drop)) for e, key in zip(seqs, keys)}
-    window_map = tuple(window_of[e] for e in table)
+    window_of = [1 + (ones ^ (key >> drop)) for key in keys]
+    window_map = tuple(map(window_of.__getitem__, table))
     # the window after T'(z) is T'(L_g(z)): one fixed column per distinct window
     fixed: dict[int, int] = {}
     for w, z in zip(window_map, L_g.cols):
@@ -357,7 +515,7 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
         window_map=window_map,
         completions=tuple(completions),
         total_completions=1 << free,
-        _distinct=tuple(seqs),
+        _ids=ids,
     )
 
 
@@ -432,8 +590,9 @@ class EquivalenceResult:
 
 def equivalent(A: TransitionMatrix, B: TransitionMatrix) -> EquivalenceResult:
     """Set equality of normalized output sequences over all initial states."""
-    seq_a = _sequence_table(A)
-    seq_b = _sequence_table(B)
+    ids = _SequenceIds()  # shared: a sequence of A and of B gets one id
+    seq_a = _sequence_table(A, ids)
+    seq_b = _sequence_table(B, ids)
     # each sequence -> its smallest state index: the last write wins
     by_seq_a = dict(zip(reversed(seq_a), range(len(seq_a), 0, -1)))
     by_seq_b = dict(zip(reversed(seq_b), range(len(seq_b), 0, -1)))

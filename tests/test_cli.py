@@ -14,8 +14,8 @@ from hypothesis import given, seed, settings, strategies as st
 import fsrkit
 from fsrkit import cli, stp
 from fsrkit import (
-    ParseError, TransitionMatrix, Var, render, simulate, transition_from_delta,
-    transition_to_delta,
+    ParseError, TransitionMatrix, Var, min_stage_fibonacci, render, simulate,
+    transition_from_delta, transition_to_delta,
 )
 from fsrkit.cli import MAX_STAGES, FsrFileError, main, parse_fsr_file
 
@@ -278,6 +278,45 @@ class TestGal2Fib:
         assert out[0] == "l = 14"
         assert out[3] == "completions = 2^16356"
         assert out[4].startswith("d16384[")
+
+    # the n = 4 map (13 4 15 1 14 5 9 6 1 4 15 10 8 13 9 5) in XOR-of-AND
+    # form: l = 5, with 16 of the 32 columns free
+    MAP4 = (
+        "n=4 type=gal\n"
+        "f1 = 1 ^ x2 ^ x3 ^ x4 ^ x1 & x2 ^ x1 & x3 ^ x2 & x4 ^ x1 & x2 & x4\n"
+        "f2 = x2 ^ x4 ^ x3 & x4 ^ x1 & x2 & x3 & x4\n"
+        "f3 = 1 ^ x2 & x3 ^ x2 & x4 ^ x3 & x4 ^ x1 & x3 & x4 ^ x2 & x3 & x4 ^ x1 & x2 & x3 & x4\n"
+        "f4 = 1 ^ x1 ^ x2 ^ x1 & x3 ^ x1 & x4 ^ x2 & x4 ^ x3 & x4 ^ x1 & x3 & x4 ^ x2 & x3 & x4\n"
+    )
+
+    def test_builds_only_the_printed_completion(self, capsys, monkeypatch, tmp_path):
+        # 2^16 completions fit under the default cap of 20, yet only the
+        # least one is printed, so only that one is built
+        f = tmp_path / "map4.fsr"
+        f.write_text(self.MAP4)
+        assert parse_fsr_file(self.MAP4).transition().cols == (
+            13, 4, 15, 1, 14, 5, 9, 6, 1, 4, 15, 10, 8, 13, 9, 5)
+        built = []
+
+        def recording(L_g, max_free=20):
+            result = min_stage_fibonacci(L_g, max_free)
+            built.append(len(result.completions))
+            return result
+
+        monkeypatch.setattr(cli, "min_stage_fibonacci", recording)
+        code, out, _ = run(capsys, "gal2fib", str(f))
+        assert (code, built) == (0, [1])
+        assert out == [
+            "l = 5",
+            "P = d32[* * 5 7 9 * 13 * 18 * 21 * 25 27 * * * 4 5 * 9 * 13 * 18 19 21 * * 27 * *]",
+            "T' = d32[9 3 14 5 13 7 11 4 21 19 30 26 18 25 27 23]",
+            "completions = 2^16",
+            "d32[1 3 5 7 9 11 13 15 18 19 21 23 25 27 29 31"
+            " 1 4 5 7 9 11 13 15 18 19 21 23 25 27 29 31]",
+        ]
+        # past an explicit cap, --all-completions prints the same one line
+        code, capped, _ = run(capsys, "gal2fib", str(f), "--all-completions", "--max-free", "15")
+        assert (code, capped, built[1:]) == (0, out, [1])
 
 
 class TestVerify:

@@ -1,5 +1,9 @@
+import importlib.util
 import itertools
 import random
+import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -28,6 +32,10 @@ from fsrkit import (
 
 from fsrkit.cli import parse_fsr_file
 from fsrkit.fib import _shift_bases
+from fsrkit import gal2fib
+from fsrkit.gal2fib import (
+    _least_rotation, _scan_least_rotation, _sequence_table, _SequenceIds,
+)
 from fsrkit.stp import encode_state
 
 from conftest import (
@@ -367,6 +375,147 @@ class TestAllOutputSequences:
                 else:
                     with pytest.raises(ValueError, match="primitive"):
                         OutputSeq((), period)
+
+
+def load_bench_model():
+    """The benchmark's independent register model, loaded from its path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "model.py"
+    spec = importlib.util.spec_from_file_location("bench_model", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# random words, and words with many equally long runs of 0s, more than
+# _least_rotation compares directly
+rotation_words = st.one_of(
+    st.lists(st.integers(0, 1), min_size=1, max_size=40).map(bytes),
+    st.lists(st.sampled_from([b"\0\1", b"\0\1\1", b"\0\0\1", b"\1"]), min_size=1, max_size=30)
+    .map(b"".join),
+)
+
+
+class TestLeastRotation:
+    model = load_bench_model()
+
+    @seed(8)
+    @settings(deadline=None, max_examples=400)
+    @given(rotation_words)
+    @pytest.mark.parametrize("least_rotation", [_least_rotation, _scan_least_rotation])
+    def test_matches_model_and_brute_force(self, least_rotation, word):
+        r = least_rotation(word)
+        assert 0 <= r < len(word)
+        got = word[r:] + word[:r]
+        digits = "".join(map(str, word))
+        assert "".join(map(str, got)) == self.model.least_rotation(digits)
+        assert got == min(word[k:] + word[:k] for k in range(len(word)))
+
+    def test_scans_only_past_the_ties_it_compares(self, monkeypatch):
+        scanned = []
+        monkeypatch.setattr(gal2fib, "_scan_least_rotation", scanned.append)
+        few = b"\0\1" * (gal2fib._RUN_TIES - 1) + b"\0\1\1"
+        assert _least_rotation(few) == 0
+        assert scanned == []
+        many = b"\1" + b"\0\1" * gal2fib._RUN_TIES + b"\0\1\1"
+        _least_rotation(many)
+        assert scanned == [many]
+
+    def test_primitive_word_has_one_least_start(self):
+        # a primitive word's rotations are distinct, so the start is unique
+        rng = random.Random(3)
+        for _ in range(200):
+            word = bytes(rng.randint(0, 1) for _ in range(rng.randint(1, 30)))
+            d = (word + word).find(word, 1)
+            word = word[:d]
+            r = _least_rotation(word)
+            least = word[r:] + word[:r]
+            assert [k for k in range(d) if word[k:] + word[:k] == least] == [r]
+
+
+def random_map_with_tails(rng, n):
+    """A random map whose states are mostly off its cycles, or a random
+    permutation with a few columns redirected, which leaves long tails."""
+    size = 1 << n
+    if rng.random() < 0.5:
+        return random_transition(rng, n)
+    cols = list(range(1, size + 1))
+    rng.shuffle(cols)
+    for _ in range(rng.randint(1, 3)):
+        cols[rng.randrange(size)] = rng.randint(1, size)
+    return TransitionMatrix(n, tuple(cols))
+
+
+def state_sequences_oracle(L):
+    """output_sequence of every state in order; at n = 0, where
+    output_bit is undefined, the one state outputs 0, as the half of the
+    states that output 1 is empty."""
+    if L.n == 0:
+        return [OutputSeq((), (0,))]
+    return list(all_output_sequences_oracle(L).values())
+
+
+class TestSequenceIds:
+    @pytest.mark.parametrize("n", range(9))
+    def test_equal_ids_exactly_for_equal_sequences(self, n):
+        rng = random.Random(40 + n)
+        for _ in range(12 if n <= 5 else 3):
+            A, B = random_map_with_tails(rng, n), random_map_with_tails(rng, n)
+            ids = _SequenceIds()  # shared, as equivalent shares it
+            got = _sequence_table(A, ids) + _sequence_table(B, ids)
+            want = state_sequences_oracle(A) + state_sequences_oracle(B)
+            first_id = {}
+            for i, s in zip(got, want):
+                assert first_id.setdefault(s, i) == i
+            assert len(set(got)) == len(first_id) == len(ids)
+            # every id decodes to its sequence
+            words = ids.words()
+            for i, s in zip(got, want):
+                assert words[i] == (bytes(s.preperiod), bytes(s.period))
+
+    def test_successor_ids_come_first(self):
+        rng = random.Random(48)
+        for n in range(1, 8):
+            ids = _SequenceIds()
+            _sequence_table(random_map_with_tails(rng, n), ids)
+            cycle_ids = {b + k for w, b in ids.cycles.items() for k in range(len(w))}
+            for i, step in enumerate(ids.steps):
+                assert ids.ids[step] == i
+                assert i in cycle_ids or step >> 1 < i
+
+    def test_zero_stage_register(self):
+        # one state, whose output bit is 0: the first half of the states,
+        # which output 1, is empty
+        ids = _SequenceIds()
+        assert _sequence_table(TransitionMatrix(0, (1,)), ids) == [0]
+        assert ids.words() == [(b"", b"\0")]
+
+    def test_tail_that_joins_its_cycle_one_rotation_early(self):
+        # 2 -> 3 -> 1 -> 3: state 2 outputs 1, the bit the cycle's 10
+        # period ends with at state 3, so its id is a rotation, not a tail
+        ids = _SequenceIds()
+        table = _sequence_table(TransitionMatrix(2, (3, 3, 1, 2)), ids)
+        assert table[1] == table[0] and table[3] == table[2]
+        assert len(ids) == 2
+
+
+class TestEquivalentAtFourteenStages:
+    """One table is linear in 2^n: a random permutation at n = 14 has cycles
+    of thousands of states, whose rotations were once stored one by one."""
+
+    def test_random_permutation_memory(self):
+        rng = random.Random(14)
+        cols = list(range(1, (1 << 14) + 1))
+        rng.shuffle(cols)
+        L = TransitionMatrix(14, tuple(cols))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert equivalent(L, L)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB in {elapsed:.2f} s"
 
 
 class TestDerivedDigraph:

@@ -6,7 +6,10 @@ exhaustive), the seeded sampler's draw order, and a fixed permutation with
 its synthesized logic, so any change to the search, the sampler or the gate
 costs shows here. The n = 6 and n = 8 runs pin the minimizing search where
 most of its work is scoring candidates, not enumerating them. The gal2fib
-runs pin P, T' and the completions on both Galois fixtures. At window lengths
+runs pin P, T' and the completions on both Galois fixtures. The verify runs
+pin the verdict and the state mapping of an equivalent pair (the 4-stage
+fixture against its conjugate by PI4, read from a bare delta file) and of a
+pair that is not, whose mapping has None entries. At window lengths
 of 14 and 16 the stdout is 0.1-0.5 MB, so there only its sha256 is pinned.
 """
 
@@ -28,6 +31,7 @@ FIB6 = str(ROOT / "fixtures" / "fib6_sparse.fsr")
 FIB8 = str(ROOT / "fixtures" / "fib8_sparse.fsr")
 GAL3A = str(ROOT / "fixtures" / "gal3_shrinkable.fsr")
 GAL3B = str(ROOT / "fixtures" / "gal3_two_attractors.fsr")
+GAL4_PI4 = str(ROOT / "fixtures" / "gal4_perm_pi4.delta")
 PI4_DELTA = "d16[1 3 2 4 7 5 6 8 14 9 12 10 16 11 15 13]"
 
 # golden file -> the command line whose stdout it holds
@@ -46,7 +50,12 @@ RUNS = {
     "gal3_shrinkable_all_completions.out": ["gal2fib", GAL3A, "--all-completions"],
     "gal3_two_attractors.out": ["gal2fib", GAL3B],
     "gal3_two_attractors_all_completions.out": ["gal2fib", GAL3B, "--all-completions"],
+    "verify_fib4_gal4_pi4.out": ["verify", FIB4, GAL4_PI4],
+    "verify_gal3_shrinkable_two_attractors.out": ["verify", GAL3A, GAL3B],
 }
+
+# golden file -> exit code, where it is not 0
+CODES = {"verify_gal3_shrinkable_two_attractors.out": 1}
 
 # gal2fib input -> sha256 of its stdout (l = 14 and l = 16)
 DIGESTS = {
@@ -65,7 +74,7 @@ def runs_of(command: str) -> list[str]:
 def assert_golden(name, capsys):
     code = main(RUNS[name])
     captured = capsys.readouterr()
-    assert (code, captured.err) == (0, "")
+    assert (code, captured.err) == (CODES.get(name, 0), "")
     assert captured.out == (GOLDEN / name).read_text()
 
 
@@ -76,6 +85,11 @@ def test_fib2gal_stdout(name, capsys):
 
 @pytest.mark.parametrize("name", runs_of("gal2fib"))
 def test_gal2fib_stdout(name, capsys):
+    assert_golden(name, capsys)
+
+
+@pytest.mark.parametrize("name", runs_of("verify"))
+def test_verify_stdout(name, capsys):
     assert_golden(name, capsys)
 
 
