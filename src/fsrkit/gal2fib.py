@@ -154,8 +154,8 @@ def _scan_least_rotation(word: bytes) -> int:
     return min(i, j)
 
 
-#: Longest runs of 0s that _least_rotation compares directly; with more,
-#: it scans
+#: Most tied longest runs of 0s whose rotations _least_rotation compares
+#: as bytes; past that it scans
 _RUN_TIES = 8
 
 
@@ -166,7 +166,7 @@ def _least_rotation(word: bytes) -> int:
     The least rotation starts with a longest cyclic run of 0s, found by
     searching word + word for ever longer runs. When at most _RUN_TIES runs
     are that long, their rotations are compared as bytes; otherwise
-    _scan_least_rotation decides. Both ways run in C but for the scan.
+    _scan_least_rotation decides. Only the scan is a Python loop.
     """
     if 0 not in word or 1 not in word:  # every rotation is the same
         return 0
@@ -204,18 +204,17 @@ class _SequenceIds:
     and its d rotations get the consecutive ids base .. base + d - 1, where
     rotation k starts at word[k]. Every sequence is its first bit followed
     by its successor's sequence, the one a step later, so every id has a
-    step, 2 * successor id + first bit, and `ids` inverts `steps`. A
-    sequence off the cycles gets a new id on its first step, after its
-    successor's: ids are in step order, successors first.
+    step, 2 * successor id + first bit, and `by_step` inverts `steps`. A
+    state off the cycles looks its step up: a state whose bit is the one
+    its successor's rotation is preceded by finds the rotation one step
+    earlier; any other step not seen yet gets the next id, so that id is
+    larger than its successor's.
     """
 
     def __init__(self):
         self.cycles: dict[bytes, int] = {}  # least rotation -> base id
         self.steps: list[int] = []  # id -> 2 * successor id + first bit
-        self.ids: dict[int, int] = {}  # step -> id
-
-    def __len__(self) -> int:
-        return len(self.steps)
+        self.by_step: dict[int, int] = {}  # step -> id
 
     def cycle(self, word: bytes) -> list[int]:
         """Ids of the sequences that start at word[0], word[1], ... on a
@@ -230,16 +229,16 @@ class _SequenceIds:
             steps = list(map(operator.add, range(2 * base + 2, 2 * (base + d), 2), least))
             steps.append(2 * base + least[-1])
             self.steps += steps
-            self.ids.update(zip(steps, range(base, base + d)))
+            self.by_step.update(zip(steps, range(base, base + d)))
         # word[j] starts rotation (j - r) mod d
         return list(range(base + d - r, base + d)) + list(range(base, base + d - r))
 
     def extend(self, bit: int, successor: int) -> int:
         """Id of the sequence `bit` followed by the successor's sequence."""
         step = (successor << 1) | bit
-        i = self.ids.get(step)
+        i = self.by_step.get(step)
         if i is None:
-            i = self.ids[step] = len(self.steps)
+            i = self.by_step[step] = len(self.steps)
             self.steps.append(step)
         return i
 
