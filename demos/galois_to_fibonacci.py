@@ -3,7 +3,9 @@
 Two 3-stage Galois systems: one whose output behavior fits in a 2-stage
 shift register, and one that genuinely needs all 3 stages. The tool is the
 derived digraph over output windows; the register is realizable at window
-length l exactly when every window has a unique successor.
+length l exactly when every window has a unique successor. Next to l stands
+q, the fewest stages of any register with the same output sequences: a
+Fibonacci register is one of those, so l >= q.
 """
 
 from fsrkit import (
@@ -14,6 +16,7 @@ from fsrkit import (
     format_sequence,
     galois_transition,
     min_stage_fibonacci,
+    min_stage_galois,
     parse,
     realizable,
     render,
@@ -29,6 +32,7 @@ def show(title, updates):
     print("L_g =", transition_to_delta(L_g))
 
     result = min_stage_fibonacci(L_g)
+    print(f"  l = {result.l}, q = {min_stage_galois(L_g)[0].n}")
     for seq in result.sequences:
         print(" ", format_sequence(seq))
 

@@ -54,7 +54,6 @@ from .fib2gal import (
 from .gal2fib import (
     DerivedDigraph,
     EquivalenceResult,
-    GaloisRealization,
     MinStageResult,
     OutputSeq,
     PartialTransition,
@@ -62,8 +61,8 @@ from .gal2fib import (
     derived_digraph,
     equivalent,
     format_sequence,
-    galois_from_sequences,
     min_stage_fibonacci,
+    min_stage_galois,
     normalize_sequence,
     output_sequence,
     parse_sequence,

@@ -1,5 +1,6 @@
 """Galois to Fibonacci: simulation, output sequences, derived digraphs,
-minimal-stage reconstruction, and the brute-force equivalence oracle."""
+minimal-stage Fibonacci reconstruction, the minimal-stage Galois
+realization, and the brute-force equivalence oracle."""
 
 from __future__ import annotations
 
@@ -456,13 +457,20 @@ def _prefix_keys(ids: _SequenceIds) -> tuple[int, list[int]]:
     return bound, keys
 
 
+#: Longest window min_stage_fibonacci builds a register for: each
+#: completion has 2^l columns. The longest measured to print, from a
+#: 16-stage register, is 26.
+MAX_WINDOW = 26
+
+
 def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageResult:
     """Smallest window length whose derived digraph is deterministic,
     plus the partial Fibonacci matrix and all its shift-law completions.
 
     Completions are enumerated exhaustively while the free-column count is
     at most max_free; beyond that only the lexicographically least
-    completion is returned alongside the total count.
+    completion is returned alongside the total count. A window longer than
+    MAX_WINDOW raises ValueError before anything of size 2^l is built.
     """
     if max_free < 0:
         raise ValueError(f"max_free must be >= 0, got {max_free}")
@@ -476,6 +484,8 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
     bound, keys = _prefix_keys(ids)
     ordered = sorted(keys)
     l = 1 + max((bound - (a ^ b).bit_length() for a, b in zip(ordered, ordered[1:])), default=0)
+    if l > MAX_WINDOW:
+        raise ValueError(f"window length {l} exceeds the limit MAX_WINDOW = {MAX_WINDOW}")
 
     # a window's index is 1 + its complemented bits, first bit most
     # significant: 1 + the complement of the key's top l bits
@@ -519,58 +529,38 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
 
 
 # ---------------------------------------------------------------------------
-# Realizing sequences directly as a Galois FSR
+# Minimal-stage Galois realization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaloisRealization:
-    n: int
-    matrix: TransitionMatrix
-    initial_states: tuple[int, ...]  # aligned with the input sequences
+def min_stage_galois(L: TransitionMatrix) -> tuple[TransitionMatrix, tuple[int, ...]]:
+    """The fewest-stage register with the same output sequences as L, and
+    the state of it that each state of L maps to (entry i is state i + 1's).
 
-
-def galois_from_sequences(seqs: Sequence[OutputSeq]) -> GaloisRealization:
-    """A Galois FSR reproducing each sequence from a dedicated initial state.
-
-    Each time step of each sequence gets a fresh state whose output half
-    matches the bit; the cycle closes after preperiod+period steps and
-    unassigned columns become self-loops.
+    Distinct sequences need distinct states, whose output is their first
+    bit, so 2^(n-1) must cover the sequences that start with 1 and those
+    that start with 0. The quotient of L by "same sequence" meets that
+    bound: its states are the ids of _sequence_table, and an id's successor
+    is the one in its step. Ids that start with 1 take states 1, 2, ... and
+    the others half + 1, half + 2, ..., in id order. A state left over
+    copies the first column of its half, and so outputs that sequence too.
     """
-    if not seqs:
-        raise ValueError("at least one sequence is required")
-    lengths = [len(s.preperiod) + len(s.period) for s in seqs]
-    ones = sum(b for s in seqs for b in s.bits(len(s.preperiod) + len(s.period)))
-    zeros = sum(lengths) - ones
-    n = 1
-    # least n fitting the longest sequence; the per-half terms keep the
-    # fresh-state assignment feasible
-    while (1 << (n - 1)) < max(lengths) or (1 << (n - 1)) < ones or (1 << (n - 1)) < zeros:
-        n += 1
-    size = 1 << n
-    half = size // 2
-    next_one = 1
-    next_zero = half + 1
-    cols: list[int | None] = [None] * size
-    initials = []
-    for seq in seqs:
-        p, d = len(seq.preperiod), len(seq.period)
-        states = []
-        for b in seq.bits(p + d):
-            if b:
-                state, next_one = next_one, next_one + 1
-            else:
-                state, next_zero = next_zero, next_zero + 1
-            states.append(state)
-        for t in range(len(states) - 1):
-            cols[states[t] - 1] = states[t + 1]
-        cols[states[-1] - 1] = states[p]
-        initials.append(states[0])
-    for k in range(size):
-        if cols[k] is None:
-            cols[k] = k + 1
-    return GaloisRealization(
-        n, TransitionMatrix(n, tuple(cols)), tuple(initials)  # type: ignore[arg-type]
-    )
+    if L.n < 1:
+        raise ValueError("a 0-stage matrix has no output bit")
+    ids = _SequenceIds()
+    table = _sequence_table(L, ids)
+    steps = ids.steps
+    ones = sum(step & 1 for step in steps)
+    zeros = len(steps) - ones
+    n = 1 + (max(ones, zeros) - 1).bit_length()
+    half = 1 << (n - 1)
+    free = (itertools.count(half + 1), itertools.count(1))  # by output bit
+    state = [next(free[step & 1]) for step in steps]
+    cols = [0] * (2 * half)
+    for s, step in zip(state, steps):
+        cols[s - 1] = state[step >> 1]
+    cols[ones:half] = [cols[0]] * (half - ones)
+    cols[half + zeros:] = [cols[half]] * (half - zeros)
+    return TransitionMatrix._trusted(n, tuple(cols)), tuple(map(state.__getitem__, table))
 
 
 # ---------------------------------------------------------------------------

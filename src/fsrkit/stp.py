@@ -59,10 +59,6 @@ class StructureMatrix:
         if any(r not in (1, 2) for r in self.rows):
             raise ValueError("structure matrix entries must be 1 or 2")
 
-    def value(self, k: int) -> int:
-        """Function value (bit) on state k."""
-        return 1 if self.rows[k - 1] == 1 else 0
-
 
 @dataclass(frozen=True)
 class TransitionMatrix:

@@ -55,6 +55,21 @@ COUNTER5 = (
 )
 
 
+
+def _long_window_cols() -> tuple[int, ...]:
+    """A 7-stage map with window length 32: one cycle outputs 0^31 1, one
+    outputs 0^30 1 1, and every other state is a fixed point, so 0^inf and
+    0^31 1... share 31 bits."""
+    cols = list(range(1, 129))
+    for cycle in ([*range(65, 96), 1], [*range(96, 126), 2, 3]):
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            cols[a - 1] = b
+    return tuple(cols)
+
+
+LONG_WINDOW_COLS = _long_window_cols()
+
+
 def sparse_galois_text(rng, n) -> str:
     """An FSR file for a Galois register whose coordinates XOR 2..4 random
     monomials of degree 1..3."""

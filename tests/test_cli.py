@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import os
 import random
@@ -18,8 +19,9 @@ from fsrkit import (
     transition_from_delta, transition_to_delta,
 )
 from fsrkit.cli import MAX_STAGES, FsrFileError, main, parse_fsr_file
+from fsrkit.fib2gal import reduce_candidate
 
-from conftest import LF4_COLS, LG4_COLS, exprs, ref_galois_transition
+from conftest import LF4_COLS, LG4_COLS, LONG_WINDOW_COLS, exprs, ref_galois_transition
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIB4 = str(FIXTURES / "fib4_debruijn.fsr")
@@ -195,8 +197,6 @@ class TestFib2Gal:
         assert "seed" in err
 
     def test_minimize_reports_cost(self, capsys):
-        from fsrkit.fib2gal import reduce_candidate
-
         code, out, _ = run(
             capsys, "fib2gal", FIB4, "--budget", "20", "--seed", "1", "--minimize"
         )
@@ -317,6 +317,18 @@ class TestGal2Fib:
         # past an explicit cap, --all-completions prints the same one line
         code, capped, _ = run(capsys, "gal2fib", str(f), "--all-completions", "--max-free", "15")
         assert (code, capped, built[1:]) == (0, out, [1])
+
+    def test_window_past_max_window_exits_two(self, tmp_path):
+        # 0^31 1 and 0^30 1 1 on two cycles need 32-bit windows; the least
+        # completion alone would be a list of 2^32 columns
+        f = tmp_path / "long_window.fsr"
+        f.write_text(cli._emit_logic(7, reduce_candidate(TransitionMatrix(7, LONG_WINDOW_COLS)).updates))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fsrkit.cli", "gal2fib", str(f)],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: window length 32 exceeds the limit MAX_WINDOW = 26\n"
 
 
 class TestVerify:
@@ -522,6 +534,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == LF4_DELTA
+
+    def test_console_script_target(self):
+        # the script an install puts on PATH calls what [project.scripts] names
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["fsrkit"]
+        module, _, attr = target.partition(":")
+        assert (module, attr) == ("fsrkit.cli", "main")
+        assert getattr(importlib.import_module(module), attr) is cli.main
 
     def test_module_invocation(self):
         proc = subprocess.run(

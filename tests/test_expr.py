@@ -34,7 +34,8 @@ from conftest import (
 
 def value(e, bits):
     """fsrkit's own evaluation: the structure matrix entry of the state `bits`."""
-    return structure_matrix(e, len(bits)).value(encode_state(bits))
+    row = structure_matrix(e, len(bits)).rows[encode_state(bits) - 1]
+    return 1 if row == 1 else 0
 
 
 def anf_expr(e, n):

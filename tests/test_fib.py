@@ -153,7 +153,7 @@ class TestShiftProperty:
             for bits in itertools.product((0, 1), repeat=n):
                 k = encode_state(bits)
                 succ = decode_state(L.column(k), n)
-                fb_bit = M.value(k)
+                fb_bit = 1 if M.rows[k - 1] == 1 else 0
                 assert succ == bits[1:] + (fb_bit,)
 
 

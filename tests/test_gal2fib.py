@@ -19,9 +19,9 @@ from fsrkit import (
     equivalent,
     fib_transition,
     format_sequence,
-    galois_from_sequences,
     is_fibonacci,
     min_stage_fibonacci,
+    min_stage_galois,
     normalize_sequence,
     output_sequence,
     parse_sequence,
@@ -43,6 +43,7 @@ from conftest import (
     LG3_SHRINKABLE_COLS,
     LG3_TWO_ATTRACTORS_COLS,
     LG4_COLS,
+    LONG_WINDOW_COLS,
     sparse_galois_text,
 )
 
@@ -60,6 +61,13 @@ def lg3b() -> TransitionMatrix:
 def random_transition(rng, n):
     size = 1 << n
     return TransitionMatrix(n, tuple(rng.randint(1, size) for _ in range(size)))
+
+
+def maps(max_n):
+    """Hypothesis strategy: any map of 1..max_n stages."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.integers(1, 1 << n), min_size=1 << n, max_size=1 << n)
+        .map(lambda cols: TransitionMatrix(n, tuple(cols))))
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +602,25 @@ class TestMinStage:
         assert len(r.completions) == 1
         assert r.completions[0].cols == (1, 4, 6, 8, 1, 3, 5, 8)
 
+    def test_refuses_a_window_past_max_window(self):
+        L = TransitionMatrix(7, LONG_WINDOW_COLS)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^window length 32 exceeds the limit MAX_WINDOW = 26$"):
+                min_stage_fibonacci(L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    def test_max_window_itself_is_built(self, monkeypatch):
+        L = TransitionMatrix(3, (8, 6, 3, 1, 3, 3, 3, 4))  # l = 5
+        monkeypatch.setattr(gal2fib, "MAX_WINDOW", 5)
+        assert min_stage_fibonacci(L).l == 5
+        monkeypatch.setattr(gal2fib, "MAX_WINDOW", 4)
+        with pytest.raises(ValueError, match="^window length 5 exceeds the limit MAX_WINDOW = 4$"):
+            min_stage_fibonacci(L)
+
 
 class TestMinStageAgainstSearch:
     def test_differential_matrices(self):
@@ -602,16 +629,16 @@ class TestMinStageAgainstSearch:
 
     @seed(4)
     @settings(deadline=None, max_examples=150)
-    @given(st.integers(1, 6).flatmap(
-        lambda n: st.lists(st.integers(1, 1 << n), min_size=1 << n, max_size=1 << n)
-        .map(lambda cols: TransitionMatrix(n, tuple(cols)))))
+    @given(maps(6))
     def test_random_maps(self, L):
         assert_matches_search(L)
 
     def test_prefixes_need_the_full_fine_wilf_bound(self):
         # periods 3 and 4 share the 3 + 4 - 2 = 5 bits 00100, more than
-        # P + r = 4, so shorter prefixes would not tell them apart
-        L = galois_from_sequences([OutputSeq((), (0, 0, 1)), OutputSeq((), (0, 0, 1, 0))]).matrix
+        # P + r = 4, so shorter prefixes would not tell them apart. Two
+        # cycles output 001 and 0010; every other state copies the column of
+        # a cycle state with its output bit, so it adds no sequence
+        L = TransitionMatrix(4, (9, 13, 9, 9, 9, 9, 9, 9, 10, 1, 12, 2, 11, 10, 10, 10))
         assert min_stage_fibonacci(L).l == 6
         assert_matches_search(L)
 
@@ -683,40 +710,77 @@ class TestPartialTransition:
         assert P.free_columns == (1, 5, 7)
 
 
-class TestGaloisFromSequences:
-    def test_constant_zero(self):
-        real = galois_from_sequences([OutputSeq((), (0,))])
-        assert real.n == 1
-        assert real.initial_states == (2,)
-        assert real.matrix.column(2) == 2
+# every matrix of one stage and of two
+SMALL_MATRICES = [
+    TransitionMatrix(q, cols)
+    for q in (1, 2) for cols in itertools.product(range(1, (1 << q) + 1), repeat=1 << q)
+]
 
-    def test_two_attractor_sequences(self, lg3b):
-        seqs = sorted(set(all_output_sequences(lg3b).values()),
-                      key=lambda s: (s.preperiod, s.period))
-        real = galois_from_sequences(seqs)
-        for seq, x0 in zip(seqs, real.initial_states):
-            steps = len(seq.preperiod) + 2 * len(seq.period)
-            assert simulate(real.matrix, x0, steps) == seq.bits(steps)
 
-    def test_preperiod_one(self):
-        seq = OutputSeq((1,), (0,))
-        real = galois_from_sequences([seq])
-        assert real.n == 2
-        assert simulate(real.matrix, real.initial_states[0], 4) == (1, 0, 0, 0)
+def random_feedback_text(rng, n):
+    """A Fibonacci file whose feedback XORs 2..4 random monomials of degree 1..3."""
+    monomials = (
+        " & ".join(f"x{i + 1}" for i in rng.sample(range(n), rng.randint(1, 3)))
+        for _ in range(rng.randint(2, 4))
+    )
+    return f"n={n} type=fib\nf{n} = " + " ^ ".join(monomials) + "\n"
 
-    def test_random_sequences_reproduced(self):
-        rng = random.Random(99)
-        for _ in range(50):
-            pre = [rng.randint(0, 1) for _ in range(rng.randint(0, 3))]
-            per = [rng.randint(0, 1) for _ in range(rng.randint(1, 4))]
-            seq = normalize_sequence(pre, per)
-            real = galois_from_sequences([seq])
-            steps = len(seq.preperiod) + 2 * len(seq.period)
-            assert simulate(real.matrix, real.initial_states[0], steps) == seq.bits(steps)
 
-    def test_needs_input(self):
-        with pytest.raises(ValueError):
-            galois_from_sequences([])
+class TestMinStageGalois:
+    @seed(16)
+    @settings(deadline=None, max_examples=60)
+    @given(maps(3))
+    def test_no_fewer_stages_by_brute_force(self, L):
+        G, _ = min_stage_galois(L)
+        assert equivalent(L, G)
+        assert not any(equivalent(L, M) for M in SMALL_MATRICES if M.n < G.n)
+
+    def test_state_map_keeps_each_sequence(self):
+        rng = random.Random(16)
+        matrices = differential_matrices()
+        matrices += [random_transition(rng, n) for n in (9, 10) for _ in range(3)]
+        for L in matrices:
+            G, state_map = min_stage_galois(L)
+            ids = _SequenceIds()
+            seq_l, seq_g = _sequence_table(L, ids), _sequence_table(G, ids)
+            assert [seq_g[z - 1] for z in state_map] == seq_l
+            assert set(seq_g) == set(seq_l)
+            # distinct sequences need distinct states, whose output is their first bit
+            first = [s.bits(1)[0] for s in set(all_output_sequences_oracle(L).values())]
+            need = max(first.count(1), first.count(0))
+            assert 1 << (G.n - 1) >= need
+            assert G.n == 1 or 1 << (G.n - 2) < need
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_fibonacci_registers_keep_their_stages(self, n):
+        # a Fibonacci state is its own first n outputs, so its 2^n sequences differ
+        rng = random.Random(n)
+        dense = fib_transition(StructureMatrix(n, tuple(rng.choice((1, 2)) for _ in range(1 << n))))
+        sparse = parse_fsr_file(random_feedback_text(rng, n)).transition()
+        for L in (dense, sparse):
+            G, state_map = min_stage_galois(L)
+            assert G.n == n
+            assert sorted(state_map) == list(range(1, (1 << n) + 1))
+
+    @seed(17)
+    @settings(deadline=None, max_examples=100)
+    @given(maps(7))
+    def test_fibonacci_window_is_no_shorter(self, L):
+        # a Fibonacci realization is a Galois one too
+        assert min_stage_fibonacci(L, max_free=0).l >= min_stage_galois(L)[0].n
+
+    def test_fixtures(self, lg3a, lg3b):
+        # the shrinkable register outputs 1^inf, 0^inf and 0 1^inf; state 2
+        # copies state 1's column
+        assert min_stage_galois(lg3a) == (
+            TransitionMatrix(2, (1, 1, 3, 1)), (1, 1, 1, 1, 3, 3, 4, 4))
+        # five sequences, three that start with 1; states 4, 7 and 8 are padding
+        assert min_stage_galois(lg3b) == (
+            TransitionMatrix(3, (5, 6, 2, 5, 1, 6, 1, 1)), (1, 3, 2, 1, 5, 5, 6, 6))
+
+    def test_rejects_zero_stages(self):
+        with pytest.raises(ValueError, match="0-stage"):
+            min_stage_galois(TransitionMatrix(0, (1,)))
 
 
 class TestEquivalent:

@@ -168,7 +168,7 @@ class TestCoordinateStructure:
         L = TransitionMatrix(3, (5, 3, 7, 6, 4, 1, 8, 7))
         structures = [coordinate_structure(L, k) for k in range(1, 4)]
         rebuilt = tuple(
-            encode_state([m.value(j) for m in structures]) for j in range(1, 9)
+            encode_state([1 if m.rows[j - 1] == 1 else 0 for m in structures]) for j in range(1, 9)
         )
         assert rebuilt == L.cols
 
