@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .stp import (
     _mask_to_rows,
     _read_table,
     _transition_of_tables,
+    delta_pieces,
     encode_state,
     format_delta,
     parse_delta,
@@ -190,17 +192,23 @@ def cmd_fib2gal(args) -> int:
 def cmd_gal2fib(args) -> int:
     fsr = load_fsr_file(args.input)
     L_g = fsr.transition()
-    # only the least completion is printed without --all-completions; a cap
-    # of 0 builds just that one, and a negative cap is still refused
+    # a cap of 0 keeps the completions view to the least one, and a
+    # negative cap is still refused
     max_free = args.max_free if args.all_completions else min(args.max_free, 0)
     result = min_stage_fibonacci(L_g, max_free=max_free)
-    print(f"l = {result.l}")
-    print(f"P = {format_delta(1 << result.l, result.partial.fixed)}")
-    print(f"T' = {format_delta(1 << result.l, result.window_map)}")
+    size, fixed = 1 << result.l, result.partial.fixed
+    out = sys.stdout
+    out.write(f"l = {result.l}\nP = ")
+    out.writelines(delta_pieces(size, fixed))
+    out.write(f"\nT' = {format_delta(size, result.window_map)}\n")
     # from a count: listing the free columns would take 2^l - (at most 2^n) entries
-    print(f"completions = 2^{(1 << result.l) - len(result.partial.fixed)}")
-    for L_c in result.completions:
-        print(transition_to_delta(L_c))
+    out.write(f"completions = 2^{size - len(fixed)}\n")
+    if args.all_completions:
+        for L_c in result.completions:
+            print(transition_to_delta(L_c))
+    else:  # the least completion, written from P and the shift law a piece at a time
+        out.writelines(delta_pieces(size, fixed, least=True))
+        out.write("\n")
     return 0
 
 
@@ -208,10 +216,11 @@ def cmd_verify(args) -> int:
     A = load_matrix(args.a)
     B = load_matrix(args.b)
     result = equivalent(A, B)
-    lines = ["equivalent" if result else "not equivalent"]
-    lines += [f"A {i} -> B {b}" for i, b in sorted(result.forward.items())]
-    lines += [f"B {j} -> A {a}" for j, a in sorted(result.backward.items())]
-    print("\n".join(lines))  # one write: the mapping has 2^(n+1) lines
+    print("equivalent" if result else "not equivalent")
+    # one C-level format per direction: the mapping has 2^(n+1) lines
+    for line, mapping in (("A %s -> B %s\n", result.forward), ("B %s -> A %s\n", result.backward)):
+        pairs = sorted(mapping.items())
+        sys.stdout.write(line * len(pairs) % tuple(itertools.chain.from_iterable(pairs)))
     return 0 if result else 1
 
 

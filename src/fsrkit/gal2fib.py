@@ -402,14 +402,15 @@ class PartialTransition:
 
 @dataclass(frozen=True)
 class MinStageResult:
-    """The window length, P, T' and P's completions. `free_columns` and
-    `sequences` are views, built when first read: the CLI prints neither."""
+    """The window length, P, T' and the count of P's completions.
+    `free_columns`, `sequences` and `completions` are views, built when
+    first read: the CLI builds none of them without --all-completions."""
 
     l: int
     partial: PartialTransition
     window_map: tuple[int, ...]  # Galois state index -> window index over 2^l
-    completions: tuple[TransitionMatrix, ...]
     total_completions: int
+    max_free: int  # completions lists them all up to this many free columns
     # the ids of the distinct output sequences
     _ids: _SequenceIds = field(repr=False, compare=False)
 
@@ -423,18 +424,41 @@ class MinStageResult:
         return tuple(OutputSeq._trusted(tuple(pre), tuple(per))
                      for pre, per in sorted(self._ids.words()))  # bytes sort as the 0/1 tuples do
 
+    @cached_property
+    def completions(self) -> tuple[TransitionMatrix, ...]:
+        """P's shift-law completions while at most max_free columns are
+        free, the least one first; beyond that only the least."""
+        l = self.l
+        # the least completion is base + 1 in every column, with the fixed
+        # columns laid over it; every column is base + 1 or base + 2, so
+        # each is in range
+        cols = _least_columns(l)
+        for w, t in self.partial.fixed.items():
+            cols[w - 1] = t
+        free = self.total_completions.bit_length() - 1
+        if free > self.max_free:
+            return (TransitionMatrix._trusted(l, tuple(cols)),)
+        completions = []  # the others raise some free columns to base + 2
+        for picks in itertools.product((0, 1), repeat=free):
+            filled = list(cols)
+            for j, v in zip(self.free_columns, picks):
+                filled[j - 1] += v
+            completions.append(TransitionMatrix._trusted(l, tuple(filled)))
+        return tuple(completions)
+
 
 _BITS_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _prefix_keys(ids: _SequenceIds) -> tuple[int, list[int]]:
+def _prefix_keys(ids: _SequenceIds, most: int | None = None) -> tuple[int, list[int]]:
     """The bound and, for each id in id order, the first `bound` bits of its
     sequence as an int, first bit most significant.
 
     By Fine-Wilf, distinct sequences with preperiods <= P and periods <= r
-    differ within P + 2r bits, so these keys are distinct. A cycle's keys
-    are windows of one int, its least rotation repeated; every other id's
-    key is its first bit followed by its successor's key, less its last bit.
+    differ within P + 2r bits, so keys of that many bits are distinct; `most`
+    caps the bound. A cycle's keys are windows of its least rotation
+    repeated; every other id's key is its first bit followed by its
+    successor's key, less its last bit.
     """
     steps = ids.steps
     depth = [0] * len(steps)  # preperiod length
@@ -442,7 +466,9 @@ def _prefix_keys(ids: _SequenceIds) -> tuple[int, list[int]]:
         if word is None:
             depth[i] = depth[steps[i] >> 1] + 1
     bound = max(depth) + 2 * max(map(len, ids.cycles))
-    mask, top = (1 << bound) - 1, bound - 1
+    if most is not None:
+        bound = min(bound, most)
+    top = bound - 1
     keys: list[int] = []
     for i, word in ids.runs():
         if word is None:
@@ -451,10 +477,25 @@ def _prefix_keys(ids: _SequenceIds) -> tuple[int, list[int]]:
         else:
             d = len(word)
             reps = -(-(bound + d - 1) // d)  # rotation d - 1 reads bound bits too
-            v = int((word * reps).translate(_BITS_TO_DIGITS), 2)
-            shift = reps * d - bound
-            keys += [(v >> (shift - k)) & mask for k in range(d)]
+            digits = (word * reps).translate(_BITS_TO_DIGITS)
+            keys += [int(digits[k:k + bound], 2) for k in range(d)]
     return bound, keys
+
+
+def _window_length(ids: _SequenceIds, most: int | None = None) -> tuple[int, int, list[int]]:
+    """The least window length l, and _prefix_keys(ids, most).
+
+    The sequences of all states are closed under shift, so when two
+    distinct ones share k > 0 leading bits, their shifts share k - 1: the
+    shared prefix lengths fill 0..K, and l-bit windows have unique
+    successors exactly when l > K. K is the longest prefix that neighbours
+    share among the sorted keys; keys capped at `most` bits give
+    min(K + 1, most + 1).
+    """
+    bound, keys = _prefix_keys(ids, most)
+    ordered = sorted(keys)
+    l = 1 + max((bound - (a ^ b).bit_length() for a, b in zip(ordered, ordered[1:])), default=0)
+    return l, bound, keys
 
 
 #: Longest window min_stage_fibonacci builds a register for: each
@@ -465,27 +506,23 @@ MAX_WINDOW = 26
 
 def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageResult:
     """Smallest window length whose derived digraph is deterministic,
-    plus the partial Fibonacci matrix and all its shift-law completions.
+    plus the partial Fibonacci matrix and the count of its shift-law
+    completions.
 
-    Completions are enumerated exhaustively while the free-column count is
-    at most max_free; beyond that only the lexicographically least
-    completion is returned alongside the total count. A window longer than
-    MAX_WINDOW raises ValueError before anything of size 2^l is built.
+    The `completions` view lists them all while the free-column count is
+    at most max_free; beyond that only the lexicographically least. Nothing
+    of size 2^l is built until a view is read, and a window longer than
+    MAX_WINDOW raises ValueError.
     """
     if max_free < 0:
         raise ValueError(f"max_free must be >= 0, got {max_free}")
     ids = _SequenceIds()
     table = _sequence_table(L_g, ids)
-    # The sequences of all states are closed under shift, so when two
-    # distinct ones share k > 0 leading bits, their shifts share k - 1: the
-    # shared prefix lengths fill 0..K, and l-bit windows have unique
-    # successors exactly when l > K. K is the longest prefix that
-    # neighbours share among the sorted keys.
-    bound, keys = _prefix_keys(ids)
-    ordered = sorted(keys)
-    l = 1 + max((bound - (a ^ b).bit_length() for a, b in zip(ordered, ordered[1:])), default=0)
-    if l > MAX_WINDOW:
-        raise ValueError(f"window length {l} exceeds the limit MAX_WINDOW = {MAX_WINDOW}")
+    # keys of MAX_WINDOW + 1 bits settle any l up to MAX_WINDOW
+    l, bound, keys = _window_length(ids, MAX_WINDOW + 1)
+    if l > MAX_WINDOW:  # the full keys name the l refused
+        raise ValueError(f"window length {_window_length(ids)[0]} exceeds the limit "
+                         f"MAX_WINDOW = {MAX_WINDOW}")
 
     # a window's index is 1 + its complemented bits, first bit most
     # significant: 1 + the complement of the key's top l bits
@@ -499,31 +536,17 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
         if fixed.setdefault(w, t) != t:
             raise AssertionError(f"window {w} has two successors")
     partial = PartialTransition(l, fixed)
-    # the least completion is base + 1 in every column; the fixed columns
-    # must sit at base + 1 or base + 2, and overlay it
-    cols = _least_columns(l)
+    # a fixed column must sit at base + 1 or base + 2, base = 2 * ((w - 1) mod 2^(l-1))
+    low = (1 << (l - 1)) - 1
     for w, t in fixed.items():
-        if t - cols[w - 1] not in (0, 1):
+        if (t - 1) >> 1 != (w - 1) & low:
             raise AssertionError("fixed column violates the Fibonacci law")
-        cols[w - 1] = t
-    # every completion column is base + 1 or base + 2, so each is in range
-    free = (1 << l) - len(fixed)
-    if free > max_free:  # only the least completion
-        completions = [TransitionMatrix._trusted(l, tuple(cols))]
-    else:  # the others raise some free columns to base + 2
-        completions = []
-        for picks in itertools.product((0, 1), repeat=free):
-            filled = list(cols)
-            for j, v in zip(partial.free_columns, picks):
-                filled[j - 1] += v
-            completions.append(TransitionMatrix._trusted(l, tuple(filled)))
-
     return MinStageResult(
         l=l,
         partial=partial,
         window_map=window_map,
-        completions=tuple(completions),
-        total_completions=1 << free,
+        total_completions=1 << ((1 << l) - len(fixed)),
+        max_free=max_free,
         _ids=ids,
     )
 

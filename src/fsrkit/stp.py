@@ -7,11 +7,14 @@ matrices are stored as index sequences, never as dense 0/1 arrays.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import operator
 import re
+import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .expr import Anf, BoolExpr, Const, Var, anf_to_expr, variables
 from . import expr as _expr
@@ -261,15 +264,32 @@ def galois_transition(spec: FsrSpec) -> TransitionMatrix:
         spec.n, [_truth_mask(f, masks, full) for f in spec.update_functions()])
 
 
+# _LANE_BITS[b] maps a digit 0 to the byte 0 and a digit 1 to the byte 2^b
+_LANE_BITS = tuple(bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8))
+
+
 def _transition_of_tables(n: int, tables: Sequence[int]) -> TransitionMatrix:
-    """Transition matrix whose coordinate i updates by truth table tables[i-1]."""
+    """Transition matrix whose coordinate i updates by truth table tables[i-1].
+
+    Bit n - i of state u + 1's successor index minus one is 1 - f_i on it.
+    Those bits are laid out a byte lane at a time, the inverse of
+    _coordinate_tables: lane k holds bits 8k .. 8k + 7 of every successor,
+    and goes into byte k of each column's native-order word.
+    """
     size = 1 << n
     full = (1 << size) - 1
-    # digit u of row i is 1 - f_i on state u + 1, so the digits of state u,
-    # read down the rows, are its successor's index minus one (the leading
-    # row of zeros keeps n = 0 well formed)
-    digits = ["0" * size] + [format(full ^ t, f"0{size}b")[::-1] for t in tables]
-    return TransitionMatrix(n, tuple(int("".join(d), 2) + 1 for d in zip(*digits)))
+    width = 1 if n <= 8 else 2 if n <= 16 else 4  # bytes per column
+    words = bytearray(size * width)
+    for low in range(0, n, 8):
+        lane = 0
+        for b in range(low, min(low + 8, n)):
+            # the complement's digits run from state size down to state 1
+            digits = format(full ^ tables[n - 1 - b], f"0{size}b").encode()
+            lane |= int.from_bytes(digits.translate(_LANE_BITS[b - low]), "big")
+        k = low >> 3 if sys.byteorder == "little" else width - 1 - (low >> 3)
+        words[k::width] = lane.to_bytes(size, "little")
+    cols = memoryview(words).cast({1: "B", 2: "H", 4: "I"}[width])
+    return TransitionMatrix(n, tuple(map((1).__add__, cols)))
 
 
 def coordinate_structure(L: TransitionMatrix, k: int) -> StructureMatrix:
@@ -281,7 +301,7 @@ def coordinate_structure(L: TransitionMatrix, k: int) -> StructureMatrix:
 
 
 # _BIT_DIGITS[b] maps a byte to digit 0 where its bit b is set, 1 where clear
-_BIT_DIGITS = tuple(bytes(48 if (x >> b) & 1 else 49 for x in range(256)) for b in range(8))
+_BIT_DIGITS = tuple((b"1" * (1 << b) + b"0" * (1 << b)) * (128 >> b) for b in range(8))
 
 
 def _coordinate_tables(L: TransitionMatrix) -> list[int]:
@@ -356,10 +376,7 @@ def format_delta(size: int, entries: Sequence[int | None] | Mapping[int, int]) -
     entry prints as `*`.
     """
     if isinstance(entries, Mapping):
-        parts = ["*"] * size
-        for j, e in entries.items():
-            parts[j - 1] = str(e)
-        return f"d{size}[{' '.join(parts)}]"
+        return "".join(delta_pieces(size, entries))
     # chunks without None take one C-level format each; formatting in chunks
     # keeps a 2^16-entry matrix from holding one str per entry
     chunk = 4096
@@ -373,21 +390,121 @@ def format_delta(size: int, entries: Sequence[int | None] | Mapping[int, int]) -
     return f"d{size}[{' '.join(pieces)}]"
 
 
+#: Most entries in one piece of delta_pieces' text
+_PIECE = 1 << 14
+
+
+@functools.cache
+def _odd_thousands() -> tuple[str, tuple[str, ...], tuple[int, ...]]:
+    """The text "1 3 ... 999"; the last three digits of the 500 odd numbers
+    of any later thousand; and, at d, where the odd number v of d digits
+    starts in the text "1 3 5 ...", less (v >> 1) * (d + 1). Built on first
+    use: only gal2fib's least completion reads them."""
+    starts, at = [0], 0  # at: the text's length below 10^(d - 1)
+    for d in range(1, 21):
+        lo = 10 ** (d - 1)
+        starts.append(at - (lo >> 1) * (d + 1))
+        at += (5 * lo - (lo >> 1)) * (d + 1)
+    endings = ("%03d " * 500 % tuple(range(1, 1000, 2))).split()
+    return " ".join(map(str, range(1, 1000, 2))), tuple(endings), tuple(starts)
+
+
+def _odd_at(v: int) -> int:
+    """Where the odd number v starts in the text "1 3 5 ..."."""
+    d = len(str(v))
+    return _odd_thousands()[2][d] + (v >> 1) * (d + 1)
+
+
+def _odd_text(a: int, b: int) -> str:
+    """The odd numbers from a (odd) up to b, space-separated. Each whole
+    thousand is one join: its digits above the last three, joined with the
+    500 endings."""
+    lo, hi = -(-(a - 1) // 1000), b // 1000  # whole thousands lo .. hi - 1
+    if lo >= hi:
+        return " ".join(map(str, range(a, b, 2)))
+    first, endings, _ = _odd_thousands()
+    parts = [" ".join(map(str, range(a, 1000 * lo, 2)))] if a < 1000 * lo else []
+    for q in range(lo, hi):
+        s = str(q)
+        parts.append(s + (" " + s).join(endings) if q else first)
+    if 1000 * hi + 1 < b:
+        parts.append(" ".join(map(str, range(1000 * hi + 1, b, 2))))
+    return " ".join(parts)
+
+
+def delta_pieces(size: int, fixed: Mapping[int, int], least: bool = False) -> Iterator[str]:
+    """The text `d<size>[...]` of a matrix given by its fixed entries, in
+    pieces of at most _PIECE entries, with no list of size entries.
+
+    Entry j is fixed[j] where j is fixed. Every other entry is `*`, as
+    format_delta writes a mapping, or with least=True it is 2 * ((j - 1) mod size/2) + 1, the least Fibonacci
+    completion's column (`fib._least_columns`): the odd numbers below size,
+    twice. A piece is that filling's text, made a run at a time, with the
+    fixed entries that differ from it spliced in; a piece where such entries
+    are dense is formatted an entry at a time instead.
+    """
+    keys = sorted(fixed)
+    if keys and (keys[0] < 1 or keys[-1] > size):
+        bad = keys[0] if keys[0] < 1 else keys[-1]
+        raise ValueError(f"entry position {bad} out of range [1, {size}]")
+    # with least=True, the filling repeats after half entries, and no piece
+    # spans both halves
+    half = size >> 1
+    step = min(_PIECE, half) if least else _PIECE
+    yield f"d{size}["
+    i = 0
+    for c in range(1, size + 1, step):
+        end = min(c + step, size + 1)
+        k = bisect.bisect_left(keys, end, i)
+        if least:
+            v = 2 * ((c - 1) % half) + 1  # entry c's filling
+            filling = range(v, v + 2 * (end - c), 2)
+        if 16 * (k - i) > end - c:  # dense: an entry at a time, in one format
+            parts = map(fixed.get, range(c, end), filling if least else itertools.repeat("*"))
+            text = ("%s " * (end - c) % tuple(parts))[:-1]
+        else:  # the filling's text, with (start, end) of each entry to replace
+            if least:
+                text = _odd_text(v, v + 2 * (end - c))
+                over = [j for j in keys[i:k] if fixed[j] != filling[j - c]]
+                base = _odd_at(v)
+                spans = [(_odd_at(u) - base, _odd_at(u + 2) - base - 1)
+                         for u in (filling[j - c] for j in over)]
+            else:
+                text = "* " * (end - c - 1) + "*"
+                over = keys[i:k]
+                spans = [(2 * (j - c), 2 * (j - c) + 1) for j in over]
+            if over:
+                parts, prev = [], 0
+                for j, (at, to) in zip(over, spans):
+                    parts += (text[prev:at], str(fixed[j]))
+                    prev = to
+                parts.append(text[prev:])
+                text = "".join(parts)
+        i = k
+        yield text if c == 1 else " " + text
+    yield "]"
+
+
 def parse_delta(text: str) -> tuple[int, tuple[int | None, ...]]:
     m = _DELTA_RE.match(text)
     if m is None:
         raise ValueError(f"not a delta-format matrix: {text!r}")
     size = int(m.group(1))
-    entries = []
-    for tok in m.group(2).split():
-        if tok == "*":
-            entries.append(None)
+    tokens = m.group(2).split()
+    try:
+        if "*" in tokens:
+            entries = tuple(None if tok == "*" else int(tok) for tok in tokens)
+            values = [e for e in entries if e is not None]
         else:
-            v = int(tok)
-            if not 1 <= v <= size:
+            entries = values = tuple(map(int, tokens))
+    except ValueError:
+        values = None
+    if values is None or values and (min(values) < 1 or max(values) > size):
+        # the first bad token, in order, names the error
+        for tok in tokens:
+            if tok != "*" and not 1 <= (v := int(tok)) <= size:
                 raise ValueError(f"entry {v} out of range [1, {size}]")
-            entries.append(v)
-    return size, tuple(entries)
+    return size, entries
 
 
 def transition_to_delta(L: TransitionMatrix) -> str:
@@ -399,6 +516,6 @@ def transition_from_delta(text: str) -> TransitionMatrix:
     n = size.bit_length() - 1
     if n < 0 or 1 << n != size:
         raise ValueError(f"domain size {size} is not a power of two")
-    if any(e is None for e in entries):
+    if None in entries:
         raise ValueError("transition matrix may not contain free (*) columns")
     return TransitionMatrix(n, entries)  # type: ignore[arg-type]

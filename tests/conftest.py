@@ -83,6 +83,21 @@ def sparse_galois_text(rng, n) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a sparse 12-stage Galois register: shift updates, three of them with an
+# AND term, and a sparse feedback. Its window length is 20, so P and each
+# completion have 2^20 columns while the register has 4096 states
+SPARSE_GALOIS12 = (
+    "n=12 type=gal\n"
+    "f1 = x2\nf2 = x3\nf3 = x4\nf4 = x5\nf5 = x6\n"
+    "f6 = x7 ^ x9 & x10\n"
+    "f7 = x8\nf8 = x9\n"
+    "f9 = x10 ^ x11 & x12\n"
+    "f10 = x11\n"
+    "f11 = x12 ^ x11 & x12\n"
+    "f12 = x1 ^ x7 ^ x12 ^ x6 & x9 ^ x6 & x10 ^ x4 & x7 & x8 ^ x5 & x10 & x11\n"
+)
+
+
 @pytest.fixture
 def lf4() -> TransitionMatrix:
     return TransitionMatrix(4, LF4_COLS)
@@ -192,6 +207,8 @@ def anf_evaluate(anf: Anf, bits) -> int:
 # The recursive-descent parser fsrkit used before its single operator-precedence
 # pass; parse must give the same AST, or the same ParseError message and
 # position, on every text.
+
+DELTA_RE = re.compile(r"^\s*d(\d+)\s*\[([^\]]*)\]\s*$")
 
 ORACLE_TOKEN_RE = re.compile(
     r"\s*(?:(?P<var>[xz](?P<idx>\d+))|(?P<const>[01])|(?P<op><->|->|[!&|^()]))"
@@ -468,3 +485,40 @@ def ref_select_minimal(candidates) -> SelectedCandidate:
     if best is None:
         raise ValueError("no candidates to select from")
     return best
+
+
+def ref_format_partial(size: int, fixed) -> str:
+    """format_delta of a mapping as it was before it wrote runs: a list of
+    size entries, `*` where not fixed."""
+    parts = ["*"] * size
+    for j, e in fixed.items():
+        parts[j - 1] = str(e)
+    return f"d{size}[{' '.join(parts)}]"
+
+
+def ref_parse_delta(text: str):
+    """parse_delta as it was before it converted every token in one pass:
+    each token is converted and range-checked in order."""
+    m = DELTA_RE.match(text)
+    if m is None:
+        raise ValueError(f"not a delta-format matrix: {text!r}")
+    size = int(m.group(1))
+    entries = []
+    for tok in m.group(2).split():
+        if tok == "*":
+            entries.append(None)
+        else:
+            v = int(tok)
+            if not 1 <= v <= size:
+                raise ValueError(f"entry {v} out of range [1, {size}]")
+            entries.append(v)
+    return size, tuple(entries)
+
+
+def ref_transition_of_tables(n: int, tables) -> tuple[int, ...]:
+    """_transition_of_tables' columns as they were before byte lanes: the
+    complemented tables' digits, read down the rows, one join per state."""
+    size = 1 << n
+    full = (1 << size) - 1
+    digits = ["0" * size] + [format(full ^ t, f"0{size}b")[::-1] for t in tables]
+    return tuple(int("".join(d), 2) + 1 for d in zip(*digits))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import os
@@ -7,13 +8,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import fsrkit
-from fsrkit import cli, stp
+from fsrkit import cli, fib, gal2fib, stp
 from fsrkit import (
     ParseError, TransitionMatrix, Var, min_stage_fibonacci, render, simulate,
     transition_from_delta, transition_to_delta,
@@ -21,7 +23,10 @@ from fsrkit import (
 from fsrkit.cli import MAX_STAGES, FsrFileError, main, parse_fsr_file
 from fsrkit.fib2gal import reduce_candidate
 
-from conftest import LF4_COLS, LG4_COLS, LONG_WINDOW_COLS, exprs, ref_galois_transition
+from conftest import (
+    COUNTER5, LF4_COLS, LG4_COLS, LONG_WINDOW_COLS, SPARSE_GALOIS12, exprs,
+    ref_galois_transition,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIB4 = str(FIXTURES / "fib4_debruijn.fsr")
@@ -330,6 +335,74 @@ class TestGal2Fib:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: window length 32 exceeds the limit MAX_WINDOW = 26\n"
 
+
+
+# sha256 of gal2fib's stdout on SPARSE_GALOIS12
+SPARSE_GALOIS12_SHA256 = "29470a330552dcc25b2c5d3f6c643258f6650a0e3b8cff555a193e95fffb3cd7"
+
+
+class HashingSink:
+    """A stdout that keeps only the sha256 and the length of what it is given."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+        self.size = 0
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        self.size += len(text)
+        return len(text)
+
+    def writelines(self, pieces):
+        for text in pieces:
+            self.write(text)
+
+    def flush(self):
+        pass
+
+
+class TestGal2FibWritesFromP:
+    """Without --all-completions, the least completion is written from P's
+    fixed map and the shift law: no list of 2^l columns is built."""
+
+    @pytest.mark.parametrize("text", [
+        Path(GAL3A).read_text(), Path(GAL3B).read_text(), TestGal2Fib.MAP4, COUNTER5,
+    ], ids=["gal3_shrinkable", "gal3_two_attractors", "map4", "counter5"])
+    def test_same_bytes_without_least_columns(self, capsys, monkeypatch, tmp_path, text):
+        path = tmp_path / "input.fsr"
+        path.write_text(text)
+        # past a cap of 0 free columns, --all-completions prints the one
+        # least completion, built as a list of 2^l columns
+        assert main(["gal2fib", str(path), "--all-completions", "--max-free", "0"]) == 0
+        want = capsys.readouterr()
+
+        def refused(l):
+            raise RuntimeError("a 2^l-column list was built")
+
+        monkeypatch.setattr(gal2fib, "_least_columns", refused)
+        monkeypatch.setattr(fib, "_least_columns", refused)
+        assert main(["gal2fib", str(path)]) == 0
+        assert capsys.readouterr() == (want.out, "")
+        with pytest.raises(RuntimeError, match="2\\^l-column"):
+            main(["gal2fib", str(path), "--all-completions", "--max-free", "0"])
+
+    def test_long_window_memory(self, monkeypatch, tmp_path):
+        # l = 20: P and the completion are 2^20 entries each, 9.4 MB of text;
+        # the parent, which built the completion as a list and a tuple,
+        # peaked at 46.0 MB here
+        path = tmp_path / "sparse12.fsr"
+        path.write_text(SPARSE_GALOIS12)
+        sink = HashingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["gal2fib", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, sink.size) == (0, 9420857)
+        assert sink.digest.hexdigest() == SPARSE_GALOIS12_SHA256
+        assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 class TestVerify:
     def test_equivalent_matrices(self, capsys, tmp_path):

@@ -33,9 +33,10 @@ from fsrkit.cli import parse_fsr_file
 from fsrkit.fib import _shift_bases
 from fsrkit import gal2fib
 from fsrkit.gal2fib import (
-    _least_rotation, _scan_least_rotation, _sequence_table, _SequenceIds,
+    MAX_WINDOW, _least_rotation, _prefix_keys, _scan_least_rotation, _sequence_table,
+    _SequenceIds, _window_length,
 )
-from fsrkit.stp import encode_state
+from fsrkit.stp import delta_pieces, encode_state, format_delta
 
 from conftest import (
     COUNTER5,
@@ -44,6 +45,7 @@ from conftest import (
     LG3_TWO_ATTRACTORS_COLS,
     LG4_COLS,
     LONG_WINDOW_COLS,
+    ref_format_partial,
     sparse_galois_text,
 )
 
@@ -622,6 +624,40 @@ class TestMinStage:
             min_stage_fibonacci(L)
 
 
+    def test_long_window_builds_nothing_of_2_to_the_l(self):
+        # a random 13-stage permutation has l = 24 and cycles of thousands of
+        # states: its prefix keys are capped at MAX_WINDOW + 1 bits, not the
+        # Fine-Wilf bound, and its completions are a view, so nothing of 2^24
+        # entries is built. The parent peaked at 529.5 MB
+        rng = random.Random(13)
+        cols = list(range(1, (1 << 13) + 1))
+        rng.shuffle(cols)
+        L = TransitionMatrix(13, tuple(cols))
+        tracemalloc.start()
+        try:
+            r = min_stage_fibonacci(L, max_free=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.l == 24
+        assert r.total_completions == 1 << ((1 << 24) - len(r.partial.fixed))
+        assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_capped_keys_are_the_full_keys_top_bits(self, n):
+        rng = random.Random(n)
+        perm = list(range(1, (1 << n) + 1))
+        rng.shuffle(perm)
+        for L in (TransitionMatrix(n, tuple(perm)), random_transition(rng, n)):
+            ids = _SequenceIds()
+            _sequence_table(L, ids)
+            full_bound, full = _prefix_keys(ids)
+            for most in (1, 5, MAX_WINDOW + 1):
+                bound, capped = _prefix_keys(ids, most)
+                assert bound == min(full_bound, most)
+                assert capped == [key >> (full_bound - bound) for key in full]
+                assert _window_length(ids, most)[0] == min(_window_length(ids)[0], most + 1)
+
 class TestMinStageAgainstSearch:
     def test_differential_matrices(self):
         for L in differential_matrices():
@@ -672,6 +708,41 @@ class TestCompletionAtLongWindows:
         got = self.check(sparse_galois(random.Random(seed_), 9))
         assert got.l == l
 
+
+
+def assert_texts_match(L):
+    """P and the least completion as delta_pieces writes them, from P's fixed
+    map, against the texts of the per-entry P and of the dense completion."""
+    got = min_stage_fibonacci(L, max_free=0)
+    size, fixed = 1 << got.l, got.partial.fixed
+    assert "".join(delta_pieces(size, fixed)) == ref_format_partial(size, fixed)
+    least = format_delta(size, got.completions[0].cols)
+    assert "".join(delta_pieces(size, fixed, least=True)) == least
+    return got
+
+
+class TestLeastCompletionText:
+    @seed(17)
+    @settings(deadline=None, max_examples=150)
+    @given(maps(9))
+    def test_random_maps(self, L):
+        assert_texts_match(L)
+
+    def test_saturating_counter(self):
+        assert assert_texts_match(parse_fsr_file(COUNTER5).transition()).l == 14
+
+    @pytest.mark.parametrize("seed_, l", [(9, 15), (24, 15), (50, 16), (78, 16)])
+    def test_nine_stage_registers(self, seed_, l):
+        assert assert_texts_match(sparse_galois(random.Random(seed_), 9)).l == l
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_round_trips_fix_every_column(self, n):
+        # a conjugated Fibonacci register has l = n, so every column is fixed
+        rng = random.Random(n)
+        for _ in range(3):
+            L_f = parse_fsr_file(random_feedback_text(rng, n)).transition()
+            got = assert_texts_match(random_conjugate(rng, L_f))
+            assert (got.l, len(got.partial.fixed)) == (n, 1 << n)
 
 class TestPartialTransition:
     # P of the two-attractor register: (None, 4, 6, 8, None, 3, None, 8)

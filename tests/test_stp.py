@@ -24,7 +24,7 @@ from fsrkit import (
 )
 from fsrkit import stp
 from fsrkit.expr import Var
-from fsrkit.fib import fib_transition
+from fsrkit.fib import _least_columns, fib_transition
 from fsrkit.fib2gal import enumerate_equivalents
 
 from conftest import (
@@ -33,10 +33,13 @@ from conftest import (
     exprs,
     ref_coordinate_structure,
     ref_depends_on,
+    ref_format_partial,
     ref_galois_transition,
+    ref_parse_delta,
     ref_restrict_support,
     ref_structure_matrix,
     ref_synthesize_expr,
+    ref_transition_of_tables,
 )
 
 
@@ -316,6 +319,141 @@ class TestDeltaFormat:
         with pytest.raises(ValueError):
             transition_from_delta("d4[* 1 2 3]")
 
+
+
+def least_overlaid(l, fixed):
+    """The least completion's columns with the fixed ones laid over them."""
+    cols = _least_columns(l)
+    for j, t in fixed.items():
+        cols[j - 1] = t
+    return tuple(cols)
+
+
+def edge_columns(l, rng):
+    """Columns at the edges the writer's runs have: values near powers of
+    ten and whole thousands, the ends of each half and of power-of-two
+    pieces, in both halves; each raised or not, a few to any value."""
+    size, half = 1 << l, 1 << (l - 1)
+    js = {1, half, half + 1, size}
+    for v in (9, 11, 99, 101, 999, 1001, 1999, 2001, 9999, 10001, 99999, 100001):
+        js.update({(v + 1) // 2 + d for d in (-1, 0, 1)})
+    js.update(p * k + d for p in (2, 8, 64, 1024) for k in range(1, 4) for d in (0, 1))
+    js.update(j + half for j in list(js))
+    fixed = {}
+    for j in sorted(j for j in js if 1 <= j <= size):
+        least = 2 * ((j - 1) % half) + 1
+        fixed[j] = rng.randint(1, size) if rng.random() < 0.05 else least + rng.randint(0, 1)
+    return fixed
+
+
+class TestDeltaPieces:
+    """delta_pieces writes P and the least completion from the fixed map
+    alone, against the per-entry texts it replaced."""
+
+    @pytest.mark.parametrize("start", [1, 3, 997, 999, 1001, 9999, 10001, 99999, 4095999, 4096001])
+    def test_odd_text_against_per_entry(self, start):
+        for a in range(start, start + 40, 2):
+            for b in range(a, a + 2100, 37 * 2):
+                assert stp._odd_text(a, b) == " ".join(map(str, range(a, b, 2))), (a, b)
+
+    @pytest.mark.parametrize("piece", [1, 2, 8, 64, 1 << 14])
+    def test_least_at_digit_and_piece_edges(self, piece, monkeypatch):
+        monkeypatch.setattr(stp, "_PIECE", piece)
+        rng = random.Random(piece)
+        for l in range(1, 15):
+            size = 1 << l
+            for fixed in ({}, edge_columns(l, rng)):
+                want = format_delta(size, least_overlaid(l, fixed))
+                assert "".join(stp.delta_pieces(size, fixed, least=True)) == want, (l, piece)
+                assert format_delta(size, fixed) == ref_format_partial(size, fixed)
+
+    @pytest.mark.parametrize("piece", [1, 8, 1 << 14])
+    def test_dense_pieces(self, piece, monkeypatch):
+        # every column fixed, and half of them: pieces written an entry at a time
+        monkeypatch.setattr(stp, "_PIECE", piece)
+        rng = random.Random(piece)
+        for l in (1, 2, 5, 9, 12):
+            size, half = 1 << l, 1 << (l - 1)
+            every = {j: 2 * ((j - 1) % half) + rng.randint(1, 2) for j in range(1, size + 1)}
+            for fixed in (every, dict(rng.sample(sorted(every.items()), half))):
+                want = format_delta(size, least_overlaid(l, fixed))
+                assert "".join(stp.delta_pieces(size, fixed, least=True)) == want
+                assert format_delta(size, fixed) == ref_format_partial(size, fixed)
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 4096, 16384, 16385, 3 * 16384 + 5])
+    def test_partial_against_per_entry_text(self, size):
+        rng = random.Random(size)
+        for k in (0, min(size, 1), size // 100, size // 3, size):
+            fixed = {j: rng.randint(1, 10 ** rng.randint(0, 7))
+                     for j in rng.sample(range(1, size + 1), k)}
+            assert format_delta(size, fixed) == ref_format_partial(size, fixed)
+
+    @pytest.mark.parametrize("fixed", [{0: 1}, {5: 1}, {1: 2, 9: 1}])
+    def test_rejects_positions_out_of_range(self, fixed):
+        with pytest.raises(ValueError, match="out of range"):
+            format_delta(4, fixed)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as err:
+        return ValueError, str(err)
+
+
+class TestParseDeltaAgainstOracle:
+    """One split and one conversion pass, against the per-token loop; the
+    first bad token names the error either way."""
+
+    BAD = ["0", "-3", "x", "1.5", "1e3", "--1", "*x", "0x1"]
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_texts(self, n):
+        size = 1 << n
+        rng = random.Random(n)
+        texts = ["d1[]", f"d{size}[]", f"d{size}[*]", f" d{size} [ 1 ] ", f"d{size}[1 2"]
+        for _ in range(40):
+            toks = [str(rng.randint(1, size)) for _ in range(size)]
+            if rng.random() < 0.5:
+                for j in rng.sample(range(size), rng.randint(1, size)):
+                    toks[j] = "*"
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                toks[rng.randrange(size)] = rng.choice(self.BAD + [str(size + 1)])
+            texts.append(f"d{size}[{' '.join(toks)}]")
+        for text in texts:
+            assert outcome(parse_delta, text) == outcome(ref_parse_delta, text), text
+            want = outcome(ref_parse_delta, text)
+            if isinstance(want[1], tuple) and None not in want[1] and len(want[1]) == size:
+                assert transition_from_delta(text).cols == want[1]
+            elif isinstance(want[1], tuple):
+                with pytest.raises(ValueError):
+                    transition_from_delta(text)
+
+    def test_first_bad_token_names_the_error(self):
+        assert outcome(parse_delta, "d4[1 9 x]") == (ValueError, "entry 9 out of range [1, 4]")
+        assert outcome(parse_delta, "d4[1 x 9]") == outcome(ref_parse_delta, "d4[1 x 9]")
+        assert outcome(parse_delta, "d4[* 0 *]") == (ValueError, "entry 0 out of range [1, 4]")
+
+
+class TestTransitionOfTables:
+    """Successor columns from byte lanes, against one join per state."""
+
+    @pytest.mark.parametrize("n", range(0, 15))
+    def test_random_tables(self, n):
+        rng = random.Random(n)
+        size = 1 << n
+        for _ in range(3 if n < 12 else 1):
+            tables = [rng.getrandbits(size) for _ in range(n)]
+            assert stp._transition_of_tables(n, tables).cols == ref_transition_of_tables(n, tables)
+        for t in (0, (1 << size) - 1):  # every state to the last, and to the first
+            tables = [t] * n
+            assert stp._transition_of_tables(n, tables).cols == ref_transition_of_tables(n, tables)
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 16])
+    def test_inverts_coordinate_tables(self, n):
+        rng = random.Random(n)
+        L = TransitionMatrix(n, tuple(rng.randint(1, 1 << n) for _ in range(1 << n)))
+        assert stp._transition_of_tables(n, stp._coordinate_tables(L)) == L
 
 class TestFsrSpec:
     def test_fibonacci_updates_expand_to_shifts(self):
