@@ -197,16 +197,17 @@ def cmd_gal2fib(args) -> int:
     max_free = args.max_free if args.all_completions else min(args.max_free, 0)
     result = min_stage_fibonacci(L_g, max_free=max_free)
     size, fixed = 1 << result.l, result.partial.fixed
+    # from a count: listing the free columns would take 2^l - (at most 2^n) entries
+    free = size - len(fixed)
     out = sys.stdout
     out.write(f"l = {result.l}\nP = ")
     out.writelines(delta_pieces(size, fixed))
     out.write(f"\nT' = {format_delta(size, result.window_map)}\n")
-    # from a count: listing the free columns would take 2^l - (at most 2^n) entries
-    out.write(f"completions = 2^{size - len(fixed)}\n")
-    if args.all_completions:
+    out.write(f"completions = 2^{free}\n")
+    if args.all_completions and free <= max_free:
         for L_c in result.completions:
             print(transition_to_delta(L_c))
-    else:  # the least completion, written from P and the shift law a piece at a time
+    else:  # the least completion alone, written from P and the shift law a piece at a time
         out.writelines(delta_pieces(size, fixed, least=True))
         out.write("\n")
     return 0

@@ -402,14 +402,13 @@ class PartialTransition:
 
 @dataclass(frozen=True)
 class MinStageResult:
-    """The window length, P, T' and the count of P's completions.
-    `free_columns`, `sequences` and `completions` are views, built when
-    first read: the CLI builds none of them without --all-completions."""
+    """The window length, P and T'. `total_completions`, `free_columns`,
+    `sequences` and `completions` are views, built when first read: the CLI
+    reads one only when --all-completions lists every completion."""
 
     l: int
     partial: PartialTransition
     window_map: tuple[int, ...]  # Galois state index -> window index over 2^l
-    total_completions: int
     max_free: int  # completions lists them all up to this many free columns
     # the ids of the distinct output sequences
     _ids: _SequenceIds = field(repr=False, compare=False)
@@ -417,6 +416,11 @@ class MinStageResult:
     @property
     def free_columns(self) -> tuple[int, ...]:
         return self.partial.free_columns
+
+    @cached_property
+    def total_completions(self) -> int:
+        """The count of P's shift-law completions, 2^(free columns)."""
+        return 1 << ((1 << self.l) - len(self.partial.fixed))
 
     @cached_property
     def sequences(self) -> tuple[OutputSeq, ...]:
@@ -435,7 +439,7 @@ class MinStageResult:
         cols = _least_columns(l)
         for w, t in self.partial.fixed.items():
             cols[w - 1] = t
-        free = self.total_completions.bit_length() - 1
+        free = (1 << l) - len(self.partial.fixed)
         if free > self.max_free:
             return (TransitionMatrix._trusted(l, tuple(cols)),)
         completions = []  # the others raise some free columns to base + 2
@@ -520,9 +524,13 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
     table = _sequence_table(L_g, ids)
     # keys of MAX_WINDOW + 1 bits settle any l up to MAX_WINDOW
     l, bound, keys = _window_length(ids, MAX_WINDOW + 1)
-    if l > MAX_WINDOW:  # the full keys name the l refused
-        raise ValueError(f"window length {_window_length(ids)[0]} exceeds the limit "
-                         f"MAX_WINDOW = {MAX_WINDOW}")
+    if l > MAX_WINDOW:
+        # keys of `bound` bits settle any l <= bound; to name the l refused,
+        # double them until they do, rather than build Fine-Wilf keys of up
+        # to 2^(n+1) bits per id
+        while l > bound:
+            l, bound, _ = _window_length(ids, 2 * bound)
+        raise ValueError(f"window length {l} exceeds the limit MAX_WINDOW = {MAX_WINDOW}")
 
     # a window's index is 1 + its complemented bits, first bit most
     # significant: 1 + the complement of the key's top l bits
@@ -545,7 +553,6 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
         l=l,
         partial=partial,
         window_map=window_map,
-        total_completions=1 << ((1 << l) - len(fixed)),
         max_free=max_free,
         _ids=ids,
     )

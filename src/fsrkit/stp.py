@@ -459,7 +459,9 @@ def delta_pieces(size: int, fixed: Mapping[int, int], least: bool = False) -> It
         if least:
             v = 2 * ((c - 1) % half) + 1  # entry c's filling
             filling = range(v, v + 2 * (end - c), 2)
-        if 16 * (k - i) > end - c:  # dense: an entry at a time, in one format
+        # measured: splicing stops paying near a tenth of the piece fixed
+        # for the least completion, a fifth for P
+        if (10 if least else 5) * (k - i) > end - c:  # dense: an entry at a time, in one format
             parts = map(fixed.get, range(c, end), filling if least else itertools.repeat("*"))
             text = ("%s " * (end - c) % tuple(parts))[:-1]
         else:  # the filling's text, with (start, end) of each entry to replace

@@ -25,7 +25,7 @@ from fsrkit.fib2gal import reduce_candidate
 
 from conftest import (
     COUNTER5, LF4_COLS, LG4_COLS, LONG_WINDOW_COLS, SPARSE_GALOIS12, exprs,
-    ref_galois_transition,
+    ref_format_partial, ref_galois_transition,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -371,22 +371,29 @@ class TestGal2FibWritesFromP:
     def test_same_bytes_without_least_columns(self, capsys, monkeypatch, tmp_path, text):
         path = tmp_path / "input.fsr"
         path.write_text(text)
-        # past a cap of 0 free columns, --all-completions prints the one
-        # least completion, built as a list of 2^l columns
-        assert main(["gal2fib", str(path), "--all-completions", "--max-free", "0"]) == 0
-        want = capsys.readouterr()
+        # the dense texts: the completions view builds the least completion
+        # as a list of 2^l columns, and P is written an entry at a time
+        r = min_stage_fibonacci(parse_fsr_file(text).transition(), max_free=0)
+        size, free = 1 << r.l, (1 << r.l) - len(r.partial.fixed)
+        want = (f"l = {r.l}\nP = {ref_format_partial(size, r.partial.fixed)}\n"
+                f"T' = {stp.format_delta(size, r.window_map)}\n"
+                f"completions = 2^{free}\n{transition_to_delta(r.completions[0])}\n")
 
         def refused(l):
             raise RuntimeError("a 2^l-column list was built")
 
         monkeypatch.setattr(gal2fib, "_least_columns", refused)
         monkeypatch.setattr(fib, "_least_columns", refused)
-        assert main(["gal2fib", str(path)]) == 0
-        assert capsys.readouterr() == (want.out, "")
+        # past --max-free, --all-completions prints the least completion alone
+        for flags in ([], ["--all-completions", "--max-free", "0"]):
+            assert main(["gal2fib", str(path), *flags]) == 0
+            assert capsys.readouterr() == (want, "")
+        # at the cap, --all-completions lists them all from the view
         with pytest.raises(RuntimeError, match="2\\^l-column"):
-            main(["gal2fib", str(path), "--all-completions", "--max-free", "0"])
+            main(["gal2fib", str(path), "--all-completions", "--max-free", str(free)])
 
-    def test_long_window_memory(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("flags", [[], ["--all-completions", "--max-free", "0"]])
+    def test_long_window_memory(self, monkeypatch, tmp_path, flags):
         # l = 20: P and the completion are 2^20 entries each, 9.4 MB of text;
         # the parent, which built the completion as a list and a tuple,
         # peaked at 46.0 MB here
@@ -396,7 +403,7 @@ class TestGal2FibWritesFromP:
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
         try:
-            code = main(["gal2fib", str(path)])
+            code = main(["gal2fib", str(path), *flags])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

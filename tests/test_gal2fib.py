@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import os
 import random
 import tracemalloc
 from pathlib import Path
@@ -614,6 +615,41 @@ class TestMinStage:
         finally:
             tracemalloc.stop()
         assert peak < 50 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_refused_single_cycle_names_its_window(self, seed):
+        # one random cycle through all 2^14 states: its Fine-Wilf keys have
+        # 2^15 bits per state, which the parent built to name the l refused
+        # and peaked at 71.4 MB; keys doubled from MAX_WINDOW + 1 bits settle
+        # l = 27 (seed 2) at once and l = 32 (seed 3) at 54 bits
+        n, rng = 14, random.Random(seed)
+        order = list(range(1, (1 << n) + 1))
+        rng.shuffle(order)
+        cols = [0] * (1 << n)
+        for a, b in zip(order, order[1:] + order[:1]):
+            cols[a - 1] = b
+        # l is 1 + the longest prefix two rotations of the output share
+        bits = "".join("1" if z <= 1 << (n - 1) else "0" for z in order) * 2
+        rotations = sorted(range(1 << n), key=lambda k: bits[k:k + 64])
+        l = 1 + max(len(os.path.commonprefix([bits[a:a + 64], bits[b:b + 64]]))
+                    for a, b in zip(rotations, rotations[1:]))
+        assert l == {2: 27, 3: 32}[seed]
+        L = TransitionMatrix(n, tuple(cols))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^window length {l} exceeds the limit"):
+                min_stage_fibonacci(L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 26])
+    def test_refused_window_is_named_from_any_cap(self, monkeypatch, cap):
+        # keys of cap + 1 bits, doubled up to four times, settle l = 32
+        monkeypatch.setattr(gal2fib, "MAX_WINDOW", cap)
+        with pytest.raises(ValueError, match=f"^window length 32 exceeds the limit MAX_WINDOW = {cap}$"):
+            min_stage_fibonacci(TransitionMatrix(7, LONG_WINDOW_COLS))
 
     def test_max_window_itself_is_built(self, monkeypatch):
         L = TransitionMatrix(3, (8, 6, 3, 1, 3, 3, 3, 4))  # l = 5
