@@ -302,10 +302,12 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
-        # substitute, gate_cost and render walk left-deep chains in a loop,
-        # so synthesized logic never reaches the limit; they still recurse
-        # once per level into right operands, which only deep right-nested
-        # trees that library callers build themselves can exhaust
+        # render, the only tree walk the CLI makes, follows left-deep chains
+        # in a loop, so synthesized logic never reaches the limit; it still
+        # recurses once per level into right operands, which only deep
+        # right-nested trees that library callers build themselves can
+        # exhaust (substitute and gate_cost, which the CLI no longer calls,
+        # walk the same way)
         print("error: expression nested too deeply", file=sys.stderr)
         return 2
 

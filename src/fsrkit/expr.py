@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, repeat
-from typing import Mapping, NoReturn
+from typing import Mapping, NoReturn, Sequence
 
 
 class ExprError(Exception):
@@ -343,14 +343,19 @@ def anf_to_expr(anf: Anf) -> BoolExpr:
     Monomials are ordered by (degree, sorted indices), and every occurrence
     of a variable is one shared node.
     """
-    if not anf.monomials:
+    return _xor_of_ands([idxs for _, idxs in sorted((len(m), sorted(m)) for m in anf.monomials)])
+
+
+def _xor_of_ands(monomials: Sequence[Sequence[int]]) -> BoolExpr:
+    """A left-deep XOR of one left-deep AND chain per monomial, in the given
+    order; the empty monomial is the constant 1, and no monomial the
+    constant 0. Every occurrence of a variable is one shared node."""
+    if not monomials:
         return Const(0)
-    var = {i: Var(i) for i in set().union(*anf.monomials)}
-    terms = [
-        reduce(And, map(var.__getitem__, idxs)) if idxs else Const(1)
-        for _, idxs in sorted((len(mono), sorted(mono)) for mono in anf.monomials)
-    ]
-    return reduce(Xor, terms)
+    var = {i: Var(i) for i in set(chain.from_iterable(monomials))}
+    return reduce(Xor, [
+        reduce(And, map(var.__getitem__, idxs)) if idxs else Const(1) for idxs in monomials
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -10,20 +10,24 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
-from .expr import GATES, And, BoolExpr, Xor, gate_cost, substitute
+from .expr import GATES, And, BoolExpr, Xor, _xor_of_ands
 from .fib import is_fibonacci
 from .stp import (
     PermutationTransform,
     TransitionMatrix,
+    _anf_monomials,
     _coordinate_tables,
     _moebius,
     _var_masks,
-    coordinate_structure,
-    restrict_support,
-    synthesize_expr,
+    _weight_masks,
 )
+# not called here: bench/tracing.py (TRACED) wraps these at this module's
+# bindings, and its traced run fails without them
+from .expr import gate_cost, substitute
+from .stp import coordinate_structure, restrict_support, synthesize_expr
 
 
 @dataclass(frozen=True)
@@ -166,14 +170,27 @@ def count_distinct_equivalents(L_f: TransitionMatrix) -> CountAudit:
 
 @dataclass(frozen=True)
 class Reduction:
-    """A candidate's reduced update functions and their cost totals."""
+    """A candidate's update functions as ANF masks, with their supports and
+    cost totals.
 
-    updates: tuple[BoolExpr, ...]  # reduced, over original variable indices
+    anfs[k - 1] is coordinate k's ANF over x1..xn: bit u is the monomial of
+    the variables that are 1 on state u + 1 (see stp._moebius). Its support
+    is the variables that occur in it. The costs are those of `updates`.
+    """
+
+    n: int
+    anfs: tuple[int, ...]
     supports: tuple[tuple[int, ...], ...]
     support_sum: int
     area_um2: float
     delay_ps: float
     gate_count: int
+
+    @cached_property
+    def updates(self) -> tuple[BoolExpr, ...]:
+        """Each coordinate as an XOR of AND chains over the original variable
+        indices, monomials ordered by (degree, indices); built when first read."""
+        return tuple(_xor_of_ands(_anf_monomials(anf, self.n)) for anf in self.anfs)
 
 
 @dataclass(frozen=True)
@@ -182,49 +199,80 @@ class SelectedCandidate:
     reduction: Reduction
 
 
+# The gate model of synthesized logic, stated once for ranking and reduction.
+# A coordinate is written as a left-deep XOR2 chain of its k monomials, in
+# increasing degree, and a monomial m as a left-deep chain of |m| - 1 AND2
+# gates; the constants are free. The areas and delays are whole numbers, so
+# every float sum below is exact and does not depend on its order.
+
+def _anf_gates(anf: int, masks: Sequence[int]) -> tuple[list[int], int, int]:
+    """How many monomials each variable occurs in, and the AND2 and XOR2
+    counts, of ANF mask anf over len(masks) variables."""
+    occurs = [(anf & mask).bit_count() for mask in masks]
+    k = anf.bit_count()
+    if not k:
+        return occurs, 0, 0
+    # the constant monomial is the top bit, the all-zeros state
+    return occurs, sum(occurs) - k + (anf >> ((1 << len(masks)) - 1)), k - 1
+
+
+def _area(ands: int, xors: int) -> float:
+    return GATES[And][0] * ands + GATES[Xor][0] * xors
+
+
+def _anf_delay(anf: int, weights: Sequence[int]) -> float:
+    """Delay of ANF mask anf's XOR chain, its terms in increasing degree:
+    acc = max(acc, term) + XOR2 for each term after the first, where a term
+    of degree d is a chain of d - 1 AND2s. Once a degree's first term is
+    folded in, acc exceeds that degree's term, so each further monomial of
+    the degree adds one XOR2. weights is stp._weight_masks(n)."""
+    and_delay, xor_delay = GATES[And][1], GATES[Xor][1]
+    n = len(weights) - 1
+    acc = None
+    for degree in range(n + 1):
+        count = (anf & weights[n - degree]).bit_count()
+        if not count:
+            continue
+        term = and_delay * max(degree - 1, 0)
+        if acc is None:
+            acc = term + xor_delay * (count - 1)
+        else:
+            acc = max(acc, term) + xor_delay * count
+    return 0.0 if acc is None else acc
+
+
 def reduce_candidate(L_g: TransitionMatrix) -> Reduction:
-    """Per-coordinate support reduction and synthesis with cost totals."""
-    updates = []
+    """Each coordinate's ANF, support and gate costs, read off its truth
+    table; no expression is built until `updates` is read."""
+    n = L_g.n
+    masks = _var_masks(n)
+    weights = _weight_masks(n)
+    anfs = tuple(_moebius(table, n) for table in _coordinate_tables(L_g))
     supports = []
-    area = delay = 0.0
-    gates = 0
-    for k in range(1, L_g.n + 1):
-        support, reduced = restrict_support(coordinate_structure(L_g, k))
-        e = synthesize_expr(reduced)
-        # reduced expression speaks positions 1..|support|; map back
-        e = substitute(e, {pos + 1: j for pos, j in enumerate(support)})
-        cost = gate_cost(e)
-        updates.append(e)
-        supports.append(support)
-        area += cost.area_um2
-        delay += cost.delay_ps
-        gates += cost.gate_count
-    support_sum = sum(len(s) for s in supports)
-    return Reduction(tuple(updates), tuple(supports), support_sum, area, delay, gates)
+    ands = xors = 0
+    delay = 0.0
+    for anf in anfs:
+        occurs, a, x = _anf_gates(anf, masks)
+        supports.append(tuple(i for i, c in enumerate(occurs, start=1) if c))
+        ands += a
+        xors += x
+        delay += _anf_delay(anf, weights)
+    return Reduction(n, anfs, tuple(supports), sum(map(len, supports)),
+                     _area(ands, xors), delay, ands + xors)
 
 
 def _rank_key(L_g: TransitionMatrix) -> tuple[int, float]:
-    """(support_sum, area_um2) of reduce_candidate(L_g), in closed form.
-
-    Synthesis writes k monomials with k - 1 XOR2 gates and a monomial m with
-    |m| - 1 AND2 gates; the constant 1 is free. Both areas are integers, so
-    every partial sum is exact and the total equals the expression walk's.
-    """
+    """(support_sum, area_um2) of reduce_candidate(L_g), without its delay
+    or supports."""
     n = L_g.n
     masks = _var_masks(n)
-    top = (1 << n) - 1  # bit of the constant monomial: the all-zeros state
     support_sum = ands = xors = 0
     for table in _coordinate_tables(L_g):
-        anf = _moebius(table, n)
-        if not anf:
-            continue  # the constant 0 needs no gate
-        k = anf.bit_count()
-        # variable i occurs in degrees[i] monomials
-        degrees = [(anf & mask).bit_count() for mask in masks]
-        support_sum += n - degrees.count(0)
-        ands += sum(degrees) - k + (anf >> top)
-        xors += k - 1
-    return support_sum, GATES[And][0] * ands + GATES[Xor][0] * xors
+        occurs, a, x = _anf_gates(_moebius(table, n), masks)
+        support_sum += n - occurs.count(0)
+        ands += a
+        xors += x
+    return support_sum, _area(ands, xors)
 
 
 def select_minimal(candidates: Iterable[GaloisCandidate]) -> SelectedCandidate:

@@ -16,8 +16,11 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .expr import Anf, BoolExpr, Const, Var, anf_to_expr, variables
+from .expr import BoolExpr, Const, Var, _xor_of_ands, variables
 from . import expr as _expr
+# not called here: bench/tracing.py (TRACED) wraps anf_to_expr at this
+# module's binding, and its traced run fails without it
+from .expr import anf_to_expr
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +175,16 @@ def _var_masks(n: int) -> tuple[int, ...]:
             m |= m << width
             width <<= 1
         masks.append(m)
+    return tuple(masks)
+
+
+@functools.cache
+def _weight_masks(n: int) -> tuple[int, ...]:
+    """The bits u < 2^n with w ones, for w = 0..n. In an ANF mask (see
+    _moebius) they are the monomials of degree n - w."""
+    masks = [1]
+    for m in range(n):  # one more bit m of u: u itself, or u + 2^m
+        masks = [a | (b << (1 << m)) for a, b in zip(masks + [0], [0] + masks)]
     return tuple(masks)
 
 
@@ -349,17 +362,35 @@ def restrict_support(M: StructureMatrix) -> tuple[tuple[int, ...], StructureMatr
 
 def synthesize_expr(M: StructureMatrix) -> BoolExpr:
     """Canonical expression (via ANF) whose structure matrix equals M."""
-    n = M.n
-    f = _moebius(_rows_to_mask(M.rows), n)
-    # bit u of f is the monomial of the variables that are 0 in state u + 1;
-    # only the set bits are visited
+    return _xor_of_ands(_anf_monomials(_moebius(_rows_to_mask(M.rows), M.n), M.n))
+
+
+_FLAG_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _anf_monomials(anf: int, n: int) -> list[tuple[int, ...]]:
+    """The monomials of an ANF mask over n variables (see _moebius) as
+    increasing index tuples, sorted by (degree, indices).
+
+    Bit u is the monomial of the variables i whose bit n - i of u is 0.
+    Among monomials of one degree, increasing u is increasing index order,
+    so the set bits, read in increasing order, need only bucketing by degree.
+    """
+    by_degree: list[list[int]] = [[] for _ in range(n + 1)]
+    flags = format(anf, "b").encode()[::-1].translate(_FLAG_OF_DIGIT)
+    for u in itertools.compress(itertools.count(), flags):
+        by_degree[n - u.bit_count()].append(u)
+    full = (1 << n) - 1
     monomials = []
-    while f:
-        low = f & -f
-        f ^= low
-        u = low.bit_length() - 1
-        monomials.append(frozenset(i for i in range(1, n + 1) if not (u >> (n - i)) & 1))
-    return anf_to_expr(Anf(frozenset(monomials)))
+    for u in itertools.chain.from_iterable(by_degree):
+        rest = full ^ u  # bit n - i is set for each variable i of the monomial
+        idxs = []
+        while rest:
+            top = rest.bit_length()
+            idxs.append(n + 1 - top)
+            rest ^= 1 << (top - 1)
+        monomials.append(tuple(idxs))
+    return monomials
 
 
 # ---------------------------------------------------------------------------

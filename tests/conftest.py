@@ -1,5 +1,7 @@
 import pathlib
+import random
 import re
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -24,11 +26,14 @@ from fsrkit import (
     parse,
     structure_matrix,
 )
-from fsrkit.expr import _LEVEL, _SYMBOL, GATES, Cost, variables
-from fsrkit.stp import _moebius, _rows_to_mask
+from fsrkit.expr import _LEVEL, _SYMBOL, GATES, Cost, gate_cost, substitute, variables
+from fsrkit.stp import (
+    _moebius, _rows_to_mask, coordinate_structure, restrict_support, synthesize_expr,
+)
 from fsrkit.fib2gal import SelectedCandidate, reduce_candidate
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 # 4-stage full-cycle example, reference matrices
 MF4_ROWS = (2, 2, 2, 2, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1, 2, 2)
@@ -81,6 +86,21 @@ def sparse_galois_text(rng, n) -> str:
         )
         lines.append(f"f{k} = " + " ^ ".join(monomials))
     return "\n".join(lines) + "\n"
+
+
+def sparse_fibonacci_text(n: int) -> str:
+    """An FSR file for a sparse Fibonacci register: f_n is x1 ^ six random
+    monomials of degree at most 3 over x2..xn, drawn by the benchmark's
+    register model with random.Random(n)."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import model
+        monomials = model.random_anf(random.Random(n), n, 6, 3, first_var=2)
+    finally:
+        sys.path.remove(str(BENCH))
+        sys.modules.pop("model", None)
+    terms = (" & ".join(f"x{i}" for i in mono) for mono in monomials)
+    return f"n={n} type=fib\nf{n} = x1 ^ {' ^ '.join(terms)}\n"
 
 
 # a sparse 12-stage Galois register: shift updates, three of them with an
@@ -469,6 +489,47 @@ def ref_synthesize_scan(M: StructureMatrix):
         if d == "1"
     )
     return ref_anf_to_expr(Anf(monomials))
+
+
+def ref_reduce_candidate(L_g: TransitionMatrix):
+    """reduce_candidate as it was before it read its costs off the ANF masks:
+    each coordinate's structure matrix is cut to its support, synthesized
+    over positions 1..|support|, renamed back to the original indices and
+    walked for its gate cost. Returns (updates, supports, support_sum,
+    area_um2, delay_ps, gate_count)."""
+    updates = []
+    supports = []
+    area = delay = 0.0
+    gates = 0
+    for k in range(1, L_g.n + 1):
+        support, reduced = restrict_support(coordinate_structure(L_g, k))
+        e = substitute(synthesize_expr(reduced), {pos + 1: j for pos, j in enumerate(support)})
+        cost = gate_cost(e)
+        updates.append(e)
+        supports.append(support)
+        area += cost.area_um2
+        delay += cost.delay_ps
+        gates += cost.gate_count
+    return (tuple(updates), tuple(supports), sum(len(s) for s in supports),
+            area, delay, gates)
+
+
+def same_tree(a, b) -> bool:
+    """a == b, compared on an explicit stack, so trees deeper than the
+    recursion limit compare too."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (Var, Const)):
+            if x != y:
+                return False
+        elif isinstance(x, Not):
+            todo.append((x.child, y.child))
+        else:
+            todo += ((x.left, y.left), (x.right, y.right))
+    return True
 
 
 def ref_select_minimal(candidates) -> SelectedCandidate:

@@ -17,15 +17,15 @@ from hypothesis import given, seed, settings, strategies as st
 import fsrkit
 from fsrkit import cli, fib, gal2fib, stp
 from fsrkit import (
-    ParseError, TransitionMatrix, Var, min_stage_fibonacci, render, simulate,
-    transition_from_delta, transition_to_delta,
+    And, Const, Iff, Implies, Not, Or, ParseError, TransitionMatrix, Var, Xor,
+    min_stage_fibonacci, render, simulate, transition_from_delta, transition_to_delta,
 )
 from fsrkit.cli import MAX_STAGES, FsrFileError, main, parse_fsr_file
 from fsrkit.fib2gal import reduce_candidate
 
 from conftest import (
     COUNTER5, LF4_COLS, LG4_COLS, LONG_WINDOW_COLS, SPARSE_GALOIS12, exprs,
-    ref_format_partial, ref_galois_transition,
+    ref_format_partial, ref_galois_transition, sparse_fibonacci_text,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -225,6 +225,33 @@ class TestFib2Gal:
         code, _, err = run(capsys, "fib2gal", GAL3A)
         assert code == 2
         assert "Fibonacci" in err
+
+
+class TestFib2GalLargeN:
+    def test_minimize_builds_no_tree(self, capsys, monkeypatch, tmp_path):
+        # costs come from the winner's ANF masks and --emit matrix prints no
+        # logic, so no expression node is made; the parent, which synthesized
+        # and walked the winner's trees, peaked at 14.4 MB here
+        path = tmp_path / "sparse12.fsr"
+        path.write_text(sparse_fibonacci_text(12))
+
+        def no_tree(node, *args):
+            raise AssertionError(f"a {type(node).__name__} node was built")
+
+        for cls in (Var, Const, Not, And, Or, Xor, Implies, Iff):
+            monkeypatch.setattr(cls, "__init__", no_tree)
+        tracemalloc.start()
+        try:
+            code = main(["fib2gal", str(path), "--minimize", "--budget", "4", "--seed", "1",
+                         "--emit", "matrix"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert [ln.split(" = ")[0] for ln in out.splitlines()] == [
+            "L_g", "T", "support_sum", "area_um2", "delay_ps", "gates"]
+        assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 class TestGal2Fib:

@@ -19,13 +19,17 @@ from fsrkit import (
     parse,
     partition_permutations,
     select_minimal,
+    render,
     simulate,
     structure_matrix,
 )
 from fsrkit import fib2gal
+from fsrkit.expr import Var
 from fsrkit.fib2gal import GaloisCandidate, _rank_key, reduce_candidate, search_plan
 
-from conftest import LG4_COLS, PI4, debruijn3, ref_select_minimal
+from conftest import (
+    LG4_COLS, PI4, debruijn3, ref_reduce_candidate, ref_select_minimal, same_tree,
+)
 
 
 class TestClassifyPairs:
@@ -238,6 +242,57 @@ def matrices(max_n: int):
     return st.integers(1, max_n).flatmap(lambda n: st.lists(
         st.integers(1, 1 << n), min_size=1 << n, max_size=1 << n,
     ).map(lambda cols: TransitionMatrix(n, tuple(cols))))
+
+
+def var_nodes(e) -> list:
+    todo, found = [e], []
+    while todo:
+        node = todo.pop()
+        if type(node) is Var:
+            found.append(node)
+        elif hasattr(node, "left"):
+            todo += (node.left, node.right)
+    return found
+
+
+class TestReduceCandidate:
+    """reduce_candidate reads from the ANF masks every field that the tree
+    path (the oracle in conftest) gets by synthesizing, renaming and walking
+    expression trees."""
+
+    @staticmethod
+    def check(L, equal):
+        r = reduce_candidate(L)
+        updates, supports, support_sum, area, delay, gates = ref_reduce_candidate(L)
+        assert r.n == L.n and len(r.anfs) == L.n
+        assert (r.supports, r.support_sum, r.gate_count) == (supports, support_sum, gates)
+        # exact floats: the printed values are these
+        assert (r.area_um2, r.delay_ps) == (area, delay)
+        assert all(map(equal, r.updates, updates))
+        assert [render(e) for e in r.updates] == [render(e) for e in updates]
+        for e in r.updates:  # one shared node per variable
+            nodes = var_nodes(e)
+            assert len({id(v) for v in nodes}) == len({v.index for v in nodes})
+        return r
+
+    @seed(18)
+    @settings(deadline=None, max_examples=150)
+    @given(matrices(8))
+    def test_matches_tree_path(self, L):
+        self.check(L, lambda a, b: a == b)
+
+    def test_matches_tree_path_dense_eleven_stages(self):
+        # a random map: every coordinate is a random function with about
+        # 2^10 monomials, an XOR chain deeper than == can compare
+        rng = random.Random(11)
+        L = TransitionMatrix(11, tuple(rng.randint(1, 1 << 11) for _ in range(1 << 11)))
+        r = self.check(L, same_tree)
+        assert min(anf.bit_count() for anf in r.anfs) > 900
+
+    def test_updates_are_built_when_read(self):
+        r = reduce_candidate(debruijn3())
+        assert "updates" not in vars(r)
+        assert r.updates is r.updates
 
 
 class TestRankKey:
