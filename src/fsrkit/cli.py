@@ -27,6 +27,7 @@ from .stp import (
     TransitionMatrix,
     _mask_to_rows,
     _read_table,
+    _table_reader,
     _transition_of_tables,
     delta_pieces,
     encode_state,
@@ -82,6 +83,8 @@ def parse_fsr_file(text: str) -> FsrFile:
         raise FsrFileError(f"register count {n} exceeds the limit of {MAX_STAGES}")
     tables: dict[int, int] = {}
     matrices: dict[str, TransitionMatrix] = {}
+    # the lines of a Galois file share terms; a Fibonacci file has one line
+    read = _table_reader(n) if kind == "galois" else functools.partial(_read_table, n=n)
     for ln in lines[1:]:
         if "=" not in ln:
             raise FsrFileError(f"unrecognized line: {ln!r}")
@@ -92,7 +95,7 @@ def parse_fsr_file(text: str) -> FsrFile:
                 raise FsrFileError(f"register {name} out of range for n={n}")
             if k in tables:
                 raise FsrFileError(f"duplicate definition of {name}")
-            tables[k] = _read_table(rhs, n)
+            tables[k] = read(rhs)
         elif rhs.startswith("d"):
             matrices[name] = transition_from_delta(rhs)
         else:

@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, repeat
-from typing import Mapping, NoReturn, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 
 class ExprError(Exception):
@@ -176,7 +176,7 @@ def _atom(tok: str, n: int, var, const):
     return const(int(tok))
 
 
-def _flat_atoms(terms: list[list[str]], n: int, var, const) -> dict | None:
+def _flat_atoms(terms: Iterable[Iterable[str]], n: int, var, const) -> dict | None:
     """Each distinct piece of the split text, read as an atom, or None unless
     every piece is one in-range atom with optional spacing.
 

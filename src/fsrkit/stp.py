@@ -14,7 +14,7 @@ import operator
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .expr import BoolExpr, Const, Var, _xor_of_ands, variables
 from . import expr as _expr
@@ -233,6 +233,52 @@ def _read_table(text: str, n: int) -> int:
         text, n, lambda i: masks[i - 1], lambda v: full if v else 0, full.__xor__,
         tuple(_TABLE_OPS[node](full) for node in _expr._BINOPS),
     )
+
+
+def _table_reader(n: int) -> Callable[[str], int]:
+    """_read_table for the update lines of one file, reading each distinct
+    term text once for the file.
+
+    A flat AND of in-range atoms is kept as its monomial's bit u in an ANF
+    mask (see _moebius), as (byte u >> 3, bit u & 7), and a term with a 0
+    factor as (0, 0), which toggles nothing. A line is the XOR of its terms'
+    bits, and one _moebius call makes that mask its truth table. A line with
+    any other new term goes to _read_table, which reports every error, and
+    so does a line of at most 2n terms: folding that few costs less than
+    _moebius.
+    """
+    size = 1 << n
+    atoms: dict[str, int] = {}  # factor text -> bit n - i for variable i
+    bits: dict[str, tuple[int, int]] = {}  # term text -> (byte, bit)
+
+    def var(i: int) -> int:
+        return 1 << (n - i)
+
+    def const(v: int) -> int:
+        return 0 if v else size
+
+    def read(text: str) -> int:
+        terms = text.split("^")
+        if len(terms) <= 2 * n:
+            return _read_table(text, n)
+        new = list(set(terms).difference(bits))
+        if new:
+            factors = [t.split("&") for t in new]
+            fresh = set(itertools.chain.from_iterable(factors)).difference(atoms)
+            if fresh:
+                found = _expr._flat_atoms([fresh], n, var, const)
+                if found is None:
+                    return _read_table(text, n)
+                atoms.update(found)
+            for t, fs in zip(new, factors):
+                u = size - 1 - functools.reduce(operator.or_, map(atoms.__getitem__, fs))
+                bits[t] = (u >> 3, 1 << (u & 7)) if u >= 0 else (0, 0)
+        mask = bytearray((size + 7) >> 3)
+        for i, b in map(bits.__getitem__, terms):
+            mask[i] ^= b
+        return _moebius(int.from_bytes(mask, "little"), n)
+
+    return read
 
 
 def _rows_to_mask(rows: Sequence[int]) -> int:

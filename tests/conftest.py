@@ -27,10 +27,12 @@ from fsrkit import (
     structure_matrix,
 )
 from fsrkit.expr import _LEVEL, _SYMBOL, GATES, Cost, gate_cost, substitute, variables
+from fsrkit.cli import parse_fsr_file
 from fsrkit.stp import (
-    _moebius, _rows_to_mask, coordinate_structure, restrict_support, synthesize_expr,
+    _anf_monomials, _coordinate_tables, _moebius, _rows_to_mask, coordinate_structure,
+    restrict_support, synthesize_expr,
 )
-from fsrkit.fib2gal import SelectedCandidate, reduce_candidate
+from fsrkit.fib2gal import SelectedCandidate, conjugate, reduce_candidate, sampled_permutations
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -101,6 +103,69 @@ def sparse_fibonacci_text(n: int) -> str:
         sys.modules.pop("model", None)
     terms = (" & ".join(f"x{i}" for i in mono) for mono in monomials)
     return f"n={n} type=fib\nf{n} = x1 ^ {' ^ '.join(terms)}\n"
+
+
+def shift_galois_text(n: int) -> str:
+    """An FSR file for a sparse Galois register: f_k = x_(k+1), plus an AND
+    of two of x_k..x_n drawn with random.Random(n) on k = n - 1, n - 3 and
+    n // 2, and sparse_fibonacci_text(n)'s feedback as f_n."""
+    rng = random.Random(n)
+    lines = [f"n={n} type=gal"]
+    for k in range(1, n):
+        line = f"f{k} = x{k + 1}"
+        if k in (n - 1, n - 3, n // 2):
+            a, b = sorted(rng.sample(range(k, n + 1), 2))
+            line += f" ^ x{a} & x{b}"
+        lines.append(line)
+    lines.append(sparse_fibonacci_text(n).splitlines()[1])
+    return "\n".join(lines) + "\n"
+
+
+def dense_galois_text(n: int, seed: int = 1) -> str:
+    """An FSR file for a dense Galois register: sparse_fibonacci_text(n)'s
+    register conjugated by a seeded partition-preserving permutation. Each
+    line is written from its coordinate's ANF mask as XOR-of-AND text, as
+    `--emit logic` prints it, with no expression tree."""
+    fib = parse_fsr_file(sparse_fibonacci_text(n)).transition()
+    L_g = conjugate(fib, next(sampled_permutations(n, 1, seed)))
+    lines = [f"n={n} type=gal"]
+    for k, table in enumerate(_coordinate_tables(L_g), start=1):
+        monomials = _anf_monomials(_moebius(table, n), n)
+        terms = " ^ ".join(" & ".join(f"x{i}" for i in mono) or "1" for mono in monomials)
+        lines.append(f"f{k} = {terms or '0'}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def shared_term_lines(draw):
+    """(n, lines): the update lines of a Galois file over n = 1..10 whose
+    terms come from one small pool of monomials, so they recur across lines
+    and within one. Each use of a monomial is spelled anew: factor order, x
+    or z, a repeated factor, a 1 factor and the spacing vary, and some uses
+    carry a 0 factor. About half of the lines hold more than 2n terms."""
+    n = draw(st.integers(1, 10))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = [rng.sample(range(1, n + 1), rng.randint(0, min(n, 4)))
+            for _ in range(rng.randint(1, 2 * n))]
+
+    def joined(symbol, parts):
+        return "".join(
+            (rng.choice(("", " ", "  ")) + symbol + rng.choice(("", " ")) if i else "") + part
+            for i, part in enumerate(parts))
+
+    def spelled(mono):
+        factors = [rng.choice("xz") + str(i) for i in mono]
+        if factors and rng.random() < 0.2:
+            factors.append(rng.choice(factors))
+        factors += ["1"] * (rng.random() < 0.2) + ["0"] * (rng.random() < 0.05)
+        rng.shuffle(factors)
+        return rng.choice(("", " ")) + (joined("&", factors) or "1") + rng.choice(("", " "))
+
+    lines = []
+    for _ in range(n):
+        count = rng.choice((rng.randint(0, 2 * n), rng.randint(2 * n + 1, 4 * n + 4)))
+        lines.append(joined("^", [spelled(rng.choice(pool)) for _ in range(count)]) or "0")
+    return n, lines
 
 
 # a sparse 12-stage Galois register: shift updates, three of them with an

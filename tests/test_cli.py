@@ -24,8 +24,8 @@ from fsrkit.cli import MAX_STAGES, FsrFileError, main, parse_fsr_file
 from fsrkit.fib2gal import reduce_candidate
 
 from conftest import (
-    COUNTER5, LF4_COLS, LG4_COLS, LONG_WINDOW_COLS, SPARSE_GALOIS12, exprs,
-    ref_format_partial, ref_galois_transition, sparse_fibonacci_text,
+    COUNTER5, LF4_COLS, LG4_COLS, LONG_WINDOW_COLS, SPARSE_GALOIS12, dense_galois_text, exprs,
+    ref_format_partial, ref_galois_transition, shared_term_lines, sparse_fibonacci_text,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -252,6 +252,86 @@ class TestFib2GalLargeN:
         assert [ln.split(" = ")[0] for ln in out.splitlines()] == [
             "L_g", "T", "support_sum", "area_um2", "delay_ps", "gates"]
         assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def to_matrix(path, per_line=False):
+    """(exit code, stdout, stderr) of `to-matrix path`; with per_line, each
+    update line is read by _read_table alone, as before the term table."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        if per_line:
+            mp.setattr(cli, "_table_reader", lambda n: lambda text: stp._read_table(text, n))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["to-matrix", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+# a term of a later line that takes that line off the term table: errors,
+# and other valid grammar
+LINE_FAULTS = ["x{n1}", "x0", "x1 ? x1", "", "x1 x1", "(x1 & x1)", "x1 | x1", "!x1"]
+
+
+class TestGaloisFileReader:
+    """A Galois file's lines, read through one term table, give the exit
+    code, output and error text of reading each line alone."""
+
+    @seed(19)
+    @settings(deadline=None, max_examples=120)
+    @given(shared_term_lines(), st.data())
+    def test_matches_per_line_reading(self, tmp_path_factory, case, data):
+        n, lines = case
+        defs = [f"f{k} = {ln}" for k, ln in enumerate(lines, start=1)]
+        if n > 1 and data.draw(st.booleans()):
+            at = data.draw(st.integers(1, n - 1))
+            fault = data.draw(st.sampled_from(LINE_FAULTS)).format(n1=n + 1)
+            defs[at] += f" ^ {fault} ^ x1"
+        if data.draw(st.booleans()):
+            defs.append(data.draw(st.sampled_from(defs)))  # a duplicate definition
+        path = tmp_path_factory.mktemp("gal") / "in.fsr"
+        path.write_text(f"n={n} type=gal\n" + "\n".join(defs) + "\n")
+        got = to_matrix(path)
+        assert got == to_matrix(path, per_line=True)
+        assert got[0] == 0 or got[2].startswith("error: ")
+
+    def test_first_error_wins_over_a_later_duplicate(self, tmp_path):
+        full = "x1 ^ x2 ^ x3 ^ x1 & x2 ^ x2 & x3 ^ x1 & x3 ^ x1 & x2 & x3 ^ 1"
+        path = tmp_path / "gal.fsr"
+        path.write_text(f"n=3 type=gal\nf1 = {full} ^ x9\nf2 = {full}\nf3 = x1 ^ {full}\n"
+                        f"f2 = {full}\n")
+        want = (2, "", "error: variable index 9 out of range [1, 3] at position 64\n")
+        assert to_matrix(path) == to_matrix(path, per_line=True) == want
+
+    def test_later_error_wins_over_a_later_duplicate(self, tmp_path):
+        full = "x1 ^ x2 ^ x3 ^ x1 & x2 ^ x2 & x3 ^ x1 & x3 ^ x1 & x2 & x3 ^ 1"
+        path = tmp_path / "gal.fsr"
+        path.write_text(f"n=3 type=gal\nf1 = {full}\nf2 = x2 ^ {full} ^ x3 ? x1\n"
+                        f"f3 = {full}\nf1 = {full}\n")
+        want = (2, "", "error: unexpected character '?' at position 72\n")
+        assert to_matrix(path) == to_matrix(path, per_line=True) == want
+
+    def test_dense_fourteen_stage_file(self, monkeypatch):
+        # the lines of a conjugated register hold thousands of terms each, so
+        # all of them take the term table. It keeps a small int per distinct
+        # term: the file reads in 10.1 MB here and 9.4 MB a line at a time,
+        # where a truth table per term would take over 25 MB
+        n = 14
+        text = dense_galois_text(n)
+        per_line = stp._read_table
+
+        def refuse(text, n_):
+            raise AssertionError("a dense line was read on its own")
+
+        monkeypatch.setattr(stp, "_read_table", refuse)
+        tracemalloc.start()
+        try:
+            fsr = parse_fsr_file(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        rhs = [ln.split(" = ", 1)[1] for ln in text.splitlines()[1:]]
+        assert [fsr.tables[k] for k in range(1, n + 1)] == [per_line(r, n) for r in rhs]
+        assert peak < 14 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 class TestGal2Fib:
@@ -495,13 +575,28 @@ class TestDeepExpressions:
 
 
 class TestSizeLimit:
-    def test_largest_register_count_is_read(self, monkeypatch):
-        # small stand-ins for the 2^20-bit variable tables, which take seconds
-        fake = tuple(1 << i for i in range(MAX_STAGES))
-        monkeypatch.setattr(stp, "_var_masks", lambda n: fake)
+    def test_largest_register_count_is_read(self):
         n = MAX_STAGES
+        masks = stp._var_masks(n)
         fsr = parse_fsr_file(f"n={n} type=fib\nf{n} = x1 ^ x{n}\n")
-        assert fsr.tables[n] == fake[0] ^ fake[-1]
+        assert fsr.tables[n] == masks[0] ^ masks[-1]
+
+    def test_largest_galois_file_is_read(self, monkeypatch):
+        # shifts, and two lines of more than 2n terms that share them, which
+        # the term table reads
+        n = MAX_STAGES
+        terms = [f"x{i}" for i in range(1, n + 1)] + [f"x{i} & x{i + 1}" for i in range(1, n)]
+        lines = [f"x{k + 1}" for k in range(1, n - 1)]
+        lines += [" ^ ".join(terms + ["x1 & x3", "x2 & x4"]),
+                  " ^ ".join(["1", "x3&x1"] + terms[::-1])]
+        per_line = stp._read_table
+        reached = []
+        monkeypatch.setattr(stp, "_read_table", lambda text, n_: reached.append(text)
+                            or per_line(text, n_))
+        fsr = parse_fsr_file(f"n={n} type=gal\n" + "".join(
+            f"f{k} = {ln}\n" for k, ln in enumerate(lines, start=1)))
+        assert reached == lines[:-2]
+        assert [fsr.tables[k] for k in range(1, n + 1)] == [per_line(ln, n) for ln in lines]
 
     @pytest.mark.parametrize("n", [MAX_STAGES + 1, 1000000])
     def test_larger_count_exits_two_before_allocating(self, capsys, tmp_path, monkeypatch, n):
