@@ -262,17 +262,15 @@ def _table_reader(n: int) -> Callable[[str], int]:
         if len(terms) <= 2 * n:
             return _read_table(text, n)
         new = list(set(terms).difference(bits))
-        if new:
-            factors = [t.split("&") for t in new]
-            fresh = set(itertools.chain.from_iterable(factors)).difference(atoms)
-            if fresh:
-                found = _expr._flat_atoms([fresh], n, var, const)
-                if found is None:
-                    return _read_table(text, n)
-                atoms.update(found)
-            for t, fs in zip(new, factors):
-                u = size - 1 - functools.reduce(operator.or_, map(atoms.__getitem__, fs))
-                bits[t] = (u >> 3, 1 << (u & 7)) if u >= 0 else (0, 0)
+        factors = [t.split("&") for t in new]
+        fresh = set(itertools.chain.from_iterable(factors)).difference(atoms)
+        found = _expr._flat_atoms([fresh], n, var, const)
+        if found is None:
+            return _read_table(text, n)
+        atoms.update(found)
+        for t, fs in zip(new, factors):
+            u = size - 1 - functools.reduce(operator.or_, map(atoms.__getitem__, fs))
+            bits[t] = (u >> 3, 1 << (u & 7)) if u >= 0 else (0, 0)
         mask = bytearray((size + 7) >> 3)
         for i, b in map(bits.__getitem__, terms):
             mask[i] ^= b

@@ -37,11 +37,11 @@ def write_inputs(folder: str, n: int) -> None:
 def run_child(argv: list[str]) -> tuple[int, float, float, str]:
     """Exit code, seconds, peak RSS in MB and stderr of one child."""
     start = time.perf_counter()
-    child = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    err = child.stderr.read().decode()
-    _, status, usage = os.wait4(child.pid, 0)
-    seconds = time.perf_counter() - start
-    child.returncode = os.waitstatus_to_exitcode(status)  # waited for here, not by Popen
+    with subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as child:
+        err = child.stderr.read().decode()
+        _, status, usage = os.wait4(child.pid, 0)
+        seconds = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     return child.returncode, seconds, usage.ru_maxrss / 1024, err
 
 
