@@ -456,6 +456,7 @@ class TestTransitionOfTables:
         L = TransitionMatrix(n, tuple(rng.randint(1, 1 << n) for _ in range(1 << n)))
         assert stp._transition_of_tables(n, stp._coordinate_tables(L)) == L
 
+
 class TestTableReader:
     """A file's term table reads every line as _read_table does, the oracle."""
 
