@@ -13,7 +13,6 @@ from fsrkit import (
     derived_digraph,
     feedback_of,
     format_delta,
-    format_sequence,
     galois_transition,
     min_stage_fibonacci,
     min_stage_galois,
@@ -34,7 +33,8 @@ def show(title, updates):
     result = min_stage_fibonacci(L_g)
     print(f"  l = {result.l}, q = {min_stage_galois(L_g)[0].n}")
     for seq in result.sequences:
-        print(" ", format_sequence(seq))
+        pre, per = ("".join(map(str, bits)) for bits in (seq.preperiod, seq.period))
+        print(f"  pre={pre} per={per}")
 
     # Window lengths below the answer fail the out-degree test.
     for l in range(1, result.l + 1):

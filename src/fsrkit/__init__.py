@@ -60,12 +60,10 @@ from .gal2fib import (
     all_output_sequences,
     derived_digraph,
     equivalent,
-    format_sequence,
     min_stage_fibonacci,
     min_stage_galois,
     normalize_sequence,
     output_sequence,
-    parse_sequence,
     realizable,
     simulate,
 )

@@ -304,15 +304,6 @@ def main(argv=None) -> int:
     except (FsrFileError, ex.ParseError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except RecursionError:
-        # render, the only tree walk the CLI makes, follows left-deep chains
-        # in a loop, so synthesized logic never reaches the limit; it still
-        # recurses once per level into right operands, which only deep
-        # right-nested trees that library callers build themselves can
-        # exhaust (substitute and gate_cost, which the CLI no longer calls,
-        # walk the same way)
-        print("error: expression nested too deeply", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

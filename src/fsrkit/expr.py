@@ -77,18 +77,65 @@ class Iff(BoolExpr):
 _BINOPS = (Iff, Implies, Or, Xor, And)
 
 
-def variables(expr: BoolExpr) -> set[int]:
-    """Free variable indices of an expression."""
-    found = set()
+# a marker on _fold's work stack: combine the values of the frame on top
+_COMBINE = object()
+
+
+def _fold(expr: BoolExpr, leaf, negate, chain):
+    """Post-order fold of a tree on an explicit stack, so depth is bounded
+    by memory alone.
+
+    A Var or Const is leaf(node); a run of k Nots over a value is
+    negate(value, k); a left spine of one binary class cls is
+    chain(cls, values), its operands' values left to right. Anything that
+    is not a BoolExpr node raises TypeError.
+    """
+    values: list = []
+    frames: list = []  # (class, count) of each _COMBINE on todo, innermost last
     todo = [expr]
     while todo:
         node = todo.pop()
-        if isinstance(node, Var):
+        cls = type(node)
+        if cls is Var or cls is Const:
+            values.append(leaf(node))
+        elif node is _COMBINE:
+            cls, count = frames.pop()
+            if cls is Not:
+                values[-1] = negate(values[-1], count)
+            else:
+                operands = values[-count:]
+                del values[-count:]
+                values.append(chain(cls, operands))
+        elif cls is Not:
+            count = 0
+            while type(node) is Not:
+                count += 1
+                node = node.child
+            frames.append((Not, count))
+            todo += (_COMBINE, node)
+        elif cls in _BINOPS:
+            operands = []  # right operands top-down, then the spine's bottom
+            while type(node) is cls:
+                operands.append(node.right)
+                node = node.left
+            operands.append(node)
+            frames.append((cls, len(operands)))
+            todo.append(_COMBINE)
+            todo += operands
+        else:
+            raise TypeError(f"not a BoolExpr node: {node!r}")
+    return values[0]
+
+
+def variables(expr: BoolExpr) -> set[int]:
+    """Free variable indices of an expression."""
+    found = set()
+
+    def leaf(node):
+        if type(node) is Var:
             found.add(node.index)
-        elif isinstance(node, Not):
-            todo.append(node.child)
-        elif not isinstance(node, Const):
-            todo += (node.left, node.right)
+
+    _fold(expr, leaf, lambda value, k: None, lambda cls, values: None)
     return found
 
 
@@ -101,33 +148,15 @@ def substitute(expr: BoolExpr, mapping: Mapping[int, int]) -> BoolExpr:
     if all(k == v for k, v in mapping.items()):
         return expr
 
-    def walk(node: BoolExpr) -> BoolExpr:
-        cls = type(node)
-        if cls is Var:
-            return Var(mapping.get(node.index, node.index))
-        if cls is Const:
-            return node
-        if cls is Not:
-            depth = 0
-            while type(node) is Not:
-                depth += 1
-                node = node.child
-            out = walk(node)
-            for _ in range(depth):
-                out = Not(out)
-            return out
-        # a chain of one operator: down its left spine in a loop, recursing
-        # only into the right operands, then rebuilt bottom-up
-        rights = []
-        while type(node) is cls:
-            rights.append(node.right)
-            node = node.left
-        out = walk(node)
-        for right in reversed(rights):
-            out = cls(out, walk(right))
-        return out
+    def leaf(node):
+        return Var(mapping.get(node.index, node.index)) if type(node) is Var else node
 
-    return walk(expr)
+    def negate(value, k):
+        for _ in range(k):
+            value = Not(value)
+        return value
+
+    return _fold(expr, leaf, negate, reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -293,37 +322,51 @@ _SYMBOL = {Iff: "<->", Implies: "->", Or: "|", Xor: "^", And: "&"}
 
 def render(expr: BoolExpr) -> str:
     """Concrete syntax; parse(render(e), n) is function-equal to e."""
-    return _text(expr, 0)
-
-
-def _text(expr: BoolExpr, min_level: int) -> str:
-    """render(expr), in parentheses if it binds looser than min_level."""
-    cls = type(expr)
-    if cls is Var:
-        return f"x{expr.index}"
-    if cls is Const:
-        return str(expr.value)
-    level = _LEVEL[cls]
-    if cls is Not:
-        depth = 0
-        node = expr
-        while type(node) is Not:
-            depth += 1
-            node = node.child
-        text = "!" * depth + _text(node, 5)
-    else:
-        # binary, left-associative: the left spine of one operator needs no
-        # parentheses and is walked in a loop; each right operand needs a
-        # strictly higher level
-        rights = []
-        node = expr
-        while type(node) is cls:
-            rights.append(node.right)
-            node = node.left
-        parts = [_text(node, level)]
-        parts += [_text(right, level + 1) for right in reversed(rights)]
-        text = f" {_SYMBOL[cls]} ".join(parts)
-    return f"({text})" if level < min_level else text
+    pieces = []
+    # the chain being written: its right operands, the next one last, their
+    # separator and level, and whether the chain is in parentheses, decided
+    # when it opens; the chains around it wait on `outer`
+    rights, sep, level, wrapped = [], "", 0, False
+    outer = []
+    node, min_level = expr, 0
+    while True:  # write node, in parentheses if it binds looser than min_level
+        cls = type(node)
+        if cls is Var:
+            pieces.append(f"x{node.index}")
+        elif cls is Const:
+            pieces.append(str(node.value))
+        elif cls is Not:
+            depth = 0
+            while type(node) is Not:
+                depth += 1
+                node = node.child
+            pieces.append("!" * depth)
+            min_level = _LEVEL[Not]
+            continue
+        elif cls in _SYMBOL:
+            # binary, left-associative: the left spine of one operator needs
+            # no parentheses, and each right operand a strictly higher level
+            outer.append((rights, sep, level, wrapped))
+            own = _LEVEL[cls]
+            wrapped = own < min_level
+            if wrapped:
+                pieces.append("(")
+            rights, sep, level, min_level = [], f" {_SYMBOL[cls]} ", own + 1, own
+            while type(node) is cls:
+                rights.append(node.right)
+                node = node.left
+            continue
+        else:
+            raise TypeError(f"not a BoolExpr node: {node!r}")
+        # node is written: go on with the next operand, closing finished chains
+        while not rights:
+            if wrapped:
+                pieces.append(")")
+            if not outer:
+                return "".join(pieces)
+            rights, sep, level, wrapped = outer.pop()
+        pieces.append(sep)
+        node, min_level = rights.pop(), level
 
 
 # ---------------------------------------------------------------------------
@@ -387,26 +430,13 @@ def gate_cost(expr: BoolExpr) -> Cost:
     Each binary node is its GATES entry; inverters are absorbed (zero cost,
     not counted). A node's area is (left + right) + its gate, in that order.
     """
-    def walk(node: BoolExpr) -> tuple[float, float, int]:
-        while type(node) is Not:
-            node = node.child
-        cls = type(node)
-        if cls is Var or cls is Const:
-            return 0.0, 0.0, 0
-        # a chain of one operator: down its left spine in a loop, recursing
-        # only into the right operands, then summed bottom-up
-        rights = []
-        while type(node) is cls:
-            rights.append(node.right)
-            node = node.left
-        area, delay, count = walk(node)
+    def chain(cls, values):
         gate_area, gate_delay = GATES[cls]
-        for right in reversed(rights):
-            ra, rd, rc = walk(right)
+        area, delay, count = values[0]
+        for ra, rd, rc in values[1:]:
             area = area + ra + gate_area
             delay = max(delay, rd) + gate_delay
             count = count + rc + 1
         return area, delay, count
 
-    area, delay, count = walk(expr)
-    return Cost(area, delay, count)
+    return Cost(*_fold(expr, lambda node: (0.0, 0.0, 0), lambda value, k: value, chain))

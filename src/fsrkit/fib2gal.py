@@ -170,8 +170,7 @@ def count_distinct_equivalents(L_f: TransitionMatrix) -> CountAudit:
 
 @dataclass(frozen=True)
 class Reduction:
-    """A candidate's update functions as ANF masks, with their supports and
-    cost totals.
+    """A candidate's update functions as ANF masks, with their cost totals.
 
     anfs[k - 1] is coordinate k's ANF over x1..xn: bit u is the monomial of
     the variables that are 1 on state u + 1 (see stp._moebius). Its support
@@ -180,11 +179,22 @@ class Reduction:
 
     n: int
     anfs: tuple[int, ...]
-    supports: tuple[tuple[int, ...], ...]
     support_sum: int
     area_um2: float
-    delay_ps: float
     gate_count: int
+
+    @cached_property
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        """Each coordinate's support, in increasing index order."""
+        masks = _var_masks(self.n)
+        return tuple(tuple(i for i, mask in enumerate(masks, start=1) if anf & mask)
+                     for anf in self.anfs)
+
+    @cached_property
+    def delay_ps(self) -> float:
+        """The coordinates' delays, summed."""
+        weights = _weight_masks(self.n)
+        return sum((_anf_delay(anf, weights) for anf in self.anfs), 0.0)
 
     @cached_property
     def updates(self) -> tuple[BoolExpr, ...]:
@@ -199,7 +209,7 @@ class SelectedCandidate:
     reduction: Reduction
 
 
-# The gate model of synthesized logic, stated once for ranking and reduction.
+# The gate model of synthesized logic, stated once for the reduction.
 # A coordinate is written as a left-deep XOR2 chain of its k monomials, in
 # increasing degree, and a monomial m as a left-deep chain of |m| - 1 AND2
 # gates; the constants are free. The areas and delays are whole numbers, so
@@ -242,37 +252,21 @@ def _anf_delay(anf: int, weights: Sequence[int]) -> float:
 
 
 def reduce_candidate(L_g: TransitionMatrix) -> Reduction:
-    """Each coordinate's ANF, support and gate costs, read off its truth
-    table; no expression is built until `updates` is read."""
+    """Each coordinate's ANF and the gate cost totals, read off its truth
+    table; supports, delay and expressions are built when first read."""
     n = L_g.n
     masks = _var_masks(n)
-    weights = _weight_masks(n)
-    anfs = tuple(_moebius(table, n) for table in _coordinate_tables(L_g))
-    supports = []
-    ands = xors = 0
-    delay = 0.0
+    # from a list, not a generator: tuple() of a generator leaves the cyclic
+    # GC's allocation count about two higher a call (CPython 3.11), and
+    # select_minimal reduces every candidate
+    anfs = tuple([_moebius(table, n) for table in _coordinate_tables(L_g)])
+    support_sum = ands = xors = 0
     for anf in anfs:
         occurs, a, x = _anf_gates(anf, masks)
-        supports.append(tuple(i for i, c in enumerate(occurs, start=1) if c))
-        ands += a
-        xors += x
-        delay += _anf_delay(anf, weights)
-    return Reduction(n, anfs, tuple(supports), sum(map(len, supports)),
-                     _area(ands, xors), delay, ands + xors)
-
-
-def _rank_key(L_g: TransitionMatrix) -> tuple[int, float]:
-    """(support_sum, area_um2) of reduce_candidate(L_g), without its delay
-    or supports."""
-    n = L_g.n
-    masks = _var_masks(n)
-    support_sum = ands = xors = 0
-    for table in _coordinate_tables(L_g):
-        occurs, a, x = _anf_gates(_moebius(table, n), masks)
         support_sum += n - occurs.count(0)
         ands += a
         xors += x
-    return support_sum, _area(ands, xors)
+    return Reduction(n, anfs, support_sum, _area(ands, xors), ands + xors)
 
 
 def select_minimal(candidates: Iterable[GaloisCandidate]) -> SelectedCandidate:
@@ -280,22 +274,16 @@ def select_minimal(candidates: Iterable[GaloisCandidate]) -> SelectedCandidate:
 
     Primary key is the summed support size over coordinates, then total gate
     area, then the column sequence (so parallel folds agree with sequential).
-    Candidates are ranked on their ANF costs; only the winner is reduced.
+    Each candidate is ranked by its reduction, which builds no expression.
     """
-    best: GaloisCandidate | None = None
+    best: SelectedCandidate | None = None
     best_key: tuple | None = None
     for cand in candidates:
-        key = (*_rank_key(cand.matrix), cand.matrix.cols)
+        r = reduce_candidate(cand.matrix)
+        key = (r.support_sum, r.area_um2, cand.matrix.cols)
         if best_key is None or key < best_key:
             best_key = key
-            best = cand
+            best = SelectedCandidate(cand, r)
     if best is None:
         raise ValueError("no candidates to select from")
-    r = reduce_candidate(best.matrix)
-    # an explicit check, kept under python -O: a ranking key that disagrees
-    # with the reduction would pick the wrong candidate silently
-    if (r.support_sum, r.area_um2) != best_key[:2]:
-        raise RuntimeError(
-            f"ranking key {best_key[:2]} disagrees with the selected candidate's "
-            f"reduction {(r.support_sum, r.area_um2)}")
-    return SelectedCandidate(best, r)
+    return best

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -75,24 +74,6 @@ def normalize_sequence(pre: Sequence[int], per: Sequence[int]) -> OutputSeq:
     while p > 0 and bits[p - 1] == bits[p - 1 + d]:
         p -= 1
     return OutputSeq(tuple(bits[:p]), tuple(bits[p:p + d]))
-
-
-_SEQ_RE = re.compile(r"^\s*pre=([01]*)\s+per=([01]+)\s*$")
-
-
-def format_sequence(seq: OutputSeq) -> str:
-    pre = "".join(map(str, seq.preperiod))
-    per = "".join(map(str, seq.period))
-    return f"pre={pre} per={per}"
-
-
-def parse_sequence(text: str) -> OutputSeq:
-    m = _SEQ_RE.match(text)
-    if m is None:
-        raise ValueError(f"not a sequence literal: {text!r}")
-    return normalize_sequence(
-        [int(c) for c in m.group(1)], [int(c) for c in m.group(2)]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -454,24 +435,15 @@ class MinStageResult:
 _BITS_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _prefix_keys(ids: _SequenceIds, most: int | None = None) -> tuple[int, list[int]]:
-    """The bound and, for each id in id order, the first `bound` bits of its
-    sequence as an int, first bit most significant.
+def _prefix_keys(ids: _SequenceIds, bound: int) -> list[int]:
+    """For each id in id order, the first `bound` bits of its sequence as an
+    int, first bit most significant.
 
-    By Fine-Wilf, distinct sequences with preperiods <= P and periods <= r
-    differ within P + 2r bits, so keys of that many bits are distinct; `most`
-    caps the bound. A cycle's keys are windows of its least rotation
-    repeated; every other id's key is its first bit followed by its
-    successor's key, less its last bit.
+    A cycle's keys are windows of its least rotation repeated; every other
+    id's key is its first bit followed by its successor's key, less its last
+    bit.
     """
     steps = ids.steps
-    depth = [0] * len(steps)  # preperiod length
-    for i, word in ids.runs():
-        if word is None:
-            depth[i] = depth[steps[i] >> 1] + 1
-    bound = max(depth) + 2 * max(map(len, ids.cycles))
-    if most is not None:
-        bound = min(bound, most)
     top = bound - 1
     keys: list[int] = []
     for i, word in ids.runs():
@@ -483,23 +455,24 @@ def _prefix_keys(ids: _SequenceIds, most: int | None = None) -> tuple[int, list[
             reps = -(-(bound + d - 1) // d)  # rotation d - 1 reads bound bits too
             digits = (word * reps).translate(_BITS_TO_DIGITS)
             keys += [int(digits[k:k + bound], 2) for k in range(d)]
-    return bound, keys
+    return keys
 
 
-def _window_length(ids: _SequenceIds, most: int | None = None) -> tuple[int, int, list[int]]:
-    """The least window length l, and _prefix_keys(ids, most).
+def _window_length(ids: _SequenceIds, bound: int) -> tuple[int, list[int]]:
+    """The least window length l, capped at bound + 1, and
+    _prefix_keys(ids, bound).
 
     The sequences of all states are closed under shift, so when two
     distinct ones share k > 0 leading bits, their shifts share k - 1: the
     shared prefix lengths fill 0..K, and l-bit windows have unique
     successors exactly when l > K. K is the longest prefix that neighbours
-    share among the sorted keys; keys capped at `most` bits give
-    min(K + 1, most + 1).
+    share among the sorted keys; keys of `bound` bits give
+    min(K + 1, bound + 1).
     """
-    bound, keys = _prefix_keys(ids, most)
+    keys = _prefix_keys(ids, bound)
     ordered = sorted(keys)
     l = 1 + max((bound - (a ^ b).bit_length() for a, b in zip(ordered, ordered[1:])), default=0)
-    return l, bound, keys
+    return l, keys
 
 
 #: Longest window min_stage_fibonacci builds a register for: each
@@ -523,13 +496,15 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
     ids = _SequenceIds()
     table = _sequence_table(L_g, ids)
     # keys of MAX_WINDOW + 1 bits settle any l up to MAX_WINDOW
-    l, bound, keys = _window_length(ids, MAX_WINDOW + 1)
+    bound = MAX_WINDOW + 1
+    l, keys = _window_length(ids, bound)
     if l > MAX_WINDOW:
         # keys of `bound` bits settle any l <= bound; to name the l refused,
-        # double them until they do, rather than build Fine-Wilf keys of up
-        # to 2^(n+1) bits per id
+        # double them until they do, which ends because distinct sequences
+        # differ within finitely many bits
         while l > bound:
-            l, bound, _ = _window_length(ids, 2 * bound)
+            bound *= 2
+            l, _ = _window_length(ids, bound)
         raise ValueError(f"window length {l} exceeds the limit MAX_WINDOW = {MAX_WINDOW}")
 
     # a window's index is 1 + its complemented bits, first bit most

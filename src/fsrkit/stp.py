@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .expr import BoolExpr, Const, Var, _xor_of_ands, variables
+from .expr import BoolExpr, Var, _xor_of_ands, variables
 from . import expr as _expr
 # not called here: bench/tracing.py (TRACED) wraps anf_to_expr at this
 # module's binding, and its traced run fails without it
@@ -200,29 +200,12 @@ _TABLE_OPS = {
 
 
 def _truth_mask(f: BoolExpr, masks: Sequence[int], full: int) -> int:
-    # post-order on explicit stacks: an operator's class waits on `todo`
-    # under its operands and combines their tables from `out`
-    table_ops = {node: make(full) for node, make in _TABLE_OPS.items()}
-    out: list[int] = []
-    todo: list = [f]
-    while todo:
-        node = todo.pop()
-        if node is _expr.Not:
-            out[-1] ^= full
-        elif isinstance(node, type):
-            b = out.pop()
-            out[-1] = table_ops[node](out[-1], b)
-        elif isinstance(node, Var):
-            out.append(masks[node.index - 1])
-        elif isinstance(node, Const):
-            out.append(full if node.value else 0)
-        elif isinstance(node, _expr.Not):
-            todo += (_expr.Not, node.child)
-        elif type(node) in _TABLE_OPS:
-            todo += (type(node), node.right, node.left)
-        else:
-            raise TypeError(f"not a BoolExpr node: {node!r}")
-    return out[0]
+    return _expr._fold(
+        f,
+        lambda node: masks[node.index - 1] if type(node) is Var else full if node.value else 0,
+        lambda table, k: table ^ full if k & 1 else table,
+        lambda cls, tables: functools.reduce(_TABLE_OPS[cls](full), tables),
+    )
 
 
 def _read_table(text: str, n: int) -> int:

@@ -641,6 +641,28 @@ def ref_parse_delta(text: str):
     return size, tuple(entries)
 
 
+def ref_prefix_keys(ids):
+    """(bound, keys): gal2fib._prefix_keys(ids, bound) at Fine-Wilf's bound,
+    as it was before every caller passed a smaller one. Distinct sequences with
+    preperiods <= P and periods <= r differ within P + 2r bits, so keys of
+    that many bits are distinct."""
+    steps = ids.steps
+    depth = [0] * len(steps)  # preperiod length
+    for i, word in ids.runs():
+        if word is None:
+            depth[i] = depth[steps[i] >> 1] + 1
+    bound = max(depth) + 2 * max(map(len, ids.cycles))
+    # each key read off the steps a bit at a time: step = 2 * successor + bit
+    keys = []
+    for i in range(len(steps)):
+        key, j = 0, i
+        for _ in range(bound):
+            key = key << 1 | steps[j] & 1
+            j = steps[j] >> 1
+        keys.append(key)
+    return bound, keys
+
+
 def ref_transition_of_tables(n: int, tables) -> tuple[int, ...]:
     """_transition_of_tables' columns as they were before byte lanes: the
     complemented tables' digits, read down the rows, one join per state."""

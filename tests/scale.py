@@ -1,16 +1,19 @@
-"""Time and peak RSS of `to-matrix` and `gal2fib` on large Galois files.
+"""Time and peak RSS of the CLI commands on large register files.
 
     PYTHONPATH=src python tests/scale.py [n ...]
 
-For each n (default 12, 14 and 16) it writes two Galois files: the sparse
-shift register of conftest.shift_galois_text and the dense conjugate of
+For each n (default 12, 14 and 16) it writes three files: the sparse
+Fibonacci register of conftest.sparse_fibonacci_text, the sparse shift
+register of conftest.shift_galois_text and the dense conjugate of
 conftest.dense_galois_text, whose inputs come from bench/model.py, loaded
-by path and only read. Each command then runs alone in a child process,
-with its stdout discarded, and one line per command gives its exit code,
-wall time and the child's peak RSS (its own rusage, from os.wait4). The
-files are written by a child too: a child's peak RSS counts the pages of
-the process it was forked from. Not part of the pytest run: it takes about
-a minute.
+by path and only read. The Fibonacci file goes to `fib2gal --minimize
+--budget 4 --seed 1 --emit all` and to `verify` against itself, each Galois
+file to `to-matrix` and `gal2fib`. Each command then runs alone in a child
+process, with its stdout discarded, and one line per command gives its exit
+code, wall time and the child's peak RSS (its own rusage, from os.wait4).
+The files are written by a child too: a child's peak RSS counts the pages
+of the process it was forked from. Not part of the pytest run: it takes
+about a minute.
 """
 
 from __future__ import annotations
@@ -22,16 +25,24 @@ import tempfile
 import time
 from pathlib import Path
 
-INPUTS = ("sparse", "dense")
-COMMANDS = ("to-matrix", "gal2fib")
+# input -> (the conftest function that writes it, the commands run on it,
+# each with its arguments after the file)
+INPUTS = {
+    "fib": ("sparse_fibonacci_text", (
+        ("fib2gal", "--minimize", "--budget", "4", "--seed", "1", "--emit", "all"),
+        ("verify", "{path}"),
+    )),
+    "sparse": ("shift_galois_text", (("to-matrix",), ("gal2fib",))),
+    "dense": ("dense_galois_text", (("to-matrix",), ("gal2fib",))),
+}
 CLI = "import sys; from fsrkit.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def write_inputs(folder: str, n: int) -> None:
-    from conftest import dense_galois_text, shift_galois_text
+    import conftest
 
-    for name, build in zip(INPUTS, (shift_galois_text, dense_galois_text)):
-        (Path(folder) / f"{name}{n}.fsr").write_text(build(n))
+    for name, (build, _) in INPUTS.items():
+        (Path(folder) / f"{name}{n}.fsr").write_text(getattr(conftest, build)(n))
 
 
 def run_child(argv: list[str]) -> tuple[int, float, float, str]:
@@ -52,10 +63,11 @@ def main(sizes: list[int]) -> None:
             rc, _, _, err = run_child([sys.executable, __file__, "--write", tmp, str(n)])
             if rc:
                 sys.exit(f"writing the n={n} inputs failed:\n{err}")
-            for name in INPUTS:
-                for command in COMMANDS:
-                    path = str(Path(tmp) / f"{name}{n}.fsr")
-                    rc, seconds, mb, err = run_child([sys.executable, "-c", CLI, command, path])
+            for name, (_, commands) in INPUTS.items():
+                path = str(Path(tmp) / f"{name}{n}.fsr")
+                for command, *rest in commands:
+                    args = [command, path, *(a.format(path=path) for a in rest)]
+                    rc, seconds, mb, err = run_child([sys.executable, "-c", CLI, *args])
                     note = f"  {err.strip()}" if rc else ""
                     print(f"{n:>3} {name:<7} {command:<10} {rc:>3} {seconds:>8.2f} {mb:>8.1f}{note}",
                           flush=True)

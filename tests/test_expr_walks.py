@@ -1,13 +1,19 @@
-"""The expression layer's loop walks against the recursive oracles.
+"""The expression layer's walks against the recursive oracles, and on trees
+far deeper than the recursion limit.
 
-`substitute`, `render` and `gate_cost` walk a chain of one binary operator
-down its left spine in a loop, `anf_to_expr` shares its variable nodes and
-`synthesize_expr` visits only the set bits of the ANF mask. Each must give
-exactly what the recursive versions in conftest give: equal trees, the same
-text byte for byte and the same costs to the last bit of the float.
+`variables`, `substitute`, `gate_cost` and `stp._truth_mask` are folds on
+an explicit stack (`expr._fold`), and `render` walks its own; `anf_to_expr`
+shares its variable nodes and `synthesize_expr` visits only the set bits of
+the ANF mask. Each must give exactly what the recursive versions in conftest
+give: equal trees, the same text byte for byte and the same costs to the
+last bit of the float.
 """
 
+import ast
+import pathlib
 import random
+import sys
+from functools import reduce
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -24,13 +30,14 @@ from fsrkit.expr import (
     Or,
     Var,
     Xor,
+    _fold,
     anf_to_expr,
     gate_cost,
     render,
     substitute,
     variables,
 )
-from fsrkit.stp import StructureMatrix, synthesize_expr
+from fsrkit.stp import FsrSpec, StructureMatrix, galois_transition, structure_matrix, synthesize_expr
 
 from conftest import (
     exprs, ref_anf_to_expr, ref_gate_cost, ref_render, ref_substitute,
@@ -47,14 +54,19 @@ MAX_OPERANDS = 150
 @st.composite
 def chains(draw):
     """A left-deep or right-nested chain over a few small expressions: runs
-    of one operator, mixing all five, with a negation here and there."""
+    of one operator, mixing all five, with a negation here and there, or
+    over every binary node, so that Not and binary nodes alternate."""
     pool = draw(st.lists(exprs(3), min_size=1, max_size=6))
     runs = draw(st.lists(
         st.tuples(st.sampled_from(BINOPS), st.integers(1, 40)), min_size=1, max_size=6))
     steps = [op for op, length in runs for _ in range(length)][:MAX_OPERANDS]
+    if draw(st.booleans()):
+        steps = steps[:MAX_OPERANDS // 2]  # two nesting levels each
+        negated = set(range(1, len(steps) + 1))
+    else:
+        negated = draw(st.sets(st.integers(0, len(steps)), max_size=20))
     picks = draw(st.lists(
         st.integers(0, len(pool) - 1), min_size=len(steps) + 1, max_size=len(steps) + 1))
-    negated = draw(st.sets(st.integers(0, len(steps)), max_size=20))
     left_deep = draw(st.booleans())
     acc = pool[picks[0]]
     for i, op in enumerate(steps, start=1):
@@ -214,3 +226,155 @@ class TestDenseSynthesizedTrees:
         shifted = substitute(e, {1: n + 1})
         assert variables(shifted) == (variables(e) - {1}) | {n + 1}
 
+
+
+# -- trees of 10^5 nodes -------------------------------------------------------
+#
+# Each walk runs at the default recursion limit on four trees of about 10^5
+# nodes over x1..x6, and is checked against closed forms: the variable set,
+# one gate per binary node, the truth table (through a shallow expression of
+# the same function) and the text.
+
+N_VARS = 6
+DEPTH = 10 ** 5
+
+
+def var_of(i: int) -> int:
+    return i % N_VARS + 1
+
+
+def odd_parity(indices):
+    """The XOR of the variables that occur an odd number of times."""
+    odd = sorted(i for i in set(indices) if indices.count(i) % 2)
+    return reduce(Xor, map(Var, odd), Const(0))
+
+
+def right_nested():
+    # x1 ^ (x2 ^ (... ^ (x_a ^ x_b)...)): 5 * 10^4 XOR nodes
+    leaves = [var_of(i) for i in range(DEPTH // 2 + 1)]
+    e = Var(leaves[-1])
+    for v in reversed(leaves[:-1]):
+        e = Xor(Var(v), e)
+    text = "".join(f"x{v} ^ (" for v in leaves[:-2])
+    text += f"x{leaves[-2]} ^ x{leaves[-1]}" + ")" * (len(leaves) - 2)
+    return e, set(leaves), len(leaves) - 1, odd_parity(leaves), text
+
+
+def left_deep():
+    # x1 & x2 & ...: 5 * 10^4 AND nodes, no parentheses
+    leaves = [var_of(i) for i in range(DEPTH // 2 + 1)]
+    e = reduce(And, map(Var, leaves))
+    shallow = reduce(And, map(Var, sorted(set(leaves))))
+    return e, set(leaves), len(leaves) - 1, shallow, " & ".join(f"x{v}" for v in leaves)
+
+
+def not_run():
+    # an odd run of Nots over x1
+    e = Var(1)
+    for _ in range(DEPTH - 1):
+        e = Not(e)
+    return e, {1}, 0, Not(Var(1)), "!" * (DEPTH - 1) + "x1"
+
+
+def alternating():
+    # !(x_a ^ !(x_b ^ ... !(x_c ^ x1)...)): each level a Not over an XOR
+    # whose right operand is the level below, so !(v ^ e) is v ^ e ^ 1
+    levels = [var_of(i) for i in range(DEPTH // 3)]
+    e = Var(1)
+    for v in reversed(levels):
+        e = Not(Xor(Var(v), e))
+    shallow = odd_parity(levels + [1])
+    if len(levels) % 2:
+        shallow = Not(shallow)
+    text = "".join(f"!(x{v} ^ " for v in levels) + "x1" + ")" * len(levels)
+    return e, set(levels) | {1}, len(levels), shallow, text
+
+
+@pytest.fixture(scope="module", params=[right_nested, left_deep, not_run, alternating],
+                ids=lambda build: build.__name__)
+def deep(request):
+    """(tree, variables, binary node count, a shallow tree of the same
+    function, text), built and walked at the default recursion limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield request.param()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestDeepTrees:
+    def test_variables(self, deep):
+        e, found, _, _, _ = deep
+        assert variables(e) == found
+
+    def test_gate_cost(self, deep):
+        e, _, binary, _, _ = deep
+        assert gate_cost(e).gate_count == binary
+
+    def test_render(self, deep):
+        e, _, _, _, text = deep
+        got = render(e)
+        assert len(got) == len(text)
+        assert got[:40] == text[:40] and got[-40:] == text[-40:]
+        assert got == text
+
+    def test_substitute(self, deep):
+        e, found, _, _, text = deep
+        mirror = {i: N_VARS + 1 - i for i in range(1, N_VARS + 1)}
+        renamed = substitute(e, mirror)
+        assert renamed is not e
+        assert variables(renamed) == {mirror[i] for i in found}
+        assert gate_cost(renamed) == gate_cost(e)
+        assert render(substitute(renamed, mirror)) == text
+
+    def test_structure_matrix(self, deep):
+        e, _, _, shallow, _ = deep
+        assert structure_matrix(e, N_VARS) == structure_matrix(shallow, N_VARS)
+
+    def test_galois_transition(self, deep):
+        e, _, _, shallow, _ = deep
+        rest = [Var(i) for i in range(2, N_VARS + 1)]
+        assert galois_transition(FsrSpec.galois(N_VARS, [e] + rest)) == galois_transition(
+            FsrSpec.galois(N_VARS, [shallow] + rest))
+
+
+def test_fold_rejects_a_foreign_node():
+    with pytest.raises(TypeError, match="not a BoolExpr node: 'x1'"):
+        _fold(And(Var(1), "x1"), lambda node: 0, lambda value, k: value, lambda cls, vs: 0)
+
+
+# -- no recursion in the package ----------------------------------------------
+
+SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "fsrkit").glob("*.py"))
+
+
+def self_calls(tree: ast.Module) -> list[str]:
+    """The functions and methods that call themselves by name, directly."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else (
+                    callee.attr if isinstance(callee, ast.Attribute)
+                    and isinstance(callee.value, ast.Name) and callee.value.id in ("self", "cls")
+                    else None)
+                if name == fn.name:
+                    found.append(fn.name)
+                    break
+    return sorted(found)
+
+
+def test_self_calls_finds_them():
+    tree = ast.parse("def f(x):\n    return f(x - 1) if x else g(x)\n"
+                     "class C:\n    def m(self):\n        return self.m()\n"
+                     "    def k(self):\n        return other.k()\n")
+    assert self_calls(tree) == ["f", "m"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    assert self_calls(ast.parse(path.read_text())) == []

@@ -19,13 +19,11 @@ from fsrkit import (
     derived_digraph,
     equivalent,
     fib_transition,
-    format_sequence,
     is_fibonacci,
     min_stage_fibonacci,
     min_stage_galois,
     normalize_sequence,
     output_sequence,
-    parse_sequence,
     realizable,
     simulate,
 )
@@ -47,6 +45,7 @@ from conftest import (
     LG4_COLS,
     LONG_WINDOW_COLS,
     ref_format_partial,
+    ref_prefix_keys,
     sparse_galois_text,
 )
 
@@ -298,18 +297,6 @@ class TestOutputSeq:
     def test_bits_unrolls(self):
         s = OutputSeq((1, 1), (0,))
         assert s.bits(6) == (1, 1, 0, 0, 0, 0)
-
-    def test_text_round_trip(self):
-        s = parse_sequence("pre=110 per=10")
-        assert s == OutputSeq((1,), (1, 0))  # preperiod shrinks under normalization
-        assert parse_sequence(format_sequence(s)) == s
-
-    def test_text_empty_preperiod(self):
-        assert parse_sequence("pre= per=10") == OutputSeq((), (1, 0))
-
-    def test_text_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_sequence("per=10")
 
 
 class TestOutputSequence:
@@ -687,12 +674,17 @@ class TestMinStage:
         for L in (TransitionMatrix(n, tuple(perm)), random_transition(rng, n)):
             ids = _SequenceIds()
             _sequence_table(L, ids)
-            full_bound, full = _prefix_keys(ids)
-            for most in (1, 5, MAX_WINDOW + 1):
-                bound, capped = _prefix_keys(ids, most)
-                assert bound == min(full_bound, most)
-                assert capped == [key >> (full_bound - bound) for key in full]
-                assert _window_length(ids, most)[0] == min(_window_length(ids)[0], most + 1)
+            full_bound, full = ref_prefix_keys(ids)
+            # distinct sequences differ within full_bound bits, so this l is exact
+            l, keys = _window_length(ids, full_bound)
+            assert keys == full
+            for bound in (1, 5, MAX_WINDOW + 1, 2 * full_bound):
+                capped = _prefix_keys(ids, bound)
+                if bound <= full_bound:
+                    assert capped == [key >> (full_bound - bound) for key in full]
+                else:
+                    assert [key >> (bound - full_bound) for key in capped] == full
+                assert _window_length(ids, bound) == (min(l, bound + 1), capped)
 
 class TestMinStageAgainstSearch:
     def test_differential_matrices(self):
