@@ -53,7 +53,6 @@ class FsrFile:
     n: int
     kind: str  # "fibonacci" | "galois"
     tables: dict[int, int]  # register -> truth table of its update function
-    matrices: dict[str, TransitionMatrix]
 
     def transition(self) -> TransitionMatrix:
         if self.kind == "fibonacci":  # only f_n is defined; the rest shift
@@ -82,24 +81,19 @@ def parse_fsr_file(text: str) -> FsrFile:
     if n > MAX_STAGES:
         raise FsrFileError(f"register count {n} exceeds the limit of {MAX_STAGES}")
     tables: dict[int, int] = {}
-    matrices: dict[str, TransitionMatrix] = {}
     # the lines of a Galois file share terms; a Fibonacci file has one line
     read = _table_reader(n) if kind == "galois" else functools.partial(_read_table, n=n)
     for ln in lines[1:]:
-        if "=" not in ln:
+        name, eq, rhs = ln.partition("=")
+        name = name.strip()
+        if not (eq and name.startswith("f") and name[1:].isdigit()):
             raise FsrFileError(f"unrecognized line: {ln!r}")
-        name, rhs = (part.strip() for part in ln.split("=", 1))
-        if name.startswith("f") and name[1:].isdigit():
-            k = int(name[1:])
-            if not 1 <= k <= n:
-                raise FsrFileError(f"register {name} out of range for n={n}")
-            if k in tables:
-                raise FsrFileError(f"duplicate definition of {name}")
-            tables[k] = read(rhs)
-        elif rhs.startswith("d"):
-            matrices[name] = transition_from_delta(rhs)
-        else:
-            raise FsrFileError(f"unrecognized line: {ln!r}")
+        k = int(name[1:])
+        if not 1 <= k <= n:
+            raise FsrFileError(f"register {name} out of range for n={n}")
+        if k in tables:
+            raise FsrFileError(f"duplicate definition of {name}")
+        tables[k] = read(rhs.strip())
     if kind == "fibonacci":
         if set(tables) != {n}:
             raise FsrFileError(f"Fibonacci files must define exactly f{n}")
@@ -107,7 +101,7 @@ def parse_fsr_file(text: str) -> FsrFile:
         if set(tables) != set(range(1, n + 1)):
             missing = sorted(set(range(1, n + 1)) - set(tables))
             raise FsrFileError(f"missing update functions: {missing}")
-    return FsrFile(n, kind, tables, matrices)
+    return FsrFile(n, kind, tables)
 
 
 def load_fsr_file(path: str) -> FsrFile:

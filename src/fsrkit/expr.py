@@ -9,11 +9,7 @@ from itertools import chain, repeat
 from typing import Iterable, Mapping, NoReturn, Sequence
 
 
-class ExprError(Exception):
-    pass
-
-
-class ParseError(ExprError):
+class ParseError(Exception):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
         self.position = position

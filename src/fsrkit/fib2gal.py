@@ -19,6 +19,7 @@ from .stp import (
     PermutationTransform,
     TransitionMatrix,
     _anf_monomials,
+    _anf_support,
     _coordinate_tables,
     _moebius,
     _var_masks,
@@ -154,17 +155,11 @@ def count_distinct_equivalents(L_f: TransitionMatrix) -> CountAudit:
     """Audit the (2^(n-1))!^2 - 1 count by exhaustion; only feasible for n <= 3."""
     if L_f.n > 3:
         raise ValueError("exhaustive count is only supported for n <= 3")
-    if not is_fibonacci(L_f):
-        raise ValueError("source matrix is not Fibonacci")
-    seen: set[tuple[int, ...]] = set()
-    total = 0
-    for pi in partition_permutations(L_f.n):
-        total += 1
-        seen.add(conjugate(L_f, pi).cols)
+    galois = {c.matrix.cols for c in enumerate_equivalents(L_f)}
     return CountAudit(
-        permutations=total,
-        distinct_matrices=len(seen),
-        distinct_galois=len(seen - {L_f.cols}),
+        permutations=search_plan(L_f.n, None)[1],
+        distinct_matrices=len(galois) + 1,  # and L_f, the identity's conjugate
+        distinct_galois=len(galois),
     )
 
 
@@ -186,9 +181,7 @@ class Reduction:
     @cached_property
     def supports(self) -> tuple[tuple[int, ...], ...]:
         """Each coordinate's support, in increasing index order."""
-        masks = _var_masks(self.n)
-        return tuple(tuple(i for i, mask in enumerate(masks, start=1) if anf & mask)
-                     for anf in self.anfs)
+        return tuple(_anf_support(anf, self.n) for anf in self.anfs)
 
     @cached_property
     def delay_ps(self) -> float:

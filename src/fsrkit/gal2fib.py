@@ -84,8 +84,6 @@ def simulate(L: TransitionMatrix, x0: int, steps: int) -> tuple[int, ...]:
     """Output bits from state x0; the bit at t=0 is the output of x0 itself."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if L.n < 1:
-        raise ValueError("a 0-stage matrix has no output bit")
     if not 1 <= x0 <= (1 << L.n):
         raise ValueError(f"initial state {x0} out of range [1, {1 << L.n}]")
     out = []
@@ -549,8 +547,6 @@ def min_stage_galois(L: TransitionMatrix) -> tuple[TransitionMatrix, tuple[int, 
     the others half + 1, half + 2, ..., in id order. A state left over
     copies the first column of its half, and so outputs that sequence too.
     """
-    if L.n < 1:
-        raise ValueError("a 0-stage matrix has no output bit")
     ids = _SequenceIds()
     table = _sequence_table(L, ids)
     steps = ids.steps

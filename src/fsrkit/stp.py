@@ -74,6 +74,8 @@ class TransitionMatrix:
     cols: tuple[int, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("a 0-stage matrix has no output bit")
         size = 1 << self.n
         if len(self.cols) != size:
             raise ValueError(f"expected {size} columns, got {len(self.cols)}")
@@ -278,9 +280,10 @@ def _moebius(f: int, n: int) -> int:
     return f
 
 
-def _depends(f: int, n: int, j: int) -> bool:
-    # states u and u + 2^(n-j) differ only in variable j
-    return bool((f ^ (f >> (1 << (n - j)))) & _var_masks(n)[j - 1])
+def _anf_support(anf: int, n: int) -> tuple[int, ...]:
+    """The variables that occur in ANF mask anf, in increasing order: a
+    function depends on exactly these."""
+    return tuple(j for j, mask in enumerate(_var_masks(n), start=1) if anf & mask)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +339,7 @@ def coordinate_structure(L: TransitionMatrix, k: int) -> StructureMatrix:
     """Structure matrix of the k-th coordinate of the dynamics."""
     if not 1 <= k <= L.n:
         raise ValueError(f"coordinate {k} out of range [1, {L.n}]")
-    shift = L.n - k
-    return StructureMatrix(L.n, tuple(1 + (((c - 1) >> shift) & 1) for c in L.cols))
+    return StructureMatrix(L.n, _mask_to_rows(_coordinate_tables(L)[k - 1], L.n))
 
 
 # _BIT_DIGITS[b] maps a byte to digit 0 where its bit b is set, 1 where clear
@@ -367,7 +369,7 @@ def depends_on(M: StructureMatrix, j: int) -> bool:
     """True iff the function value changes when variable j flips somewhere."""
     if not 1 <= j <= M.n:
         raise ValueError(f"variable {j} out of range [1, {M.n}]")
-    return _depends(_rows_to_mask(M.rows), M.n, j)
+    return j in _anf_support(_moebius(_rows_to_mask(M.rows), M.n), M.n)
 
 
 def restrict_support(M: StructureMatrix) -> tuple[tuple[int, ...], StructureMatrix]:
@@ -376,8 +378,7 @@ def restrict_support(M: StructureMatrix) -> tuple[tuple[int, ...], StructureMatr
     Returns the ordered support and the reduced structure matrix over it.
     """
     n = M.n
-    f = _rows_to_mask(M.rows)
-    support = tuple(j for j in range(1, n + 1) if _depends(f, n, j))
+    support = _anf_support(_moebius(_rows_to_mask(M.rows), n), n)
     # at[v] is the position in M of reduced state v + 1: the variables off
     # the support are fixed to 1, which is bit 0 of the position
     at = [0]
@@ -431,20 +432,19 @@ def format_delta(size: int, entries: Sequence[int | None] | Mapping[int, int]) -
     """`d16[2 4 ...]`; None entries print as `*` (partial matrices).
 
     A mapping gives only the fixed entries, by 1-based position; every other
-    entry prints as `*`.
+    entry prints as `*`. A sequence with None is written as its mapping.
     """
+    if not isinstance(entries, Mapping) and None in entries:
+        entries = {j: e for j, e in enumerate(entries, start=1) if e is not None}
     if isinstance(entries, Mapping):
         return "".join(delta_pieces(size, entries))
-    # chunks without None take one C-level format each; formatting in chunks
-    # keeps a 2^16-entry matrix from holding one str per entry
+    # one C-level format per chunk; formatting in chunks keeps a
+    # 2^16-entry matrix from holding one str per entry
     chunk = 4096
     pieces = []
     for i in range(0, len(entries), chunk):
         part = tuple(entries[i:i + chunk])
-        if None in part:
-            pieces.append(" ".join("*" if e is None else str(e) for e in part))
-        else:
-            pieces.append(("%s " * len(part) % part)[:-1])
+        pieces.append(("%s " * len(part) % part)[:-1])
     return f"d{size}[{' '.join(pieces)}]"
 
 

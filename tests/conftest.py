@@ -29,8 +29,7 @@ from fsrkit import (
 from fsrkit.expr import _LEVEL, _SYMBOL, GATES, Cost, gate_cost, substitute, variables
 from fsrkit.cli import parse_fsr_file
 from fsrkit.stp import (
-    _anf_monomials, _coordinate_tables, _moebius, _rows_to_mask, coordinate_structure,
-    restrict_support, synthesize_expr,
+    _anf_monomials, _coordinate_tables, _moebius, _rows_to_mask, synthesize_expr,
 )
 from fsrkit.fib2gal import SelectedCandidate, conjugate, reduce_candidate, sampled_permutations
 
@@ -567,7 +566,7 @@ def ref_reduce_candidate(L_g: TransitionMatrix):
     area = delay = 0.0
     gates = 0
     for k in range(1, L_g.n + 1):
-        support, reduced = restrict_support(coordinate_structure(L_g, k))
+        support, reduced = ref_restrict_support(ref_coordinate_structure(L_g, k))
         e = substitute(synthesize_expr(reduced), {pos + 1: j for pos, j in enumerate(support)})
         cost = gate_cost(e)
         updates.append(e)

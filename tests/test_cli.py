@@ -60,9 +60,12 @@ class TestFsrFileParsing:
         fsr = parse_fsr_file("# c\nn=2 type=gal\n\nf1 = z2 # trailing\nf2 = z1\n")
         assert fsr.n == 2
 
-    def test_named_matrix_line(self):
-        fsr = parse_fsr_file("n=2 type=gal\nf1 = z2\nf2 = z1\nL = d4[1 2 3 4]\n")
-        assert fsr.matrices["L"].cols == (1, 2, 3, 4)
+    def test_named_matrix_line(self, capsys, tmp_path):
+        # a file defines update functions only; a matrix line is not one
+        f = tmp_path / "named.fsr"
+        f.write_text("n=2 type=gal\nf1 = z2\nf2 = z1\nL = d4[1 2 3 4]\n")
+        assert run(capsys, "to-matrix", str(f)) == (
+            2, [], "error: unrecognized line: 'L = d4[1 2 3 4]'\n")
 
     @pytest.mark.parametrize(
         "text",
@@ -556,6 +559,12 @@ class TestVerify:
         a.write_text("d0[]\n")
         assert run(capsys, "verify", str(a), str(a)) == (
             2, [], "error: domain size 0 is not a power of two\n")
+
+    def test_zero_stage_matrix_exits_two(self, capsys, tmp_path):
+        a = tmp_path / "a.delta"
+        a.write_text("d1[1]\n")
+        assert run(capsys, "verify", str(a), str(a)) == (
+            2, [], "error: a 0-stage matrix has no output bit\n")
 
 
 class TestDeepExpressions:

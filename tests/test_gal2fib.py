@@ -432,16 +432,12 @@ def random_map_with_tails(rng, n):
 
 
 def state_sequences_oracle(L):
-    """output_sequence of every state in order; at n = 0, where
-    output_bit is undefined, the one state outputs 0, as the half of the
-    states that output 1 is empty."""
-    if L.n == 0:
-        return [OutputSeq((), (0,))]
+    """output_sequence of every state in order."""
     return list(all_output_sequences_oracle(L).values())
 
 
 class TestSequenceIds:
-    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_equal_ids_exactly_for_equal_sequences(self, n):
         rng = random.Random(40 + n)
         for _ in range(12 if n <= 5 else 3):
@@ -469,11 +465,9 @@ class TestSequenceIds:
                 assert i in cycle_ids or step >> 1 < i
 
     def test_zero_stage_register(self):
-        # one state, whose output bit is 0: the first half of the states,
-        # which output 1, is empty
-        ids = _SequenceIds()
-        assert _sequence_table(TransitionMatrix(0, (1,)), ids) == [0]
-        assert ids.words() == [(b"", b"\0")]
+        # its one state has no output bit, so the matrix is refused
+        with pytest.raises(ValueError, match="^a 0-stage matrix has no output bit$"):
+            _sequence_table(TransitionMatrix(0, (1,)), _SequenceIds())
 
 
 class TestEquivalentAtFourteenStages:
@@ -707,11 +701,11 @@ class TestMinStageAgainstSearch:
         assert_matches_search(L)
 
     def test_single_sequence(self):
-        # a 0-stage register has one state and one sequence, so no pair;
-        # simulate has no output bit at n = 0, so the search cannot run
-        r = min_stage_fibonacci(TransitionMatrix(0, (1,)))
-        assert r.sequences == (OutputSeq((), (0,)),)
-        assert (r.l, r.partial.cols, r.window_map) == (1, (None, 2), (2,))
+        # from one stage on, some states output 1 first and the others 0,
+        # so only a 0-stage register has one sequence; it has no output
+        # bit, and is refused
+        with pytest.raises(ValueError, match="^a 0-stage matrix has no output bit$"):
+            min_stage_fibonacci(TransitionMatrix(0, (1,)))
 
 
 class TestCompletionAtLongWindows:
