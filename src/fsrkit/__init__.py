@@ -26,7 +26,6 @@ from .stp import (
     TransitionMatrix,
     coordinate_structure,
     decode_state,
-    depends_on,
     encode_state,
     format_delta,
     galois_transition,

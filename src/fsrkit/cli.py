@@ -66,10 +66,9 @@ def parse_fsr_file(text: str) -> FsrFile:
     lines = [ln for ln in lines if ln]
     if not lines:
         raise FsrFileError("empty file")
-    header = dict(
-        item.split("=", 1) for item in lines[0].split() if "=" in item
-    )
-    if "n" not in header or "type" not in header:
+    items = [item.split("=", 1) for item in lines[0].split() if "=" in item]
+    header = dict(items)
+    if len(header) < len(items) or "n" not in header or "type" not in header:
         raise FsrFileError("header must be `n=<int> type=<fib|gal>`")
     try:
         n = int(header["n"])
@@ -167,8 +166,9 @@ def cmd_fib2gal(args) -> int:
         print(f"T = {format_delta(size, best.candidate.transform.perm)}")
         r = best.reduction
         print(f"support_sum = {r.support_sum}")
-        print(f"area_um2 = {r.area_um2:g}")
-        print(f"delay_ps = {r.delay_ps:g}")
+        # whole numbers (see fib2gal's gate model): '.0f' prints them exactly
+        print(f"area_um2 = {r.area_um2:.0f}")
+        print(f"delay_ps = {r.delay_ps:.0f}")
         print(f"gates = {r.gate_count}")
         if args.emit in ("logic", "all"):
             print(_emit_logic(fsr.n, r.updates))

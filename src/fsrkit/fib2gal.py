@@ -144,10 +144,9 @@ def enumerate_equivalents(
 
 @dataclass(frozen=True)
 class CountAudit:
-    """Exhaustive count of conjugates, reported two ways (see select docs)."""
+    """Exhaustive count of conjugates."""
 
     permutations: int
-    distinct_matrices: int
     distinct_galois: int  # distinct conjugates different from the source
 
 
@@ -158,7 +157,6 @@ def count_distinct_equivalents(L_f: TransitionMatrix) -> CountAudit:
     galois = {c.matrix.cols for c in enumerate_equivalents(L_f)}
     return CountAudit(
         permutations=search_plan(L_f.n, None)[1],
-        distinct_matrices=len(galois) + 1,  # and L_f, the identity's conjugate
         distinct_galois=len(galois),
     )
 

@@ -8,7 +8,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .fib import _least_columns
 from .stp import TransitionMatrix, output_bit
@@ -173,7 +173,7 @@ def _least_rotation(word: bytes) -> int:
     return min(starts, key=lambda c: ww[c:c + d])
 
 
-_BIT = (b"\0", b"\1")
+T = TypeVar("T")
 
 
 class _SequenceIds:
@@ -222,30 +222,23 @@ class _SequenceIds:
             self.steps.append(step)
         return i
 
-    def runs(self) -> Iterator[tuple[int, bytes | None]]:
-        """(base, least rotation) for each cycle and (id, None) for each
-        id off the cycles, in id order."""
-        i = 0
-        for word, base in self.cycles.items():  # in base order
-            for t in range(i, base):
-                yield t, None
-            yield base, word
-            i = base + len(word)
-        for t in range(i, len(self.steps)):
-            yield t, None
+    def fold(self, rotations: Callable[[bytes], list[T]], prepend: Callable[[int, T], T]) -> list[T]:
+        """One value per id, in id order. A cycle's ids take
+        rotations(least rotation), one value per rotation; every other id
+        takes prepend(first bit, its successor's value), which is already
+        there, since the successor's id is smaller."""
+        steps = self.steps
+        values: list[T] = []
 
-    def words(self) -> list[tuple[bytes, bytes]]:
-        """(preperiod, period) of every id, as 0/1 bytes, in id order: an
-        id off the cycles prepends its first bit to its successor's."""
-        words: list[tuple[bytes, bytes]] = []
-        for i, word in self.runs():
-            if word is None:
-                step = self.steps[i]
-                pre, per = words[step >> 1]
-                words.append((_BIT[step & 1] + pre, per))
-            else:
-                words += ((b"", word[k:] + word[:k]) for k in range(len(word)))
-        return words
+        def off_cycles(stop: int) -> None:
+            for step in steps[len(values):stop]:
+                values.append(prepend(step & 1, values[step >> 1]))
+
+        for word, base in self.cycles.items():  # in base order
+            off_cycles(base)
+            values += rotations(word)
+        off_cycles(len(steps))
+        return values
 
 
 def _sequence_table(L: TransitionMatrix, ids: _SequenceIds) -> list[int]:
@@ -285,18 +278,21 @@ def _sequence_table(L: TransitionMatrix, ids: _SequenceIds) -> list[int]:
     return seq[1:]  # type: ignore[return-value]
 
 
+def _output_seqs(ids: _SequenceIds) -> list[OutputSeq]:
+    """The OutputSeq of every id, in id order. An id off the cycles shares
+    its successor's period tuple."""
+    def rotations(word: bytes) -> list[OutputSeq]:
+        return [OutputSeq._trusted((), tuple(word[k:] + word[:k])) for k in range(len(word))]
+
+    return ids.fold(rotations, lambda bit, seq: OutputSeq._trusted((bit,) + seq.preperiod, seq.period))
+
+
 def all_output_sequences(L: TransitionMatrix) -> dict[int, OutputSeq]:
     """Output sequence of every initial state, one OutputSeq per distinct
     sequence."""
     ids = _SequenceIds()
     table = _sequence_table(L, ids)
-    view: list[OutputSeq] = []
-    periods: dict[bytes, tuple[int, ...]] = {}
-    for pre, per in ids.words():
-        if per not in periods:
-            periods[per] = tuple(per)
-        view.append(OutputSeq._trusted(tuple(pre), periods[per]))
-    return dict(zip(range(1, len(table) + 1), map(view.__getitem__, table)))
+    return dict(zip(range(1, len(table) + 1), map(_output_seqs(ids).__getitem__, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +377,9 @@ class PartialTransition:
 
 @dataclass(frozen=True)
 class MinStageResult:
-    """The window length, P and T'. `total_completions`, `free_columns`,
-    `sequences` and `completions` are views, built when first read: the CLI
-    reads one only when --all-completions lists every completion."""
+    """The window length, P and T'. `total_completions`, `sequences` and
+    `completions` are views, built when first read: the CLI reads one only
+    when --all-completions lists every completion."""
 
     l: int
     partial: PartialTransition
@@ -391,10 +387,6 @@ class MinStageResult:
     max_free: int  # completions lists them all up to this many free columns
     # the ids of the distinct output sequences
     _ids: _SequenceIds = field(repr=False, compare=False)
-
-    @property
-    def free_columns(self) -> tuple[int, ...]:
-        return self.partial.free_columns
 
     @cached_property
     def total_completions(self) -> int:
@@ -404,8 +396,7 @@ class MinStageResult:
     @cached_property
     def sequences(self) -> tuple[OutputSeq, ...]:
         """The distinct output sequences, sorted."""
-        return tuple(OutputSeq._trusted(tuple(pre), tuple(per))
-                     for pre, per in sorted(self._ids.words()))  # bytes sort as the 0/1 tuples do
+        return tuple(sorted(_output_seqs(self._ids), key=operator.attrgetter("preperiod", "period")))
 
     @cached_property
     def completions(self) -> tuple[TransitionMatrix, ...]:
@@ -424,7 +415,7 @@ class MinStageResult:
         completions = []  # the others raise some free columns to base + 2
         for picks in itertools.product((0, 1), repeat=free):
             filled = list(cols)
-            for j, v in zip(self.free_columns, picks):
+            for j, v in zip(self.partial.free_columns, picks):
                 filled[j - 1] += v
             completions.append(TransitionMatrix._trusted(l, tuple(filled)))
         return tuple(completions)
@@ -441,19 +432,14 @@ def _prefix_keys(ids: _SequenceIds, bound: int) -> list[int]:
     id's key is its first bit followed by its successor's key, less its last
     bit.
     """
-    steps = ids.steps
+    def rotations(word: bytes) -> list[int]:
+        d = len(word)
+        reps = -(-(bound + d - 1) // d)  # rotation d - 1 reads bound bits too
+        digits = (word * reps).translate(_BITS_TO_DIGITS)
+        return [int(digits[k:k + bound], 2) for k in range(d)]
+
     top = bound - 1
-    keys: list[int] = []
-    for i, word in ids.runs():
-        if word is None:
-            step = steps[i]
-            keys.append(((step & 1) << top) | (keys[step >> 1] >> 1))
-        else:
-            d = len(word)
-            reps = -(-(bound + d - 1) // d)  # rotation d - 1 reads bound bits too
-            digits = (word * reps).translate(_BITS_TO_DIGITS)
-            keys += [int(digits[k:k + bound], 2) for k in range(d)]
-    return keys
+    return ids.fold(rotations, lambda bit, key: (bit << top) | (key >> 1))
 
 
 def _window_length(ids: _SequenceIds, bound: int) -> tuple[int, list[int]]:

@@ -365,13 +365,6 @@ def _coordinate_tables(L: TransitionMatrix) -> list[int]:
 # Variable dependence and reduction
 # ---------------------------------------------------------------------------
 
-def depends_on(M: StructureMatrix, j: int) -> bool:
-    """True iff the function value changes when variable j flips somewhere."""
-    if not 1 <= j <= M.n:
-        raise ValueError(f"variable {j} out of range [1, {M.n}]")
-    return j in _anf_support(_moebius(_rows_to_mask(M.rows), M.n), M.n)
-
-
 def restrict_support(M: StructureMatrix) -> tuple[tuple[int, ...], StructureMatrix]:
     """Drop independent variables, fixing each of them to 1.
 

@@ -646,10 +646,13 @@ def ref_prefix_keys(ids):
     preperiods <= P and periods <= r differ within P + 2r bits, so keys of
     that many bits are distinct."""
     steps = ids.steps
-    depth = [0] * len(steps)  # preperiod length
-    for i, word in ids.runs():
-        if word is None:
-            depth[i] = depth[steps[i] >> 1] + 1
+    on_cycle = {base + k for word, base in ids.cycles.items() for k in range(len(word))}
+    depth = []  # preperiod length: the steps from an id to a cycle
+    for i in range(len(steps)):
+        d, j = 0, i
+        while j not in on_cycle:
+            d, j = d + 1, steps[j] >> 1
+        depth.append(d)
     bound = max(depth) + 2 * max(map(len, ids.cycles))
     # each key read off the steps a bit at a time: step = 2 * successor + bit
     keys = []

@@ -67,6 +67,14 @@ class TestFsrFileParsing:
         assert run(capsys, "to-matrix", str(f)) == (
             2, [], "error: unrecognized line: 'L = d4[1 2 3 4]'\n")
 
+    @pytest.mark.parametrize("header", ["n=3 n=2 type=gal", "n=2 type=gal type=fib"])
+    def test_repeated_header_key(self, capsys, tmp_path, header):
+        # the header used to go into a dict, where the last value of a key won
+        f = tmp_path / "repeated.fsr"
+        f.write_text(f"{header}\nf1 = z2\nf2 = z1\n")
+        assert run(capsys, "to-matrix", str(f)) == (
+            2, [], "error: header must be `n=<int> type=<fib|gal>`\n")
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -255,6 +263,18 @@ class TestFib2GalLargeN:
         assert [ln.split(" = ")[0] for ln in out.splitlines()] == [
             "L_g", "T", "support_sum", "area_um2", "delay_ps", "gates"]
         assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    def test_minimize_prints_costs_exactly(self, capsys, tmp_path):
+        # the costs are whole numbers of seven digits here, which ':g' rounded
+        path = tmp_path / "sparse12.fsr"
+        path.write_text(sparse_fibonacci_text(12))
+        code, out, err = run(capsys, "fib2gal", str(path), "--minimize", "--budget", "4",
+                             "--seed", "1")
+        assert (code, err) == (0, "")
+        fields = dict(ln.split(" = ", 1) for ln in out)
+        assert (fields["area_um2"], fields["delay_ps"]) == ("856380", "2812297")
+        r = reduce_candidate(transition_from_delta(fields["L_g"]))
+        assert (r.area_um2, r.delay_ps) == (856380, 2812297)
 
 
 def to_matrix(path, per_line=False):

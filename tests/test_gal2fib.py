@@ -32,8 +32,8 @@ from fsrkit.cli import parse_fsr_file
 from fsrkit.fib import _shift_bases
 from fsrkit import gal2fib
 from fsrkit.gal2fib import (
-    MAX_WINDOW, _least_rotation, _prefix_keys, _scan_least_rotation, _sequence_table,
-    _SequenceIds, _window_length,
+    MAX_WINDOW, _least_rotation, _output_seqs, _prefix_keys, _scan_least_rotation,
+    _sequence_table, _SequenceIds, _window_length,
 )
 from fsrkit.stp import delta_pieces, encode_state, format_delta
 
@@ -170,7 +170,7 @@ def assert_matches_search(L, max_free=6):
     assert got.l == l
     assert got.partial.cols == cols
     assert got.window_map == window_map
-    assert got.free_columns == free
+    assert got.partial.free_columns == free
     assert [c.cols for c in got.completions] == completions
     assert got.total_completions == 1 << len(free)
     # the distinct sequences, validated one state at a time, in sorted order
@@ -450,9 +450,9 @@ class TestSequenceIds:
                 assert first_id.setdefault(s, i) == i
             assert len(set(got)) == len(first_id) == len(ids.steps)
             # every id decodes to its sequence
-            words = ids.words()
+            seqs = _output_seqs(ids)
             for i, s in zip(got, want):
-                assert words[i] == (bytes(s.preperiod), bytes(s.period))
+                assert seqs[i] == s
 
     def test_successor_ids_come_first(self):
         rng = random.Random(48)
@@ -463,6 +463,20 @@ class TestSequenceIds:
             for i, step in enumerate(ids.steps):
                 assert ids.by_step[step] == i
                 assert i in cycle_ids or step >> 1 < i
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_fold_reaches_successors_first(self, n):
+        # counting the prepends from a cycle's 0 gives each id its preperiod
+        # length, so prepend sees every successor's final value
+        rng = random.Random(60 + n)
+        for _ in range(12 if n <= 5 else 3):
+            L = random_map_with_tails(rng, n)
+            ids = _SequenceIds()
+            table = _sequence_table(L, ids)
+            depth = ids.fold(lambda word: [0] * len(word), lambda bit, v: v + 1)
+            assert len(depth) == len(ids.steps)
+            for i, s in zip(table, state_sequences_oracle(L)):
+                assert depth[i] == len(s.preperiod)
 
     def test_zero_stage_register(self):
         # its one state has no output bit, so the matrix is refused
@@ -561,7 +575,7 @@ class TestMinStage:
     def test_free_column_accounting(self, lg3b):
         r = min_stage_fibonacci(lg3b)
         fixed = sum(1 for c in r.partial.cols if c is not None)
-        assert fixed + len(r.free_columns) == 1 << r.l
+        assert fixed + len(r.partial.free_columns) == 1 << r.l
 
     def test_window_beyond_preperiod_plus_period(self):
         # l = 5 exceeds the longest preperiod plus period (3) by two: the
@@ -716,14 +730,14 @@ class TestCompletionAtLongWindows:
         got = min_stage_fibonacci(L)
         partial, free, completions = least_completion_oracle(L, got.window_map, got.l, 20)
         assert got.partial.cols == partial
-        assert got.free_columns == free
+        assert got.partial.free_columns == free
         assert [c.cols for c in got.completions] == completions
         assert got.total_completions == 1 << len(free)
         return got
 
     def test_saturating_counter(self):
         got = self.check(parse_fsr_file(COUNTER5).transition())
-        assert (got.l, len(got.free_columns)) == (14, 16356)
+        assert (got.l, len(got.partial.free_columns)) == (14, 16356)
 
     @pytest.mark.parametrize("seed_, l", [(9, 15), (24, 15), (50, 16), (78, 16)])
     def test_nine_stage_registers(self, seed_, l):

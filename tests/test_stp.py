@@ -10,7 +10,6 @@ from fsrkit import (
     TransitionMatrix,
     coordinate_structure,
     decode_state,
-    depends_on,
     encode_state,
     format_delta,
     galois_transition,
@@ -32,7 +31,6 @@ from conftest import (
     eval_expr,
     exprs,
     ref_coordinate_structure,
-    ref_depends_on,
     ref_format_partial,
     ref_galois_transition,
     ref_parse_delta,
@@ -188,21 +186,12 @@ def flips_value_somewhere(e, n, j):
 
 
 class TestDependence:
-    def test_depends_on_own_variable(self):
-        M = structure_matrix(parse("x2", 3), 3)
-        assert depends_on(M, 2)
-
-    def test_independent_variable(self):
-        M = structure_matrix(parse("x2", 3), 3)
-        assert not depends_on(M, 3)
-
     def test_matches_flip_oracle(self):
         L = TransitionMatrix(3, (3, 4, 2, 3, 6, 6, 4, 4))
         e = parse("z1 | !z2", 3)
-        M = coordinate_structure(L, 1)
-        for j in (1, 2, 3):
-            assert depends_on(M, j) == flips_value_somewhere(e, 3, j)
-        assert not depends_on(M, 3)
+        support = restrict_support(coordinate_structure(L, 1))[0]
+        assert support == tuple(j for j in (1, 2, 3) if flips_value_somewhere(e, 3, j))
+        assert 3 not in support
 
     def test_restrict_single_variable(self):
         M = structure_matrix(parse("x2", 4), 4)
@@ -233,9 +222,6 @@ class TestDependence:
                 1 if (mask >> k) & 1 else 2 for k in range(size)
             ))
             support, reduced = restrict_support(M)
-            for j in range(1, n + 1):
-                if j not in support:
-                    assert not depends_on(M, j)
             # reinflate: the reduced function of the support variables equals M
             for k in range(1, size + 1):
                 bits = decode_state(k, n)
@@ -560,9 +546,6 @@ tables = st.integers(0, 8).flatmap(
 
 
 def check_table_ops(M: StructureMatrix) -> None:
-    assert [depends_on(M, j) for j in range(1, M.n + 1)] == [
-        ref_depends_on(M, j) for j in range(1, M.n + 1)
-    ]
     assert restrict_support(M) == ref_restrict_support(M)
     assert synthesize_expr(M) == ref_synthesize_expr(M)
 
