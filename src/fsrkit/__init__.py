@@ -3,7 +3,6 @@ between Fibonacci and Galois configurations, with gate-cost minimization."""
 
 from .expr import (
     And,
-    Anf,
     BoolExpr,
     Const,
     Cost,

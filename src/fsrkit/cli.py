@@ -202,7 +202,7 @@ def cmd_gal2fib(args) -> int:
     out.write(f"\nT' = {format_delta(size, result.window_map)}\n")
     out.write(f"completions = 2^{free}\n")
     if args.all_completions and free <= max_free:
-        for L_c in result.completions:
+        for L_c in result._completions():  # one at a time, not the whole view
             print(transition_to_delta(L_c))
     else:  # the least completion alone, written from P and the shift law a piece at a time
         out.writelines(delta_pieces(size, fixed, least=True))

@@ -5,8 +5,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
-from typing import Iterable, Mapping, NoReturn, Sequence
+from itertools import chain, compress, count, repeat
+from typing import Iterable, Mapping, NoReturn
 
 
 class ParseError(Exception):
@@ -369,26 +369,45 @@ def render(expr: BoolExpr) -> str:
 # Algebraic normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Anf:
-    """GF(2) polynomial as a set of monomials (sets of variable indices)."""
-
-    monomials: frozenset[frozenset[int]]
+_FLAG_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def anf_to_expr(anf: Anf) -> BoolExpr:
-    """Canonical expression: XOR of AND-chains, deterministic monomial order.
+def _anf_monomials(anf: int, n: int) -> list[tuple[int, ...]]:
+    """The monomials of an ANF mask over n variables (see stp._moebius) as
+    increasing index tuples, sorted by (degree, indices).
 
-    Monomials are ordered by (degree, sorted indices), and every occurrence
-    of a variable is one shared node.
+    Bit u is the monomial of the variables i whose bit n - i of u is 0.
+    Among monomials of one degree, increasing u is increasing index order,
+    so the set bits, read in increasing order, need only bucketing by degree.
     """
-    return _xor_of_ands([idxs for _, idxs in sorted((len(m), sorted(m)) for m in anf.monomials)])
+    by_degree: list[list[int]] = [[] for _ in range(n + 1)]
+    flags = format(anf, "b").encode()[::-1].translate(_FLAG_OF_DIGIT)
+    for u in compress(count(), flags):
+        by_degree[n - u.bit_count()].append(u)
+    full = (1 << n) - 1
+    monomials = []
+    for u in chain.from_iterable(by_degree):
+        rest = full ^ u  # bit n - i is set for each variable i of the monomial
+        idxs = []
+        while rest:
+            top = rest.bit_length()
+            idxs.append(n + 1 - top)
+            rest ^= 1 << (top - 1)
+        monomials.append(tuple(idxs))
+    return monomials
 
 
-def _xor_of_ands(monomials: Sequence[Sequence[int]]) -> BoolExpr:
-    """A left-deep XOR of one left-deep AND chain per monomial, in the given
-    order; the empty monomial is the constant 1, and no monomial the
-    constant 0. Every occurrence of a variable is one shared node."""
+def anf_to_expr(anf: int, n: int) -> BoolExpr:
+    """Canonical expression of ANF mask anf over x1..xn (see stp._moebius):
+    a left-deep XOR of one left-deep AND chain per monomial, ordered by
+    (degree, indices). The empty monomial is the constant 1, and no monomial
+    the constant 0. Every occurrence of a variable is one shared node.
+    Refuses n < 0 and a mask outside [0, 2^(2^n))."""
+    if n < 0:
+        raise ValueError(f"variable count {n} is negative")
+    if anf < 0 or anf.bit_length() > 1 << n:
+        raise ValueError(f"ANF mask out of range [0, 2^(2^{n}))")
+    monomials = _anf_monomials(anf, n)
     if not monomials:
         return Const(0)
     var = {i: Var(i) for i in set(chain.from_iterable(monomials))}

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .expr import GATES, And, BoolExpr, Xor, _xor_of_ands
+from .expr import GATES, And, BoolExpr, Xor, anf_to_expr
 from .fib import is_fibonacci
 from .stp import (
     PermutationTransform,
     TransitionMatrix,
-    _anf_monomials,
     _anf_support,
     _coordinate_tables,
     _moebius,
@@ -191,7 +190,7 @@ class Reduction:
     def updates(self) -> tuple[BoolExpr, ...]:
         """Each coordinate as an XOR of AND chains over the original variable
         indices, monomials ordered by (degree, indices); built when first read."""
-        return tuple(_xor_of_ands(_anf_monomials(anf, self.n)) for anf in self.anfs)
+        return tuple(anf_to_expr(anf, self.n) for anf in self.anfs)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .fib import _least_columns
 from .stp import TransitionMatrix, output_bit
@@ -378,8 +378,9 @@ class PartialTransition:
 @dataclass(frozen=True)
 class MinStageResult:
     """The window length, P and T'. `total_completions`, `sequences` and
-    `completions` are views, built when first read: the CLI reads one only
-    when --all-completions lists every completion."""
+    `completions` are views, built when first read. The CLI reads none of
+    them: --all-completions writes each completion as `_completions` makes
+    it."""
 
     l: int
     partial: PartialTransition
@@ -402,6 +403,11 @@ class MinStageResult:
     def completions(self) -> tuple[TransitionMatrix, ...]:
         """P's shift-law completions while at most max_free columns are
         free, the least one first; beyond that only the least."""
+        return tuple(self._completions())
+
+    def _completions(self) -> Iterator[TransitionMatrix]:
+        """The completions view's entries, each made when the one before it
+        is consumed, so a writer holds one at a time."""
         l = self.l
         # the least completion is base + 1 in every column, with the fixed
         # columns laid over it; every column is base + 1 or base + 2, so
@@ -411,14 +417,14 @@ class MinStageResult:
             cols[w - 1] = t
         free = (1 << l) - len(self.partial.fixed)
         if free > self.max_free:
-            return (TransitionMatrix._trusted(l, tuple(cols)),)
-        completions = []  # the others raise some free columns to base + 2
+            yield TransitionMatrix._trusted(l, tuple(cols))
+            return
+        # the others raise some free columns to base + 2
         for picks in itertools.product((0, 1), repeat=free):
             filled = list(cols)
             for j, v in zip(self.partial.free_columns, picks):
                 filled[j - 1] += v
-            completions.append(TransitionMatrix._trusted(l, tuple(filled)))
-        return tuple(completions)
+            yield TransitionMatrix._trusted(l, tuple(filled))
 
 
 _BITS_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")

@@ -16,11 +16,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .expr import BoolExpr, Var, _xor_of_ands, variables
+from .expr import BoolExpr, Var, anf_to_expr, variables
 from . import expr as _expr
-# not called here: bench/tracing.py (TRACED) wraps anf_to_expr at this
-# module's binding, and its traced run fails without it
-from .expr import anf_to_expr
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +336,18 @@ def coordinate_structure(L: TransitionMatrix, k: int) -> StructureMatrix:
     """Structure matrix of the k-th coordinate of the dynamics."""
     if not 1 <= k <= L.n:
         raise ValueError(f"coordinate {k} out of range [1, {L.n}]")
-    return StructureMatrix(L.n, _mask_to_rows(_coordinate_tables(L)[k - 1], L.n))
+    b = L.n - k  # only the byte lane that holds bit b is read
+    table = int(_lane(L, b & ~7).translate(_BIT_DIGITS[b & 7]), 2)
+    return StructureMatrix(L.n, _mask_to_rows(table, L.n))
 
 
 # _BIT_DIGITS[b] maps a byte to digit 0 where its bit b is set, 1 where clear
 _BIT_DIGITS = tuple((b"1" * (1 << b) + b"0" * (1 << b)) * (128 >> b) for b in range(8))
+
+
+def _lane(L: TransitionMatrix, low: int) -> bytes:
+    """Bits low .. low + 7 of each successor's index minus one, state 2^n first."""
+    return bytes(((c - 1) >> low) & 255 for c in reversed(L.cols))
 
 
 def _coordinate_tables(L: TransitionMatrix) -> list[int]:
@@ -355,7 +359,7 @@ def _coordinate_tables(L: TransitionMatrix) -> list[int]:
     n = L.n
     tables = [0] * n
     for low in range(0, n, 8):
-        chunk = bytes(((c - 1) >> low) & 255 for c in reversed(L.cols))
+        chunk = _lane(L, low)
         for b in range(low, min(low + 8, n)):
             tables[n - 1 - b] = int(chunk.translate(_BIT_DIGITS[b - low]), 2)
     return tables
@@ -383,35 +387,7 @@ def restrict_support(M: StructureMatrix) -> tuple[tuple[int, ...], StructureMatr
 
 def synthesize_expr(M: StructureMatrix) -> BoolExpr:
     """Canonical expression (via ANF) whose structure matrix equals M."""
-    return _xor_of_ands(_anf_monomials(_moebius(_rows_to_mask(M.rows), M.n), M.n))
-
-
-_FLAG_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _anf_monomials(anf: int, n: int) -> list[tuple[int, ...]]:
-    """The monomials of an ANF mask over n variables (see _moebius) as
-    increasing index tuples, sorted by (degree, indices).
-
-    Bit u is the monomial of the variables i whose bit n - i of u is 0.
-    Among monomials of one degree, increasing u is increasing index order,
-    so the set bits, read in increasing order, need only bucketing by degree.
-    """
-    by_degree: list[list[int]] = [[] for _ in range(n + 1)]
-    flags = format(anf, "b").encode()[::-1].translate(_FLAG_OF_DIGIT)
-    for u in itertools.compress(itertools.count(), flags):
-        by_degree[n - u.bit_count()].append(u)
-    full = (1 << n) - 1
-    monomials = []
-    for u in itertools.chain.from_iterable(by_degree):
-        rest = full ^ u  # bit n - i is set for each variable i of the monomial
-        idxs = []
-        while rest:
-            top = rest.bit_length()
-            idxs.append(n + 1 - top)
-            rest ^= 1 << (top - 1)
-        monomials.append(tuple(idxs))
-    return monomials
+    return anf_to_expr(_moebius(_rows_to_mask(M.rows), M.n), M.n)
 
 
 # ---------------------------------------------------------------------------

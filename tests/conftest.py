@@ -1,13 +1,14 @@
+import itertools
 import pathlib
 import random
 import re
 import sys
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import strategies as st
 
 from fsrkit import (
-    Anf,
     And,
     Const,
     Iff,
@@ -19,18 +20,17 @@ from fsrkit import (
     TransitionMatrix,
     Var,
     Xor,
-    anf_to_expr,
     decode_state,
     encode_state,
     fib_transition,
     parse,
     structure_matrix,
 )
-from fsrkit.expr import _LEVEL, _SYMBOL, GATES, Cost, gate_cost, substitute, variables
-from fsrkit.cli import parse_fsr_file
-from fsrkit.stp import (
-    _anf_monomials, _coordinate_tables, _moebius, _rows_to_mask, synthesize_expr,
+from fsrkit.expr import (
+    _LEVEL, _SYMBOL, GATES, Cost, _anf_monomials, gate_cost, substitute, variables,
 )
+from fsrkit.cli import parse_fsr_file
+from fsrkit.stp import _coordinate_tables, _moebius, _rows_to_mask, synthesize_expr
 from fsrkit.fib2gal import SelectedCandidate, conjugate, reduce_candidate, sampled_permutations
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -126,13 +126,45 @@ def dense_galois_text(n: int, seed: int = 1) -> str:
     line is written from its coordinate's ANF mask as XOR-of-AND text, as
     `--emit logic` prints it, with no expression tree."""
     fib = parse_fsr_file(sparse_fibonacci_text(n)).transition()
-    L_g = conjugate(fib, next(sampled_permutations(n, 1, seed)))
+    return galois_text(conjugate(fib, next(sampled_permutations(n, 1, seed))))
+
+
+def galois_text(L: TransitionMatrix) -> str:
+    """An FSR file whose Galois register has transition matrix L, each line
+    written from its coordinate's ANF mask as XOR-of-AND text."""
+    n = L.n
     lines = [f"n={n} type=gal"]
-    for k, table in enumerate(_coordinate_tables(L_g), start=1):
+    for k, table in enumerate(_coordinate_tables(L), start=1):
         monomials = _anf_monomials(_moebius(table, n), n)
         terms = " ^ ".join(" & ".join(f"x{i}" for i in mono) or "1" for mono in monomials)
         lines.append(f"f{k} = {terms or '0'}")
     return "\n".join(lines) + "\n"
+
+
+def leafless_galois_text(free: int) -> str:
+    """An FSR file for an 11-stage Galois register whose output sequences
+    are those of a singular 10-stage Fibonacci register, less those of its
+    first `free` leaf states: its minimal Fibonacci form has l = 10 and
+    `free` free columns.
+
+    The feedback, drawn with random.Random(1), ignores x1, so a state is a
+    leaf iff its x10 differs from the feedback of a predecessor whose
+    x2..x10 are its x1..x9. The Galois
+    state (s, y11) outputs what the 10-stage state s does; a dropped leaf
+    outputs what s with x10 flipped does, which is not a leaf.
+    """
+    rng = random.Random(1)
+    half = [rng.choice((1, 2)) for _ in range(512)]
+    L_f = fib_transition(StructureMatrix(10, tuple(half + half)))
+    reached = set(L_f.cols)
+    dropped = set(itertools.islice((s for s in range(1, 1025) if s not in reached), free))
+    cols = []
+    for y in range(1, 2049):
+        s = ((y - 1) >> 1) + 1
+        if s in dropped:
+            s = ((s - 1) ^ 1) + 1
+        cols.append(2 * L_f.column(s))
+    return galois_text(TransitionMatrix(11, tuple(cols)))
 
 
 @st.composite
@@ -259,6 +291,21 @@ def truth_table(expr, n: int) -> list[int]:
         bits = [(m >> i) & 1 for i in range(n)]
         out.append(eval_expr(expr, bits))
     return out
+
+
+@dataclass(frozen=True)
+class Anf:
+    """GF(2) polynomial as a set of monomials (sets of variable indices): the
+    oracles' own ANF form, kept apart from fsrkit's one int mask."""
+
+    monomials: frozenset[frozenset[int]]
+
+
+def anf_mask(anf: Anf, n: int) -> int:
+    """fsrkit's ANF mask of anf over x1..xn: monomial m is bit u, where bit
+    n - i of u is 0 exactly for the variables i in m."""
+    full = (1 << n) - 1
+    return sum(1 << (full ^ sum(1 << (n - i) for i in m)) for m in anf.monomials)
 
 
 def to_anf(expr, n: int | None = None) -> Anf:
@@ -460,7 +507,7 @@ def ref_synthesize_expr(M: StructureMatrix):
         for m in range(1 << n)
         if f[m]
     )
-    return anf_to_expr(Anf(monomials))
+    return ref_anf_to_expr(Anf(monomials))
 
 
 # -- recursive tree walks -----------------------------------------------------

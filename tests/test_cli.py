@@ -25,6 +25,7 @@ from fsrkit.fib2gal import reduce_candidate
 
 from conftest import (
     COUNTER5, LF4_COLS, LG4_COLS, LONG_WINDOW_COLS, SPARSE_GALOIS12, dense_galois_text, exprs,
+    leafless_galois_text,
     ref_format_partial, ref_galois_transition, shared_term_lines, sparse_fibonacci_text,
 )
 
@@ -540,6 +541,33 @@ class TestGal2FibWritesFromP:
         assert (code, sink.size) == (0, 9420857)
         assert sink.digest.hexdigest() == SPARSE_GALOIS12_SHA256
         assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+# sha256 and length of gal2fib --all-completions' stdout on leafless_galois_text(10)
+LEAFLESS10_SHA256 = "34fc309403efbe22e70502608d5519cde19b571e12458691150a87ec4b9a8d41"
+LEAFLESS10_SIZE = 4129075
+
+
+def test_all_completions_are_written_one_at_a_time(monkeypatch, tmp_path):
+    # l = 10 with 10 free columns: 1024 completions of 1024 columns each, in
+    # 4.1 MB of text; a writer that built all of them before writing the
+    # first peaked at 8.6 MB here
+    path = tmp_path / "leafless10.fsr"
+    path.write_text(leafless_galois_text(10))
+    r = min_stage_fibonacci(parse_fsr_file(path.read_text()).transition(), max_free=0)
+    assert (r.l, (1 << r.l) - len(r.partial.fixed)) == (10, 10)
+    sink = HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["gal2fib", str(path), "--all-completions"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.size) == (0, LEAFLESS10_SIZE)
+    assert sink.digest.hexdigest() == LEAFLESS10_SHA256
+    assert peak <= 2 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
 
 class TestVerify:
     def test_equivalent_matrices(self, capsys, tmp_path):

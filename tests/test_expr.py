@@ -9,7 +9,6 @@ from hypothesis import given, seed, settings, strategies as st
 from fsrkit import expr as ex
 from fsrkit.expr import (
     And,
-    Anf,
     Const,
     Iff,
     Implies,
@@ -28,7 +27,7 @@ from fsrkit.cli import load_fsr_file
 from fsrkit.stp import encode_state, structure_matrix, synthesize_expr
 
 from conftest import (
-    FIXTURES, anf_evaluate, eval_expr, exprs, oracle_parse, to_anf, truth_table,
+    FIXTURES, Anf, anf_evaluate, anf_mask, eval_expr, exprs, oracle_parse, to_anf, truth_table,
 )
 
 
@@ -43,8 +42,9 @@ def anf_expr(e, n):
     return synthesize_expr(structure_matrix(e, n))
 
 
-def monomials_expr(*monos):
-    return anf_to_expr(Anf(frozenset(frozenset(m) for m in monos)))
+def monomials_expr(n, *monos):
+    """fsrkit's canonical tree of the monomials monos over x1..xn."""
+    return anf_to_expr(anf_mask(Anf(frozenset(frozenset(m) for m in monos)), n), n)
 
 
 def anf_by_inclusion_exclusion(e, n):
@@ -141,15 +141,15 @@ class TestEval:
 
 class TestAnf:
     def test_xor_native(self):
-        assert anf_expr(Xor(Var(1), Var(2)), 2) == monomials_expr({1}, {2})
+        assert anf_expr(Xor(Var(1), Var(2)), 2) == monomials_expr(2, {1}, {2})
 
     def test_or(self):
-        assert anf_expr(Or(Var(1), Var(2)), 2) == monomials_expr({1}, {2}, {1, 2})
+        assert anf_expr(Or(Var(1), Var(2)), 2) == monomials_expr(2, {1}, {2}, {1, 2})
 
     def test_iff_matches_oracle(self):
         e = Iff(Var(2), Var(3))
         oracle = anf_by_inclusion_exclusion(e, 3)
-        assert anf_expr(e, 3) == anf_to_expr(oracle)
+        assert anf_expr(e, 3) == anf_to_expr(anf_mask(oracle, 3), 3)
         assert oracle.monomials == frozenset(
             {frozenset(), frozenset({2}), frozenset({3})}
         )
@@ -163,7 +163,7 @@ class TestAnf:
             parse("0", 3),
         ]
         for e in samples:
-            assert anf_expr(e, 3) == anf_to_expr(anf_by_inclusion_exclusion(e, 3))
+            assert anf_expr(e, 3) == anf_to_expr(anf_mask(anf_by_inclusion_exclusion(e, 3), 3), 3)
 
     def test_function_equality_iff_equal_anf(self):
         e1 = parse("x1 | x2", 2)
@@ -176,6 +176,28 @@ class TestAnf:
         e = parse("(x1 & !x2) | (x3 <-> x1)", 3)
         back = anf_expr(e, 3)
         assert truth_table(back, 3) == truth_table(e, 3)
+
+    @seed(2301)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+    def test_mask_round_trip(self, case):
+        # the Moebius transform of the tree's truth table is the mask it was built from
+        n, anf = case
+        rows = structure_matrix(anf_to_expr(anf, n), n).rows
+        assert stp._moebius(stp._rows_to_mask(rows), n) == anf
+
+    @pytest.mark.parametrize("anf, n", [(0, -1), (1, -3), (-1, 2), (1 << 16, 4), (2, 0)])
+    def test_refuses_bad_input(self, anf, n):
+        with pytest.raises(ValueError):
+            anf_to_expr(anf, n)
+
+    def test_full_range_is_accepted(self):
+        assert anf_to_expr(1, 0) == Const(1)
+        assert anf_to_expr(0, 0) == Const(0)
+        # every monomial: the product of (1 ^ xi), true only where all are 0
+        top = anf_to_expr((1 << 16) - 1, 4)
+        assert truth_table(top, 4) == truth_table(parse("!x1 & !x2 & !x3 & !x4", 4), 4)
 
 
 class TestGateCost:
@@ -259,7 +281,7 @@ def test_gate_cost_prices_implies_and_iff_as_lowered(e):
 @given(exprs(4))
 def test_anf_agrees_with_truth_table(e):
     anf = to_anf(e, 4)
-    assert anf_expr(e, 4) == anf_to_expr(anf)
+    assert anf_expr(e, 4) == anf_to_expr(anf_mask(anf, 4), 4)
     for m in range(16):
         bits = [(m >> i) & 1 for i in range(4)]
         assert anf_evaluate(anf, bits) == eval_expr(e, bits) == value(e, bits)

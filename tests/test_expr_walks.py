@@ -22,7 +22,6 @@ from fsrkit import stp
 from fsrkit.expr import (
     GATES,
     And,
-    Anf,
     Const,
     Iff,
     Implies,
@@ -40,7 +39,7 @@ from fsrkit.expr import (
 from fsrkit.stp import FsrSpec, StructureMatrix, galois_transition, structure_matrix, synthesize_expr
 
 from conftest import (
-    exprs, ref_anf_to_expr, ref_gate_cost, ref_render, ref_substitute,
+    Anf, anf_mask, exprs, ref_anf_to_expr, ref_gate_cost, ref_render, ref_substitute,
     ref_synthesize_scan,
 )
 
@@ -129,7 +128,7 @@ monomial_sets = st.sets(st.frozensets(st.integers(1, 6), max_size=6), max_size=4
 @given(monomial_sets)
 def test_anf_to_expr_matches_oracle(monomials):
     anf = Anf(frozenset(monomials))
-    got = anf_to_expr(anf)
+    got = anf_to_expr(anf_mask(anf, 6), 6)
     assert got == ref_anf_to_expr(anf)
     assert render(got) == ref_render(got)
     assert gate_cost(got) == ref_gate_cost(got)

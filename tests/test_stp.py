@@ -585,6 +585,16 @@ class TestAgainstReference:
             stp._rows_to_mask(ref_coordinate_structure(L, k).rows) for k in range(1, n + 1)]
 
     @seed(3)
+    @settings(deadline=None, max_examples=8)
+    @given(st.integers(9, 16), st.randoms(use_true_random=False))
+    def test_coordinates_past_one_byte_lane(self, n, rng):
+        # coordinate k reads only the byte lane that holds its bit
+        L = TransitionMatrix(n, tuple(rng.randint(1, 1 << n) for _ in range(1 << n)))
+        tables = stp._coordinate_tables(L)
+        for k in range(1, n + 1):
+            assert coordinate_structure(L, k).rows == stp._mask_to_rows(tables[k - 1], n)
+
+    @seed(3)
     @settings(deadline=None)
     @given(st.integers(1, 6).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(exprs(n), min_size=n, max_size=n))
