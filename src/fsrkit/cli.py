@@ -20,7 +20,7 @@ from .fib2gal import (
     search_plan,
     select_minimal,
 )
-from .gal2fib import equivalent, min_stage_fibonacci, simulate
+from .gal2fib import _BITS_TO_DIGITS, equivalent, min_stage_fibonacci, simulate
 from .stp import (
     PermutationTransform,
     StructureMatrix,
@@ -44,10 +44,6 @@ from .stp import galois_transition, structure_matrix
 MAX_STAGES = 20
 
 
-class FsrFileError(Exception):
-    pass
-
-
 @dataclass
 class FsrFile:
     n: int
@@ -65,41 +61,41 @@ def parse_fsr_file(text: str) -> FsrFile:
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
-        raise FsrFileError("empty file")
+        raise ValueError("empty file")
     items = [item.split("=", 1) for item in lines[0].split() if "=" in item]
     header = dict(items)
     if len(header) < len(items) or "n" not in header or "type" not in header:
-        raise FsrFileError("header must be `n=<int> type=<fib|gal>`")
+        raise ValueError("header must be `n=<int> type=<fib|gal>`")
     try:
         n = int(header["n"])
     except ValueError:
-        raise FsrFileError(f"bad register count {header['n']!r}") from None
+        raise ValueError(f"bad register count {header['n']!r}") from None
     kind = {"fib": "fibonacci", "gal": "galois"}.get(header["type"])
     if kind is None or n < 1:
-        raise FsrFileError("header must be `n=<int> type=<fib|gal>` with n >= 1")
+        raise ValueError("header must be `n=<int> type=<fib|gal>` with n >= 1")
     if n > MAX_STAGES:
-        raise FsrFileError(f"register count {n} exceeds the limit of {MAX_STAGES}")
+        raise ValueError(f"register count {n} exceeds the limit of {MAX_STAGES}")
     tables: dict[int, int] = {}
     # the lines of a Galois file share terms; a Fibonacci file has one line
     read = _table_reader(n) if kind == "galois" else functools.partial(_read_table, n=n)
     for ln in lines[1:]:
         name, eq, rhs = ln.partition("=")
         name = name.strip()
-        if not (eq and name.startswith("f") and name[1:].isdigit()):
-            raise FsrFileError(f"unrecognized line: {ln!r}")
+        if not (eq and name.startswith("f") and name[1:].isdecimal()):
+            raise ValueError(f"unrecognized line: {ln!r}")
         k = int(name[1:])
         if not 1 <= k <= n:
-            raise FsrFileError(f"register {name} out of range for n={n}")
+            raise ValueError(f"register {name} out of range for n={n}")
         if k in tables:
-            raise FsrFileError(f"duplicate definition of {name}")
+            raise ValueError(f"duplicate definition of {name}")
         tables[k] = read(rhs.strip())
     if kind == "fibonacci":
         if set(tables) != {n}:
-            raise FsrFileError(f"Fibonacci files must define exactly f{n}")
+            raise ValueError(f"Fibonacci files must define exactly f{n}")
     else:
         if set(tables) != set(range(1, n + 1)):
             missing = sorted(set(range(1, n + 1)) - set(tables))
-            raise FsrFileError(f"missing update functions: {missing}")
+            raise ValueError(f"missing update functions: {missing}")
     return FsrFile(n, kind, tables)
 
 
@@ -138,13 +134,13 @@ def cmd_to_matrix(args) -> int:
 def cmd_fib2gal(args) -> int:
     fsr = load_fsr_file(args.input)
     if fsr.kind != "fibonacci":
-        raise FsrFileError("fib2gal needs a Fibonacci input file")
+        raise ValueError("fib2gal needs a Fibonacci input file")
     L_f = fsr.transition()
 
     if args.perm is not None:
         size, entries = parse_delta(args.perm)
         if size != 1 << fsr.n or any(e is None for e in entries):
-            raise FsrFileError(f"permutation must be a complete d{1 << fsr.n}[...] sequence")
+            raise ValueError(f"permutation must be a complete d{1 << fsr.n}[...] sequence")
         pi = PermutationTransform(fsr.n, entries)  # type: ignore[arg-type]
         L_g = conjugate(L_f, pi)
         print(f"L_g = {transition_to_delta(L_g)}")
@@ -229,8 +225,8 @@ def cmd_simulate(args) -> int:
         x0 = encode_state([int(c) for c in init])
     else:
         x0 = int(init)
-    bits = simulate(L, x0, args.steps)
-    print("".join(map(str, bits)))
+    # one C-level pass: a str per bit would take several times the bits' own tuple
+    print(bytes(simulate(L, x0, args.steps)).translate(_BITS_TO_DIGITS).decode())
     return 0
 
 
@@ -262,8 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gal2fib", help="minimal-stage Fibonacci reconstruction")
     p.add_argument("input")
-    p.add_argument("--all-completions", action="store_true")
-    p.add_argument("--max-free", type=int, default=20)
+    p.add_argument("--all-completions", action="store_true",
+                   help="write all 2^k completions, one line of 2^l entries "
+                        "each, if k, the number of free columns, is at most "
+                        "MAX_FREE; otherwise the least one alone. The "
+                        "`completions = 2^k` line comes first either way")
+    p.add_argument("--max-free", type=int, default=20,
+                   help="largest k for which --all-completions writes all "
+                        "2^k completions (default: %(default)s)")
     p.set_defaults(func=cmd_gal2fib)
 
     p = sub.add_parser("verify", help="output-sequence equivalence oracle")
@@ -295,7 +297,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FsrFileError, ex.ParseError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

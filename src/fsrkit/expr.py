@@ -9,7 +9,7 @@ from itertools import chain, compress, count, repeat
 from typing import Iterable, Mapping, NoReturn
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
         self.position = position

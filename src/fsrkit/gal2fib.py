@@ -80,12 +80,16 @@ def normalize_sequence(pre: Sequence[int], per: Sequence[int]) -> OutputSeq:
 # Simulation
 # ---------------------------------------------------------------------------
 
+def _check_state(L: TransitionMatrix, x0: int) -> None:
+    if not 1 <= x0 <= (1 << L.n):
+        raise ValueError(f"initial state {x0} out of range [1, {1 << L.n}]")
+
+
 def simulate(L: TransitionMatrix, x0: int, steps: int) -> tuple[int, ...]:
     """Output bits from state x0; the bit at t=0 is the output of x0 itself."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if not 1 <= x0 <= (1 << L.n):
-        raise ValueError(f"initial state {x0} out of range [1, {1 << L.n}]")
+    _check_state(L, x0)
     out = []
     state = x0
     for _ in range(steps):
@@ -96,6 +100,7 @@ def simulate(L: TransitionMatrix, x0: int, steps: int) -> tuple[int, ...]:
 
 def output_sequence(L: TransitionMatrix, x0: int) -> OutputSeq:
     """Exact eventually-periodic decomposition via state-cycle detection."""
+    _check_state(L, x0)
     seen: dict[int, int] = {}
     states = []
     state = x0

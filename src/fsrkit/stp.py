@@ -29,6 +29,8 @@ def encode_state(bits: Sequence[int]) -> int:
     k = 1
     n = len(bits)
     for i, b in enumerate(bits, start=1):
+        if b not in (0, 1):
+            raise ValueError(f"state bit {b!r} is not 0 or 1")
         k += (1 - b) << (n - i)
     return k
 

@@ -20,7 +20,7 @@ from fsrkit import (
     And, Const, Iff, Implies, Not, Or, ParseError, TransitionMatrix, Var, Xor,
     min_stage_fibonacci, render, simulate, transition_from_delta, transition_to_delta,
 )
-from fsrkit.cli import MAX_STAGES, FsrFileError, main, parse_fsr_file
+from fsrkit.cli import MAX_STAGES, main, parse_fsr_file
 from fsrkit.fib2gal import reduce_candidate
 
 from conftest import (
@@ -91,8 +91,26 @@ class TestFsrFileParsing:
         ],
     )
     def test_rejects_malformed(self, text):
-        with pytest.raises((FsrFileError, ValueError, ParseError)):
+        with pytest.raises(ValueError):
             parse_fsr_file(text)
+
+    def test_parse_error_is_a_value_error(self):
+        assert issubclass(ParseError, ValueError)
+        with pytest.raises(ValueError) as err:
+            parse_fsr_file("n=2 type=fib\nf2 = x1 &\n")
+        assert isinstance(err.value, ParseError) and err.value.position == 4
+
+    def test_superscript_register_name_exits_two(self, capsys, tmp_path):
+        # str.isdigit accepts '²', which int() refuses
+        f = tmp_path / "superscript.fsr"
+        f.write_text("n=2 type=fib\nf² = x1\n")
+        assert run(capsys, "to-matrix", str(f)) == (
+            2, [], "error: unrecognized line: 'f² = x1'\n")
+
+    def test_register_name_takes_any_decimal_digit(self):
+        # int() reads every Unicode decimal digit, as the expression parser does
+        assert parse_fsr_file("n=3 type=fib\nf\u0663 = x1 ^ x\u0663\n").tables == (
+            parse_fsr_file("n=3 type=fib\nf3 = x1 ^ x3\n").tables)
 
 
 class TestToMatrix:
@@ -694,6 +712,22 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", GAL3B, "--init", "2", "--steps", "-4")
         assert (code, out) == (2, [])
         assert err.startswith("error:") and "steps" in err
+
+    def test_bits_are_written_in_one_pass(self, monkeypatch):
+        # a str per bit peaked at 13 MB here; the bits' list and tuple take 3.2 MB
+        steps = 200000
+        sink = HashingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", FIB4, "--init", "1", "--steps", str(steps)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = "1111000010110100" * (steps // 16) + "\n"
+        assert (code, sink.size) == (0, len(want))
+        assert sink.digest.hexdigest() == hashlib.sha256(want.encode()).hexdigest()
+        assert peak <= 5 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_zero_stage_matrix_exits_two(self, capsys, tmp_path):
         f = tmp_path / "d1.delta"

@@ -311,6 +311,13 @@ class TestOutputSequence:
     def test_period_two(self, lg3b):
         assert output_sequence(lg3b, 1) == OutputSeq((), (1, 0))
 
+    @pytest.mark.parametrize("x0", [0, 9, -1])
+    def test_rejects_state_out_of_range(self, x0):
+        # 0 used to read the last column and 9 to raise IndexError
+        L = TransitionMatrix(3, (2, 4, 5, 7, 1, 3, 6, 8))
+        with pytest.raises(ValueError, match=rf"^initial state {x0} out of range \[1, 8\]$"):
+            output_sequence(L, x0)
+
     def test_agrees_with_simulation(self, lg3b):
         for x0 in range(1, 9):
             s = output_sequence(lg3b, x0)

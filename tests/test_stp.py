@@ -84,6 +84,12 @@ class TestEncoding:
         with pytest.raises(ValueError):
             decode_state(9, 3)
 
+    @pytest.mark.parametrize("bits", [[2, 0, 1], [1, -1], [0, 1, 3]])
+    def test_encode_rejects_non_bits(self, bits):
+        # [2, 0, 1] used to encode to -1, a state that does not exist
+        with pytest.raises(ValueError, match="is not 0 or 1"):
+            encode_state(bits)
+
 
 class TestStructureMatrix:
     def test_identity_one_var(self):
