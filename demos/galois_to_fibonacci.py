@@ -8,6 +8,8 @@ q, the fewest stages of any register with the same output sequences: a
 Fibonacci register is one of those, so l >= q.
 """
 
+from itertools import islice
+
 from fsrkit import (
     FsrSpec,
     derived_digraph,
@@ -43,7 +45,7 @@ def show(title, updates):
 
     print("  partial matrix:", format_delta(1 << result.l, result.partial.fixed))
     print(f"  {result.total_completions} completions, e.g.")
-    for L_c in result.completions[:3]:
+    for L_c in islice(result.completions(), 3):
         fb = feedback_of(L_c)
         print(f"    {transition_to_delta(L_c)}  feedback: {render(synthesize_expr(fb))}")
     print()

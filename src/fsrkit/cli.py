@@ -185,10 +185,9 @@ def cmd_fib2gal(args) -> int:
 def cmd_gal2fib(args) -> int:
     fsr = load_fsr_file(args.input)
     L_g = fsr.transition()
-    # a cap of 0 keeps the completions view to the least one, and a
-    # negative cap is still refused
-    max_free = args.max_free if args.all_completions else min(args.max_free, 0)
-    result = min_stage_fibonacci(L_g, max_free=max_free)
+    if args.max_free < 0:
+        raise ValueError(f"max_free must be >= 0, got {args.max_free}")
+    result = min_stage_fibonacci(L_g)
     size, fixed = 1 << result.l, result.partial.fixed
     # from a count: listing the free columns would take 2^l - (at most 2^n) entries
     free = size - len(fixed)
@@ -197,8 +196,8 @@ def cmd_gal2fib(args) -> int:
     out.writelines(delta_pieces(size, fixed))
     out.write(f"\nT' = {format_delta(size, result.window_map)}\n")
     out.write(f"completions = 2^{free}\n")
-    if args.all_completions and free <= max_free:
-        for L_c in result._completions():  # one at a time, not the whole view
+    if args.all_completions and free <= args.max_free:
+        for L_c in result.completions():  # each written before the next is made
             print(transition_to_delta(L_c))
     else:  # the least completion alone, written from P and the shift law a piece at a time
         out.writelines(delta_pieces(size, fixed, least=True))
@@ -224,7 +223,11 @@ def cmd_simulate(args) -> int:
     if set(init) <= {"0", "1"} and len(init) == L.n:
         x0 = encode_state([int(c) for c in init])
     else:
-        x0 = int(init)
+        try:
+            x0 = int(init)
+        except ValueError:
+            raise ValueError(
+                f"initial state {init!r} is neither a state index nor a string of {L.n} bits") from None
     # one C-level pass: a str per bit would take several times the bits' own tuple
     print(bytes(simulate(L, x0, args.steps)).translate(_BITS_TO_DIGITS).decode())
     return 0

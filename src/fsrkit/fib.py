@@ -8,6 +8,7 @@ directions of the transformation.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator
 
 from .stp import StructureMatrix, TransitionMatrix
@@ -34,17 +35,17 @@ def _least_columns(n: int) -> list[int]:
 
 def fib_transition(M_f: StructureMatrix) -> TransitionMatrix:
     """Transition matrix of the Fibonacci FSR with feedback structure M_f."""
-    return TransitionMatrix(
-        M_f.n, tuple(b + r for b, r in zip(_shift_bases(M_f.n), M_f.rows)))
+    return TransitionMatrix(M_f.n, tuple(map(operator.add, _shift_bases(M_f.n), M_f.rows)))
 
 
 def is_fibonacci(L: TransitionMatrix) -> bool:
     """True iff every column obeys the shift law."""
-    return all(c - b in (1, 2) for b, c in zip(_shift_bases(L.n), L.cols))
+    return {1, 2}.issuperset(map(operator.sub, L.cols, _shift_bases(L.n)))
 
 
 def feedback_of(L: TransitionMatrix) -> StructureMatrix:
     """Recover the feedback structure matrix; rejects non-Fibonacci input."""
-    if not is_fibonacci(L):
+    rows = tuple(map(operator.sub, L.cols, _shift_bases(L.n)))
+    if not {1, 2}.issuperset(rows):
         raise ValueError("transition matrix does not satisfy the Fibonacci law")
-    return StructureMatrix(L.n, tuple(c - b for b, c in zip(_shift_bases(L.n), L.cols)))
+    return StructureMatrix(L.n, rows)

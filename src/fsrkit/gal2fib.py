@@ -382,15 +382,14 @@ class PartialTransition:
 
 @dataclass(frozen=True)
 class MinStageResult:
-    """The window length, P and T'. `total_completions`, `sequences` and
-    `completions` are views, built when first read. The CLI reads none of
-    them: --all-completions writes each completion as `_completions` makes
-    it."""
+    """The window length, P and T'. `total_completions` and `sequences` are
+    views, built when first read, and `completions()` makes P's shift-law
+    completions one at a time. The CLI reads no view: --all-completions
+    writes each completion as `completions()` makes it."""
 
     l: int
     partial: PartialTransition
     window_map: tuple[int, ...]  # Galois state index -> window index over 2^l
-    max_free: int  # completions lists them all up to this many free columns
     # the ids of the distinct output sequences
     _ids: _SequenceIds = field(repr=False, compare=False)
 
@@ -404,15 +403,10 @@ class MinStageResult:
         """The distinct output sequences, sorted."""
         return tuple(sorted(_output_seqs(self._ids), key=operator.attrgetter("preperiod", "period")))
 
-    @cached_property
-    def completions(self) -> tuple[TransitionMatrix, ...]:
-        """P's shift-law completions while at most max_free columns are
-        free, the least one first; beyond that only the least."""
-        return tuple(self._completions())
-
-    def _completions(self) -> Iterator[TransitionMatrix]:
-        """The completions view's entries, each made when the one before it
-        is consumed, so a writer holds one at a time."""
+    def completions(self) -> Iterator[TransitionMatrix]:
+        """P's shift-law completions in lexicographic order, the least one
+        first, each made when the one before it is consumed, so a caller
+        holds one at a time."""
         l = self.l
         # the least completion is base + 1 in every column, with the fixed
         # columns laid over it; every column is base + 1 or base + 2, so
@@ -420,14 +414,14 @@ class MinStageResult:
         cols = _least_columns(l)
         for w, t in self.partial.fixed.items():
             cols[w - 1] = t
-        free = (1 << l) - len(self.partial.fixed)
-        if free > self.max_free:
-            yield TransitionMatrix._trusted(l, tuple(cols))
-            return
+        yield TransitionMatrix._trusted(l, tuple(cols))
         # the others raise some free columns to base + 2
-        for picks in itertools.product((0, 1), repeat=free):
+        free = self.partial.free_columns
+        picks = itertools.product((0, 1), repeat=len(free))
+        next(picks)  # none raised: the least, above
+        for pick in picks:
             filled = list(cols)
-            for j, v in zip(self.partial.free_columns, picks):
+            for j, v in zip(free, pick):
                 filled[j - 1] += v
             yield TransitionMatrix._trusted(l, tuple(filled))
 
@@ -476,18 +470,14 @@ def _window_length(ids: _SequenceIds, bound: int) -> tuple[int, list[int]]:
 MAX_WINDOW = 26
 
 
-def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageResult:
+def min_stage_fibonacci(L_g: TransitionMatrix) -> MinStageResult:
     """Smallest window length whose derived digraph is deterministic,
     plus the partial Fibonacci matrix and the count of its shift-law
-    completions.
+    completions, which `completions()` makes one at a time.
 
-    The `completions` view lists them all while the free-column count is
-    at most max_free; beyond that only the lexicographically least. Nothing
-    of size 2^l is built until a view is read, and a window longer than
-    MAX_WINDOW raises ValueError.
+    Nothing of size 2^l is built until a view or a completion is read, and
+    a window longer than MAX_WINDOW raises ValueError.
     """
-    if max_free < 0:
-        raise ValueError(f"max_free must be >= 0, got {max_free}")
     ids = _SequenceIds()
     table = _sequence_table(L_g, ids)
     # keys of MAX_WINDOW + 1 bits settle any l up to MAX_WINDOW
@@ -523,7 +513,6 @@ def min_stage_fibonacci(L_g: TransitionMatrix, max_free: int = 20) -> MinStageRe
         l=l,
         partial=partial,
         window_map=window_map,
-        max_free=max_free,
         _ids=ids,
     )
 

@@ -61,7 +61,7 @@ class StructureMatrix:
     def __post_init__(self):
         if len(self.rows) != 1 << self.n:
             raise ValueError(f"expected {1 << self.n} entries, got {len(self.rows)}")
-        if any(r not in (1, 2) for r in self.rows):
+        if self.rows.count(1) + self.rows.count(2) != len(self.rows):
             raise ValueError("structure matrix entries must be 1 or 2")
 
 
@@ -113,7 +113,7 @@ class PermutationTransform:
     def is_partition_preserving(self) -> bool:
         """True iff the first half of the index range maps onto itself."""
         half = 1 << (self.n - 1)
-        return all(p <= half for p in self.perm[:half])
+        return max(self.perm[:half]) <= half
 
 
 @dataclass(frozen=True)
@@ -533,7 +533,13 @@ def parse_delta(text: str) -> tuple[int, tuple[int | None, ...]]:
     if values is None or values and (min(values) < 1 or max(values) > size):
         # the first bad token, in order, names the error
         for tok in tokens:
-            if tok != "*" and not 1 <= (v := int(tok)) <= size:
+            if tok == "*":
+                continue
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ValueError(f"entry {tok!r} is not an integer") from None
+            if not 1 <= v <= size:
                 raise ValueError(f"entry {v} out of range [1, {size}]")
     return size, entries
 

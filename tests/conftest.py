@@ -16,6 +16,7 @@ from fsrkit import (
     Not,
     Or,
     ParseError,
+    PermutationTransform,
     StructureMatrix,
     TransitionMatrix,
     Var,
@@ -30,6 +31,7 @@ from fsrkit.expr import (
     _LEVEL, _SYMBOL, GATES, Cost, _anf_monomials, gate_cost, substitute, variables,
 )
 from fsrkit.cli import parse_fsr_file
+from fsrkit.fib import _shift_bases
 from fsrkit.stp import _coordinate_tables, _moebius, _rows_to_mask, synthesize_expr
 from fsrkit.fib2gal import SelectedCandidate, conjugate, reduce_candidate, sampled_permutations
 
@@ -459,6 +461,59 @@ def ref_galois_transition(n: int, updates) -> TransitionMatrix:
     ))
 
 
+def ref_check_rows(n: int, rows) -> None:
+    """StructureMatrix's checks as they were before two counts: one
+    membership test per entry."""
+    if len(rows) != 1 << n:
+        raise ValueError(f"expected {1 << n} entries, got {len(rows)}")
+    if any(r not in (1, 2) for r in rows):
+        raise ValueError("structure matrix entries must be 1 or 2")
+
+
+def ref_fib_columns(M_f: StructureMatrix) -> tuple[int, ...]:
+    """fib_transition's columns as they were before one map: a sum per column."""
+    return tuple(b + r for b, r in zip(_shift_bases(M_f.n), M_f.rows))
+
+
+def ref_is_fibonacci(L: TransitionMatrix) -> bool:
+    """is_fibonacci as it was before one map and a set check: a test per column."""
+    return all(c - b in (1, 2) for b, c in zip(_shift_bases(L.n), L.cols))
+
+
+def ref_feedback_of(L: TransitionMatrix) -> StructureMatrix:
+    """feedback_of as it was before one map: ref_is_fibonacci, then a
+    difference per column."""
+    if not ref_is_fibonacci(L):
+        raise ValueError("transition matrix does not satisfy the Fibonacci law")
+    return StructureMatrix(L.n, tuple(c - b for b, c in zip(_shift_bases(L.n), L.cols)))
+
+
+def ref_is_partition_preserving(T: PermutationTransform) -> bool:
+    """is_partition_preserving as it was before max: a test per entry."""
+    half = 1 << (T.n - 1)
+    return all(p <= half for p in T.perm[:half])
+
+
+def record_matrix_builds(monkeypatch) -> list[int]:
+    """Patch both ways a TransitionMatrix is made, the checked constructor
+    and `_trusted`, to append each new matrix's n to the list returned."""
+    built: list[int] = []
+    post_init = TransitionMatrix.__post_init__
+    trusted = TransitionMatrix._trusted.__func__
+
+    def checked(self):
+        post_init(self)
+        built.append(self.n)
+
+    def unchecked(cls, n, cols):
+        built.append(n)
+        return trusted(cls, n, cols)
+
+    monkeypatch.setattr(TransitionMatrix, "__post_init__", checked)
+    monkeypatch.setattr(TransitionMatrix, "_trusted", classmethod(unchecked))
+    return built
+
+
 def ref_coordinate_structure(L: TransitionMatrix, k: int) -> StructureMatrix:
     rows = []
     for col in L.cols:
@@ -680,7 +735,10 @@ def ref_parse_delta(text: str):
         if tok == "*":
             entries.append(None)
         else:
-            v = int(tok)
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ValueError(f"entry {tok!r} is not an integer") from None
             if not 1 <= v <= size:
                 raise ValueError(f"entry {v} out of range [1, {size}]")
             entries.append(v)

@@ -25,7 +25,7 @@ from fsrkit.fib2gal import reduce_candidate
 
 from conftest import (
     COUNTER5, LF4_COLS, LG4_COLS, LONG_WINDOW_COLS, SPARSE_GALOIS12, dense_galois_text, exprs,
-    leafless_galois_text,
+    leafless_galois_text, record_matrix_builds,
     ref_format_partial, ref_galois_transition, shared_term_lines, sparse_fibonacci_text,
 )
 
@@ -195,6 +195,14 @@ class TestFib2Gal:
         f.write_text("n=11 type=fib\nf11 = x1 ^ x2\n")
         assert run(capsys, "fib2gal", str(f), "--budget", "0") == (
             0, ["# examined=0 emitted=0 total_permutations=(2^10)!^2"], "")
+
+    @pytest.mark.parametrize("perm, token", [
+        ("d16[1,2 3 4 5 6 7 8 9 10 11 12 13 14 15 16]", "1,2"),
+        ("d16[1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 0x10]", "0x10"),
+    ])
+    def test_non_integer_perm_entry_exits_two(self, capsys, perm, token):
+        assert run(capsys, "fib2gal", FIB4, "--perm", perm) == (
+            2, [], f"error: entry {token!r} is not an integer\n")
 
     def test_budget_without_seed_fails_at_eleven_stages(self, capsys, tmp_path):
         f = tmp_path / "fib11.fsr"
@@ -413,7 +421,10 @@ class TestGal2Fib:
     def test_negative_max_free_exits_two(self, capsys):
         code, out, err = run(capsys, "gal2fib", GAL3B, "--max-free", "-1")
         assert (code, out) == (2, [])
-        assert err.startswith("error:") and "max_free" in err
+        assert err == "error: max_free must be >= 0, got -1\n"
+        # the file is read first, so its own refusal comes before this one
+        assert run(capsys, "gal2fib", "missing.fsr", "--max-free", "-1")[2].startswith(
+            "error: [Errno 2]")
 
     def test_long_window_prints_completion_count_as_power(self, capsys, tmp_path):
         # z2..z5 count up to 1111 and stay there; z1 is 1 for one step, so
@@ -444,22 +455,31 @@ class TestGal2Fib:
     )
 
     def test_builds_only_the_printed_completion(self, capsys, monkeypatch, tmp_path):
-        # 2^16 completions fit under the default cap of 20, yet only the
-        # least one is printed, so only that one is built
+        # counts the TransitionMatrix builds after the CLI's window search:
+        # the least completion is written from P and the shift law, so none
+        # is built, and --all-completions builds each of the 2^k once
         f = tmp_path / "map4.fsr"
         f.write_text(self.MAP4)
         assert parse_fsr_file(self.MAP4).transition().cols == (
             13, 4, 15, 1, 14, 5, 9, 6, 1, 4, 15, 10, 8, 13, 9, 5)
-        built = []
+        built, searched = record_matrix_builds(monkeypatch), []
 
-        def recording(L_g, max_free=20):
-            result = min_stage_fibonacci(L_g, max_free)
-            built.append(len(result.completions))
+        def recording(L_g):
+            result = min_stage_fibonacci(L_g)
+            searched.append(len(built))
             return result
 
         monkeypatch.setattr(cli, "min_stage_fibonacci", recording)
-        code, out, _ = run(capsys, "gal2fib", str(f))
-        assert (code, built) == (0, [1])
+
+        def gal2fib_builds(*argv):
+            built.clear()
+            searched.clear()
+            code, out, err = run(capsys, "gal2fib", *argv)
+            (start,) = searched
+            return code, out, err, len(built) - start
+
+        code, out, err, count = gal2fib_builds(str(f))
+        assert (code, err, count) == (0, "", 0)
         assert out == [
             "l = 5",
             "P = d32[* * 5 7 9 * 13 * 18 * 21 * 25 27 * * * 4 5 * 9 * 13 * 18 19 21 * * 27 * *]",
@@ -468,9 +488,16 @@ class TestGal2Fib:
             "d32[1 3 5 7 9 11 13 15 18 19 21 23 25 27 29 31"
             " 1 4 5 7 9 11 13 15 18 19 21 23 25 27 29 31]",
         ]
-        # past an explicit cap, --all-completions prints the same one line
-        code, capped, _ = run(capsys, "gal2fib", str(f), "--all-completions", "--max-free", "15")
-        assert (code, capped, built[1:]) == (0, out, [1])
+        # past --max-free, --all-completions prints the same one line
+        assert gal2fib_builds(str(f), "--all-completions", "--max-free", "15") == (0, out, "", 0)
+        # at or under --max-free, it builds and prints each completion once
+        for fixture, k in ((GAL3A, 1), (GAL3B, 3)):
+            for max_free in (k, k + 4):
+                code, out, err, count = gal2fib_builds(
+                    fixture, "--all-completions", "--max-free", str(max_free))
+                assert (code, err, count) == (0, "", 1 << k)
+                assert out[3] == f"completions = 2^{k}"
+                assert len(out) == 4 + (1 << k)
 
     def test_window_past_max_window_exits_two(self, tmp_path):
         # 0^31 1 and 0^30 1 1 on two cycles need 32-bit windows; the least
@@ -520,13 +547,13 @@ class TestGal2FibWritesFromP:
     def test_same_bytes_without_least_columns(self, capsys, monkeypatch, tmp_path, text):
         path = tmp_path / "input.fsr"
         path.write_text(text)
-        # the dense texts: the completions view builds the least completion
-        # as a list of 2^l columns, and P is written an entry at a time
-        r = min_stage_fibonacci(parse_fsr_file(text).transition(), max_free=0)
+        # the dense texts: completions() builds the least completion as a
+        # list of 2^l columns, and P is written an entry at a time
+        r = min_stage_fibonacci(parse_fsr_file(text).transition())
         size, free = 1 << r.l, (1 << r.l) - len(r.partial.fixed)
         want = (f"l = {r.l}\nP = {ref_format_partial(size, r.partial.fixed)}\n"
                 f"T' = {stp.format_delta(size, r.window_map)}\n"
-                f"completions = 2^{free}\n{transition_to_delta(r.completions[0])}\n")
+                f"completions = 2^{free}\n{transition_to_delta(next(r.completions()))}\n")
 
         def refused(l):
             raise RuntimeError("a 2^l-column list was built")
@@ -537,7 +564,7 @@ class TestGal2FibWritesFromP:
         for flags in ([], ["--all-completions", "--max-free", "0"]):
             assert main(["gal2fib", str(path), *flags]) == 0
             assert capsys.readouterr() == (want, "")
-        # at the cap, --all-completions lists them all from the view
+        # at --max-free, --all-completions lists them all from completions()
         with pytest.raises(RuntimeError, match="2\\^l-column"):
             main(["gal2fib", str(path), "--all-completions", "--max-free", str(free)])
 
@@ -572,7 +599,7 @@ def test_all_completions_are_written_one_at_a_time(monkeypatch, tmp_path):
     # first peaked at 8.6 MB here
     path = tmp_path / "leafless10.fsr"
     path.write_text(leafless_galois_text(10))
-    r = min_stage_fibonacci(parse_fsr_file(path.read_text()).transition(), max_free=0)
+    r = min_stage_fibonacci(parse_fsr_file(path.read_text()).transition())
     assert (r.l, (1 << r.l) - len(r.partial.fixed)) == (10, 10)
     sink = HashingSink()
     monkeypatch.setattr(sys, "stdout", sink)
@@ -631,6 +658,12 @@ class TestVerify:
         a.write_text("d1[1]\n")
         assert run(capsys, "verify", str(a), str(a)) == (
             2, [], "error: a 0-stage matrix has no output bit\n")
+
+    def test_non_integer_entry_exits_two(self, capsys, tmp_path):
+        a = tmp_path / "a.delta"
+        a.write_text("d4[1 2 3x 4]\n")
+        assert run(capsys, "verify", str(a), str(a)) == (
+            2, [], "error: entry '3x' is not an integer\n")
 
 
 class TestDeepExpressions:
@@ -703,6 +736,11 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", GAL3B, "--init", "abc", "--steps", "4")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("init", ["1x", "", "1.5", "0b1"])
+    def test_bad_init_names_the_token(self, capsys, init):
+        assert run(capsys, "simulate", GAL3B, "--init", init, "--steps", "4") == (
+            2, [], f"error: initial state {init!r} is neither a state index nor a string of 3 bits\n")
 
     def test_out_of_range_init(self, capsys):
         code, _, err = run(capsys, "simulate", GAL3B, "--init", "9", "--steps", "4")

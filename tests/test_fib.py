@@ -5,6 +5,7 @@ import pytest
 
 from fsrkit import (
     FsrSpec,
+    PermutationTransform,
     StructureMatrix,
     TransitionMatrix,
     decode_state,
@@ -20,7 +21,10 @@ from fsrkit import (
 
 from fsrkit.fib import _least_columns, _shift_bases
 
-from conftest import LF4_COLS, LG4_COLS, MF4_ROWS
+from conftest import (
+    LF4_COLS, LG4_COLS, MF4_ROWS, ref_check_rows, ref_feedback_of, ref_fib_columns,
+    ref_is_fibonacci, ref_is_partition_preserving,
+)
 
 
 def all_structure_matrices(n):
@@ -161,3 +165,69 @@ class TestLeastColumns:
     @pytest.mark.parametrize("l", range(1, 17))
     def test_is_base_plus_one(self, l):
         assert _least_columns(l) == [b + 1 for b in _shift_bases(l)]
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return ValueError, str(err)
+
+
+class TestShiftLawAgainstOracles:
+    """The shift law's C-level passes against the per-entry bodies they
+    replaced, on Fibonacci matrices, near misses, uniform maps, and rows
+    outside {1, 2}."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_random(self, n):
+        rng = random.Random(900 + n)
+        size = 1 << n
+        for _ in range(30):
+            rows = [rng.choice((1, 2)) for _ in range(size)]
+            for _ in range(rng.choice((0, 0, 1, 3))):
+                rows[rng.randrange(size)] = rng.choice((0, 3, -1, 2 ** 70, True, 2.0))
+            if rng.random() < 0.1:
+                rows = rows[:-1]
+            rows = tuple(rows)
+            refused = outcome(ref_check_rows, n, rows)
+            M = outcome(StructureMatrix, n, rows)
+            if refused:
+                assert M == refused
+                continue
+            assert M.rows == rows
+            assert fib_transition(M).cols == ref_fib_columns(M)
+            # a Fibonacci matrix, a near miss with a few columns one or two
+            # off the law, or a uniform map
+            cols = list(ref_fib_columns(M))
+            kind = rng.randrange(3)
+            if kind == 1:
+                bases = list(_shift_bases(n))
+                for _ in range(rng.randint(1, 3)):
+                    j = rng.randrange(size)
+                    cols[j] = min(max(bases[j] + rng.choice((-1, 0, 3)), 1), size)
+            elif kind == 2:
+                cols = [rng.randint(1, size) for _ in range(size)]
+            L = TransitionMatrix(n, tuple(cols))
+            assert is_fibonacci(L) == ref_is_fibonacci(L)
+            assert outcome(lambda: feedback_of(L).rows) == outcome(lambda: ref_feedback_of(L).rows)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_partition_preserving(self, n):
+        rng = random.Random(910 + n)
+        size, half = 1 << n, 1 << (n - 1)
+        seen = set()
+        for _ in range(40):
+            low, high = list(range(1, half + 1)), list(range(half + 1, size + 1))
+            rng.shuffle(low)
+            rng.shuffle(high)
+            perm = low + high
+            # swap a few images across the halves, sometimes none
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                i, j = rng.randrange(half), half + rng.randrange(half)
+                perm[i], perm[j] = perm[j], perm[i]
+            T = PermutationTransform(n, tuple(perm))
+            seen.add(T.is_partition_preserving())
+            assert T.is_partition_preserving() == ref_is_partition_preserving(T)
+        assert seen == {True, False}

@@ -44,6 +44,7 @@ from conftest import (
     LG3_TWO_ATTRACTORS_COLS,
     LG4_COLS,
     LONG_WINDOW_COLS,
+    record_matrix_builds,
     ref_format_partial,
     ref_prefix_keys,
     sparse_galois_text,
@@ -133,10 +134,11 @@ def is_primitive_oracle(period):
     )
 
 
-def min_stage_oracle(L, max_free):
+def min_stage_oracle(L, limit):
     """The window search: the least l from ceil(log2 r) whose derived
     digraph is deterministic, P read off its edges, T' by simulation, and
-    the shift-law completions of P (only the least beyond max_free)."""
+    the shift-law completions of P (only the least beyond `limit` free
+    columns)."""
     seqs = set(all_output_sequences(L).values())
     r = max(len(s.period) for s in seqs)
     bound = max(len(s.preperiod) for s in seqs) + 2 * r
@@ -151,7 +153,7 @@ def min_stage_oracle(L, max_free):
     free = tuple(j for j, c in enumerate(cols, start=1) if c is None)
     half = 1 << (l - 1)
     choices = [(2 * ((j - 1) % half) + 1, 2 * ((j - 1) % half) + 2) for j in free]
-    if len(free) <= max_free:
+    if len(free) <= limit:
         picks = itertools.product(*choices)
     else:
         picks = [tuple(c[0] for c in choices)]
@@ -164,21 +166,21 @@ def min_stage_oracle(L, max_free):
     return l, tuple(cols), window_map, free, completions
 
 
-def assert_matches_search(L, max_free=6):
-    got = min_stage_fibonacci(L, max_free=max_free)
-    l, cols, window_map, free, completions = min_stage_oracle(L, max_free)
+def assert_matches_search(L, limit=6):
+    got = min_stage_fibonacci(L)
+    l, cols, window_map, free, completions = min_stage_oracle(L, limit)
     assert got.l == l
     assert got.partial.cols == cols
     assert got.window_map == window_map
     assert got.partial.free_columns == free
-    assert [c.cols for c in got.completions] == completions
+    assert [c.cols for c in itertools.islice(got.completions(), len(completions))] == completions
     assert got.total_completions == 1 << len(free)
     # the distinct sequences, validated one state at a time, in sorted order
     seqs = set(all_output_sequences_oracle(L).values())
     assert got.sequences == tuple(sorted(seqs, key=lambda s: (s.preperiod, s.period)))
 
 
-def least_completion_oracle(L, window_map, l, max_free):
+def least_completion_oracle(L, window_map, l, limit):
     """P, its free columns and its completions, one column at a time: the
     fixed columns from the (window, successor) pairs, then every column
     checked against the shift law and the free ones set to base + 1."""
@@ -195,7 +197,7 @@ def least_completion_oracle(L, window_map, l, max_free):
             cols[u] = b + 1
         else:
             assert cols[u] - b in (1, 2)
-    raises = itertools.product((0, 1), repeat=len(free)) if len(free) <= max_free else [()]
+    raises = itertools.product((0, 1), repeat=len(free)) if len(free) <= limit else [()]
     completions = []
     for picks in raises:
         filled = list(cols)
@@ -553,22 +555,23 @@ class TestMinStage:
         assert r.partial.cols == (None, 4, 6, 8, None, 3, None, 8)
         assert r.window_map == (3, 2, 4, 3, 6, 6, 8, 8)
         assert r.total_completions == 8
-        assert len(r.completions) == 8
-        assert (1, 4, 6, 8, 2, 3, 5, 8) in {c.cols for c in r.completions}
+        completions = tuple(r.completions())
+        assert len(completions) == 8
+        assert (1, 4, 6, 8, 2, 3, 5, 8) in {c.cols for c in completions}
 
     def test_shrinkable_reference(self, lg3a):
         r = min_stage_fibonacci(lg3a)
         assert r.l == 2
         assert r.window_map == (1, 1, 1, 1, 4, 4, 3, 3)
-        assert {c.cols for c in r.completions} == {(1, 3, 1, 4), (1, 4, 1, 4)}
+        assert {c.cols for c in r.completions()} == {(1, 3, 1, 4), (1, 4, 1, 4)}
 
     def test_already_fibonacci_input(self, fib4_transition):
         r = min_stage_fibonacci(fib4_transition)
         assert r.l == 4
-        assert fib4_transition.cols in {c.cols for c in r.completions}
+        assert fib4_transition.cols in {c.cols for c in r.completions()}
 
     def test_completions_satisfy_shift_law(self, lg3b):
-        for L in min_stage_fibonacci(lg3b).completions:
+        for L in min_stage_fibonacci(lg3b).completions():
             assert is_fibonacci(L)
 
     def test_completions_reproduce_sequences(self, lg3b):
@@ -576,7 +579,7 @@ class TestMinStage:
         for z in range(1, 9):
             s = output_sequence(lg3b, z)
             steps = len(s.preperiod) + 2 * len(s.period)
-            for L in r.completions:
+            for L in r.completions():
                 assert simulate(L, r.window_map[z - 1], steps) == s.bits(steps)
 
     def test_free_column_accounting(self, lg3b):
@@ -595,17 +598,24 @@ class TestMinStage:
         for z in range(1, 9):
             s = output_sequence(L, z)
             steps = len(s.preperiod) + 2 * len(s.period) + r.l
-            assert simulate(r.completions[0], r.window_map[z - 1], steps) == s.bits(steps)
+            assert simulate(next(r.completions()), r.window_map[z - 1], steps) == s.bits(steps)
 
-    def test_rejects_negative_max_free(self, lg3b):
-        with pytest.raises(ValueError, match="max_free"):
-            min_stage_fibonacci(lg3b, max_free=-1)
+    def test_completions_start_with_the_least(self, lg3b):
+        r = min_stage_fibonacci(lg3b)
+        completions = [c.cols for c in r.completions()]
+        assert completions[0] == (1, 4, 6, 8, 1, 3, 5, 8)
+        assert completions == sorted(set(completions))
+        assert len(completions) == r.total_completions == 8
 
-    def test_max_free_cap(self, lg3b):
-        r = min_stage_fibonacci(lg3b, max_free=1)
-        assert r.total_completions == 8
-        assert len(r.completions) == 1
-        assert r.completions[0].cols == (1, 4, 6, 8, 1, 3, 5, 8)
+    def test_next_completion_builds_one_matrix(self, monkeypatch):
+        # 2^16 completions of 32 columns: the least is made alone, when asked for
+        L = TransitionMatrix(4, (13, 4, 15, 1, 14, 5, 9, 6, 1, 4, 15, 10, 8, 13, 9, 5))
+        built = record_matrix_builds(monkeypatch)
+        r = min_stage_fibonacci(L)
+        first = next(r.completions())
+        assert (r.l, r.total_completions, built) == (5, 1 << 16, [5])
+        assert first.cols == (1, 3, 5, 7, 9, 11, 13, 15, 18, 19, 21, 23, 25, 27, 29, 31,
+                              1, 4, 5, 7, 9, 11, 13, 15, 18, 19, 21, 23, 25, 27, 29, 31)
 
     def test_refuses_a_window_past_max_window(self):
         L = TransitionMatrix(7, LONG_WINDOW_COLS)
@@ -665,15 +675,15 @@ class TestMinStage:
     def test_long_window_builds_nothing_of_2_to_the_l(self):
         # a random 13-stage permutation has l = 24 and cycles of thousands of
         # states: its prefix keys are capped at MAX_WINDOW + 1 bits, not the
-        # Fine-Wilf bound, and its completions are a view, so nothing of 2^24
-        # entries is built. The parent peaked at 529.5 MB
+        # Fine-Wilf bound, and its completions are made only when asked for,
+        # so nothing of 2^24 entries is built. The parent peaked at 529.5 MB
         rng = random.Random(13)
         cols = list(range(1, (1 << 13) + 1))
         rng.shuffle(cols)
         L = TransitionMatrix(13, tuple(cols))
         tracemalloc.start()
         try:
-            r = min_stage_fibonacci(L, max_free=0)
+            r = min_stage_fibonacci(L)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -738,7 +748,7 @@ class TestCompletionAtLongWindows:
         partial, free, completions = least_completion_oracle(L, got.window_map, got.l, 20)
         assert got.partial.cols == partial
         assert got.partial.free_columns == free
-        assert [c.cols for c in got.completions] == completions
+        assert [c.cols for c in itertools.islice(got.completions(), len(completions))] == completions
         assert got.total_completions == 1 << len(free)
         return got
 
@@ -756,10 +766,10 @@ class TestCompletionAtLongWindows:
 def assert_texts_match(L):
     """P and the least completion as delta_pieces writes them, from P's fixed
     map, against the texts of the per-entry P and of the dense completion."""
-    got = min_stage_fibonacci(L, max_free=0)
+    got = min_stage_fibonacci(L)
     size, fixed = 1 << got.l, got.partial.fixed
     assert "".join(delta_pieces(size, fixed)) == ref_format_partial(size, fixed)
-    least = format_delta(size, got.completions[0].cols)
+    least = format_delta(size, next(got.completions()).cols)
     assert "".join(delta_pieces(size, fixed, least=True)) == least
     return got
 
@@ -881,7 +891,7 @@ class TestMinStageGalois:
     @given(maps(7))
     def test_fibonacci_window_is_no_shorter(self, L):
         # a Fibonacci realization is a Galois one too
-        assert min_stage_fibonacci(L, max_free=0).l >= min_stage_galois(L)[0].n
+        assert min_stage_fibonacci(L).l >= min_stage_galois(L)[0].n
 
     def test_fixtures(self, lg3a, lg3b):
         # the shrinkable register outputs 1^inf, 0^inf and 0 1^inf; state 2

@@ -1,8 +1,9 @@
-"""The README's CLI examples run as written.
+"""The README's CLI and library examples run as written.
 
 Each `fsrkit ...` line of a sh block in README.md runs through `cli.main`
 from the repository root. The `# ` lines under it, up to a `# ...` line,
-are the start of its stdout.
+are the start of its stdout. Each python block runs as a script, and its
+closing `# ` lines are its whole stdout.
 """
 
 import re
@@ -46,3 +47,20 @@ def test_example_runs_as_written(line, shown, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert out.startswith("".join(f"{text}\n" for text in shown))
+
+
+def python_examples() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
+def test_python_examples_are_found():
+    assert len(python_examples()) == 1
+
+
+@pytest.mark.parametrize("block", python_examples())
+def test_python_example_runs_as_written(block, capsys):
+    lines = block.splitlines()
+    code = [line for line in lines if not line.startswith("# ")]
+    shown = [line[2:] for line in lines if line.startswith("# ")]
+    exec("\n".join(code), {})
+    assert capsys.readouterr() == ("".join(f"{text}\n" for text in shown), "")
