@@ -9,7 +9,6 @@ import argparse
 import functools
 import itertools
 import sys
-from dataclasses import dataclass
 
 from . import expr as ex
 from .fib import fib_transition
@@ -22,42 +21,30 @@ from .fib2gal import (
 )
 from .gal2fib import _BITS_TO_DIGITS, equivalent, min_stage_fibonacci, simulate
 from .stp import (
+    FsrSpec,
     PermutationTransform,
     StructureMatrix,
     TransitionMatrix,
     _mask_to_rows,
     _read_table,
     _table_reader,
-    _transition_of_tables,
     delta_pieces,
     encode_state,
     format_delta,
+    galois_transition,
     parse_delta,
     transition_from_delta,
     transition_to_delta,
 )
-# not called here: bench/tracing.py wraps these two at this module's bindings
-from .stp import galois_transition, structure_matrix
+# not called here: bench/tracing.py wraps it at this module's binding
+from .stp import structure_matrix
 
 #: Largest register count a file may declare. Its update lines are read into
 #: truth tables of 2^n bits each, and its transition matrix has 2^n columns.
 MAX_STAGES = 20
 
 
-@dataclass
-class FsrFile:
-    n: int
-    kind: str  # "fibonacci" | "galois"
-    tables: dict[int, int]  # register -> truth table of its update function
-
-    def transition(self) -> TransitionMatrix:
-        if self.kind == "fibonacci":  # only f_n is defined; the rest shift
-            return fib_transition(
-                StructureMatrix(self.n, _mask_to_rows(self.tables[self.n], self.n)))
-        return _transition_of_tables(self.n, [self.tables[k] for k in range(1, self.n + 1)])
-
-
-def parse_fsr_file(text: str) -> FsrFile:
+def parse_fsr_file(text: str) -> FsrSpec:
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -89,19 +76,20 @@ def parse_fsr_file(text: str) -> FsrFile:
         if k in tables:
             raise ValueError(f"duplicate definition of {name}")
         tables[k] = read(rhs.strip())
-    if kind == "fibonacci":
-        if set(tables) != {n}:
-            raise ValueError(f"Fibonacci files must define exactly f{n}")
-    else:
-        if set(tables) != set(range(1, n + 1)):
-            missing = sorted(set(range(1, n + 1)) - set(tables))
-            raise ValueError(f"missing update functions: {missing}")
-    return FsrFile(n, kind, tables)
+    return FsrSpec(n, kind, tables)
 
 
-def load_fsr_file(path: str) -> FsrFile:
+def load_fsr_file(path: str) -> FsrSpec:
     with open(path) as fh:
         return parse_fsr_file(fh.read())
+
+
+def transition(spec: FsrSpec) -> TransitionMatrix:
+    """L of a spec. A Fibonacci spec's L follows from its feedback by the
+    shift law, which builds it faster than its tables do."""
+    if spec.kind == "fibonacci":
+        return fib_transition(StructureMatrix(spec.n, _mask_to_rows(spec.tables[spec.n], spec.n)))
+    return galois_transition(spec)
 
 
 def load_matrix(path: str) -> TransitionMatrix:
@@ -111,7 +99,7 @@ def load_matrix(path: str) -> TransitionMatrix:
     stripped = text.strip()
     if stripped.startswith("d") and "[" in stripped:
         return transition_from_delta(stripped)
-    return parse_fsr_file(text).transition()
+    return transition(parse_fsr_file(text))
 
 
 def _emit_logic(n: int, updates) -> str:
@@ -127,7 +115,7 @@ def _emit_logic(n: int, updates) -> str:
 
 def cmd_to_matrix(args) -> int:
     fsr = load_fsr_file(args.input)
-    print(transition_to_delta(fsr.transition()))
+    print(transition_to_delta(transition(fsr)))
     return 0
 
 
@@ -135,7 +123,7 @@ def cmd_fib2gal(args) -> int:
     fsr = load_fsr_file(args.input)
     if fsr.kind != "fibonacci":
         raise ValueError("fib2gal needs a Fibonacci input file")
-    L_f = fsr.transition()
+    L_f = transition(fsr)
 
     if args.perm is not None:
         size, entries = parse_delta(args.perm)
@@ -149,11 +137,15 @@ def cmd_fib2gal(args) -> int:
             print(_emit_logic(fsr.n, reduce_candidate(L_g).updates))
         return 0
 
-    budget = None if args.budget == "full" else int(args.budget)
-    if budget == 0:
+    try:
+        budget = None if args.budget == "full" else int(args.budget)
+    except ValueError:
+        raise ValueError(f"budget must be an integer or 'full', got {args.budget!r}") from None
+    if budget == 0 and not args.minimize:
         print(f"# examined=0 emitted=0 total_permutations=(2^{fsr.n - 1})!^2")
         return 0
-    candidates = enumerate_equivalents(L_f, budget=budget, seed=args.seed)
+    # a zero budget examines nothing, so --minimize has no candidate to select
+    candidates = enumerate_equivalents(L_f, budget=budget, seed=args.seed) if budget != 0 else ()
 
     if args.minimize:
         best = select_minimal(candidates)
@@ -184,7 +176,7 @@ def cmd_fib2gal(args) -> int:
 
 def cmd_gal2fib(args) -> int:
     fsr = load_fsr_file(args.input)
-    L_g = fsr.transition()
+    L_g = transition(fsr)
     if args.max_free < 0:
         raise ValueError(f"max_free must be >= 0, got {args.max_free}")
     result = min_stage_fibonacci(L_g)

@@ -118,40 +118,42 @@ class PermutationTransform:
 
 @dataclass(frozen=True)
 class FsrSpec:
-    """An FSR as update functions plus a configuration tag.
+    """An FSR as the truth table of each update function it defines, plus a
+    configuration tag.
 
-    Fibonacci specs store only the feedback function; the shift updates
-    f_j = x_(j+1) for j < n are implicit.
+    A table is an int in state-index order (see _var_masks). Fibonacci specs
+    define only the feedback f_n; the shift updates f_j = x_(j+1) for j < n
+    are implicit.
     """
 
     n: int
     kind: str  # "fibonacci" | "galois"
-    updates: tuple[BoolExpr, ...]
+    tables: dict[int, int]  # register -> truth table of its update function
 
     def __post_init__(self):
         if self.kind not in ("fibonacci", "galois"):
             raise ValueError(f"unknown configuration {self.kind!r}")
-        expected = 1 if self.kind == "fibonacci" else self.n
-        if len(self.updates) != expected:
-            raise ValueError(f"expected {expected} update functions, got {len(self.updates)}")
-        for f in self.updates:
-            bad = variables(f) - set(range(1, self.n + 1))
-            if bad:
-                raise ValueError(f"variable indices {sorted(bad)} exceed register count {self.n}")
+        registers = set(range(1, self.n + 1))
+        defined = set(self.tables)
+        if self.kind == "fibonacci" and defined != {self.n}:
+            raise ValueError(f"Fibonacci files must define exactly f{self.n}")
+        if self.kind == "galois" and defined != registers:
+            missing = sorted(registers - defined)
+            if missing:
+                raise ValueError(f"missing update functions: {missing}")
+            raise ValueError(f"update functions out of range for n={self.n}: "
+                             f"{sorted(defined - registers)}")
+        for k, table in self.tables.items():
+            if table < 0 or table >> (1 << self.n):
+                raise ValueError(f"truth table of f{k} out of range [0, 2^(2^{self.n}))")
 
     @classmethod
     def fibonacci(cls, n: int, feedback: BoolExpr) -> "FsrSpec":
-        return cls(n, "fibonacci", (feedback,))
+        return cls(n, "fibonacci", {n: _table_of(feedback, n)})
 
     @classmethod
     def galois(cls, n: int, updates: Sequence[BoolExpr]) -> "FsrSpec":
-        return cls(n, "galois", tuple(updates))
-
-    def update_functions(self) -> tuple[BoolExpr, ...]:
-        """All n update functions, with Fibonacci shifts made explicit."""
-        if self.kind == "galois":
-            return self.updates
-        return tuple(Var(j + 1) for j in range(1, self.n)) + (self.updates[0],)
+        return cls(n, "galois", {k: _table_of(f, n) for k, f in enumerate(updates, start=1)})
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +291,25 @@ def _anf_support(anf: int, n: int) -> tuple[int, ...]:
 # Structure and transition matrices
 # ---------------------------------------------------------------------------
 
-def structure_matrix(f: BoolExpr, n: int) -> StructureMatrix:
-    """Row index per state: 1 where f is true, 2 where false."""
+def _table_of(f: BoolExpr, n: int) -> int:
+    """Truth table of tree f over n variables; refuses a variable outside [1, n]."""
     bad = variables(f) - set(range(1, n + 1))
     if bad:
-        raise ValueError(f"variable indices {sorted(bad)} exceed register count {n}")
-    mask = _truth_mask(f, _var_masks(n), (1 << (1 << n)) - 1)
-    return StructureMatrix(n, _mask_to_rows(mask, n))
+        raise ValueError(f"variable indices {sorted(bad)} out of range [1, {n}]")
+    return _truth_mask(f, _var_masks(n), (1 << (1 << n)) - 1)
+
+
+def structure_matrix(f: BoolExpr, n: int) -> StructureMatrix:
+    """Row index per state: 1 where f is true, 2 where false."""
+    return StructureMatrix(n, _mask_to_rows(_table_of(f, n), n))
 
 
 def galois_transition(spec: FsrSpec) -> TransitionMatrix:
     """Transition matrix of the full system: column k encodes the successor."""
-    masks = _var_masks(spec.n)
-    full = (1 << (1 << spec.n)) - 1
-    return _transition_of_tables(
-        spec.n, [_truth_mask(f, masks, full) for f in spec.update_functions()])
+    n = spec.n
+    if spec.kind == "fibonacci":  # coordinate j < n shifts: f_j = x_(j+1)
+        return _transition_of_tables(n, [*_var_masks(n)[1:], spec.tables[n]])
+    return _transition_of_tables(n, [spec.tables[k] for k in range(1, n + 1)])
 
 
 # _LANE_BITS[b] maps a digit 0 to the byte 0 and a digit 1 to the byte 2^b

@@ -24,6 +24,7 @@ from fsrkit import (
     decode_state,
     encode_state,
     fib_transition,
+    galois_transition,
     parse,
     structure_matrix,
 )
@@ -127,7 +128,7 @@ def dense_galois_text(n: int, seed: int = 1) -> str:
     register conjugated by a seeded partition-preserving permutation. Each
     line is written from its coordinate's ANF mask as XOR-of-AND text, as
     `--emit logic` prints it, with no expression tree."""
-    fib = parse_fsr_file(sparse_fibonacci_text(n)).transition()
+    fib = galois_transition(parse_fsr_file(sparse_fibonacci_text(n)))
     return galois_text(conjugate(fib, next(sampled_permutations(n, 1, seed))))
 
 

@@ -7,8 +7,8 @@ Fibonacci register of conftest.sparse_fibonacci_text, the sparse shift
 register of conftest.shift_galois_text and the dense conjugate of
 conftest.dense_galois_text, whose inputs come from bench/model.py, loaded
 by path and only read. The Fibonacci file goes to `fib2gal --minimize
---budget 4 --seed 1 --emit all` and to `verify` against itself, each Galois
-file to `to-matrix` and `gal2fib`. Each command then runs alone in a child
+--budget 4 --seed 1 --emit all`, to `verify` against itself and to
+`to-matrix`, each Galois file to `to-matrix` and `gal2fib`. Each command then runs alone in a child
 process, with its stdout discarded, and one line per command gives its exit
 code, wall time and the child's peak RSS (its own rusage, from os.wait4).
 The files are written by a child too: a child's peak RSS counts the pages
@@ -31,6 +31,7 @@ INPUTS = {
     "fib": ("sparse_fibonacci_text", (
         ("fib2gal", "--minimize", "--budget", "4", "--seed", "1", "--emit", "all"),
         ("verify", "{path}"),
+        ("to-matrix",),
     )),
     "sparse": ("shift_galois_text", (("to-matrix",), ("gal2fib",))),
     "dense": ("dense_galois_text", (("to-matrix",), ("gal2fib",))),

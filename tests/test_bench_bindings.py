@@ -73,3 +73,20 @@ def test_minimize_never_reaches_the_tree_path(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert (rc, captured.err) == (0, "")
     assert captured.out == (GOLDEN / "fib4_budget100_seed1_minimize.out").read_text()
+
+
+def test_galois_file_reaches_galois_transition(capsys):
+    """cli calls galois_transition on a Galois file, so its binding is traced
+    for a call, not only for its import."""
+    tracing = load_tracing()
+    modules = {name: importlib.import_module(f"fsrkit.{name}") for name in MODULES}
+    tracer = tracing.Tracer()
+    patches = []
+    try:
+        patches = tracer.install(modules)
+        rc = cli.main(["to-matrix", str(FIXTURES / "gal3_two_attractors.fsr")])
+    finally:
+        tracing.Tracer.uninstall(patches)
+    assert (rc, capsys.readouterr().out) == (0, "d8[5 3 7 6 4 1 8 7]\n")
+    calls, _, _ = tracer.summary()
+    assert calls["stp.galois_transition"] > 0

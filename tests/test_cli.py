@@ -17,7 +17,7 @@ from hypothesis import given, seed, settings, strategies as st
 import fsrkit
 from fsrkit import cli, fib, gal2fib, stp
 from fsrkit import (
-    And, Const, Iff, Implies, Not, Or, ParseError, TransitionMatrix, Var, Xor,
+    And, Const, Iff, Implies, Not, Or, ParseError, TransitionMatrix, Var, Xor, galois_transition,
     min_stage_fibonacci, render, simulate, transition_from_delta, transition_to_delta,
 )
 from fsrkit.cli import MAX_STAGES, main, parse_fsr_file
@@ -50,12 +50,12 @@ class TestFsrFileParsing:
         text = Path(FIB4).read_text()
         fsr = parse_fsr_file(text)
         assert fsr.n == 4 and fsr.kind == "fibonacci"
-        assert fsr.transition().cols == LF4_COLS
+        assert galois_transition(fsr).cols == LF4_COLS
 
     def test_galois_fixture(self):
         fsr = parse_fsr_file(Path(GAL3B).read_text())
         assert fsr.kind == "galois"
-        assert fsr.transition().cols == (5, 3, 7, 6, 4, 1, 8, 7)
+        assert galois_transition(fsr).cols == (5, 3, 7, 6, 4, 1, 8, 7)
 
     def test_comments_and_blank_lines(self):
         fsr = parse_fsr_file("# c\nn=2 type=gal\n\nf1 = z2 # trailing\nf2 = z1\n")
@@ -160,7 +160,7 @@ class TestFib2Gal:
         assert code == 0
         assert out[2] == "n=4 type=gal"
         emitted = parse_fsr_file("\n".join(out[2:]))
-        assert emitted.transition().cols == LG4_COLS
+        assert galois_transition(emitted).cols == LG4_COLS
 
     def test_dense_twelve_stage_logic(self, capsys, tmp_path):
         # a feedback of about 2^11 monomials synthesizes to an XOR chain
@@ -258,6 +258,24 @@ class TestFib2Gal:
         code, out, err = run(capsys, "fib2gal", FIB4, "--budget", "-3", "--seed", "1", *extra)
         assert (code, out) == (2, [])
         assert err.startswith("error:") and "budget" in err
+
+    @pytest.mark.parametrize("budget", ["abc", "1.5"])
+    def test_non_integer_budget_exits_two(self, capsys, budget):
+        assert run(capsys, "fib2gal", FIB4, "--budget", budget) == (
+            2, [], f"error: budget must be an integer or 'full', got {budget!r}\n")
+
+    @pytest.mark.parametrize("text, extra", [
+        (Path(FIB4).read_text(), ("--budget", "0")),
+        (Path(FIB4).read_text(), ("--budget", "0", "--seed", "1")),
+        ("n=1 type=fib\nf1 = x1\n", ()),
+    ], ids=["zero-budget", "zero-budget-seeded", "one-stage"])
+    def test_minimize_with_no_candidates_exits_two(self, capsys, tmp_path, text, extra):
+        # a zero budget examines nothing, and a 1-stage register has no
+        # conjugate but itself: either way there is nothing to minimize
+        f = tmp_path / "in.fsr"
+        f.write_text(text)
+        assert run(capsys, "fib2gal", str(f), "--minimize", *extra) == (
+            2, [], "error: no candidates to select from\n")
 
     def test_rejects_galois_input(self, capsys):
         code, _, err = run(capsys, "fib2gal", GAL3A)
@@ -460,7 +478,7 @@ class TestGal2Fib:
         # is built, and --all-completions builds each of the 2^k once
         f = tmp_path / "map4.fsr"
         f.write_text(self.MAP4)
-        assert parse_fsr_file(self.MAP4).transition().cols == (
+        assert galois_transition(parse_fsr_file(self.MAP4)).cols == (
             13, 4, 15, 1, 14, 5, 9, 6, 1, 4, 15, 10, 8, 13, 9, 5)
         built, searched = record_matrix_builds(monkeypatch), []
 
@@ -549,7 +567,7 @@ class TestGal2FibWritesFromP:
         path.write_text(text)
         # the dense texts: completions() builds the least completion as a
         # list of 2^l columns, and P is written an entry at a time
-        r = min_stage_fibonacci(parse_fsr_file(text).transition())
+        r = min_stage_fibonacci(galois_transition(parse_fsr_file(text)))
         size, free = 1 << r.l, (1 << r.l) - len(r.partial.fixed)
         want = (f"l = {r.l}\nP = {ref_format_partial(size, r.partial.fixed)}\n"
                 f"T' = {stp.format_delta(size, r.window_map)}\n"
@@ -599,7 +617,7 @@ def test_all_completions_are_written_one_at_a_time(monkeypatch, tmp_path):
     # first peaked at 8.6 MB here
     path = tmp_path / "leafless10.fsr"
     path.write_text(leafless_galois_text(10))
-    r = min_stage_fibonacci(parse_fsr_file(path.read_text()).transition())
+    r = min_stage_fibonacci(galois_transition(parse_fsr_file(path.read_text())))
     assert (r.l, (1 << r.l) - len(r.partial.fixed)) == (10, 10)
     sink = HashingSink()
     monkeypatch.setattr(sys, "stdout", sink)

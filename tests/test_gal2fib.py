@@ -19,6 +19,7 @@ from fsrkit import (
     derived_digraph,
     equivalent,
     fib_transition,
+    galois_transition,
     is_fibonacci,
     min_stage_fibonacci,
     min_stage_galois,
@@ -209,7 +210,7 @@ def least_completion_oracle(L, window_map, l, limit):
 
 def sparse_galois(rng, n):
     """A Galois register whose coordinates XOR 2..4 random monomials of degree 1..3."""
-    return parse_fsr_file(sparse_galois_text(rng, n)).transition()
+    return galois_transition(parse_fsr_file(sparse_galois_text(rng, n)))
 
 
 def differential_matrices():
@@ -753,7 +754,7 @@ class TestCompletionAtLongWindows:
         return got
 
     def test_saturating_counter(self):
-        got = self.check(parse_fsr_file(COUNTER5).transition())
+        got = self.check(galois_transition(parse_fsr_file(COUNTER5)))
         assert (got.l, len(got.partial.free_columns)) == (14, 16356)
 
     @pytest.mark.parametrize("seed_, l", [(9, 15), (24, 15), (50, 16), (78, 16)])
@@ -782,7 +783,7 @@ class TestLeastCompletionText:
         assert_texts_match(L)
 
     def test_saturating_counter(self):
-        assert assert_texts_match(parse_fsr_file(COUNTER5).transition()).l == 14
+        assert assert_texts_match(galois_transition(parse_fsr_file(COUNTER5))).l == 14
 
     @pytest.mark.parametrize("seed_, l", [(9, 15), (24, 15), (50, 16), (78, 16)])
     def test_nine_stage_registers(self, seed_, l):
@@ -793,7 +794,7 @@ class TestLeastCompletionText:
         # a conjugated Fibonacci register has l = n, so every column is fixed
         rng = random.Random(n)
         for _ in range(3):
-            L_f = parse_fsr_file(random_feedback_text(rng, n)).transition()
+            L_f = galois_transition(parse_fsr_file(random_feedback_text(rng, n)))
             got = assert_texts_match(random_conjugate(rng, L_f))
             assert (got.l, len(got.partial.fixed)) == (n, 1 << n)
 
@@ -880,7 +881,7 @@ class TestMinStageGalois:
         # a Fibonacci state is its own first n outputs, so its 2^n sequences differ
         rng = random.Random(n)
         dense = fib_transition(StructureMatrix(n, tuple(rng.choice((1, 2)) for _ in range(1 << n))))
-        sparse = parse_fsr_file(random_feedback_text(rng, n)).transition()
+        sparse = galois_transition(parse_fsr_file(random_feedback_text(rng, n)))
         for L in (dense, sparse):
             G, state_map = min_stage_galois(L)
             assert G.n == n

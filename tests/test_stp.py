@@ -15,6 +15,7 @@ from fsrkit import (
     galois_transition,
     parse,
     parse_delta,
+    render,
     restrict_support,
     structure_matrix,
     synthesize_expr,
@@ -24,6 +25,7 @@ from fsrkit import (
 from fsrkit import stp
 from fsrkit.expr import ParseError, Var
 from fsrkit.fib import _least_columns, fib_transition
+from fsrkit.cli import parse_fsr_file
 from fsrkit.fib2gal import enumerate_equivalents
 
 from conftest import (
@@ -527,17 +529,57 @@ class TestTableReader:
 class TestFsrSpec:
     def test_fibonacci_updates_expand_to_shifts(self):
         spec = FsrSpec.fibonacci(3, parse("x1 ^ x3", 3))
-        fns = spec.update_functions()
-        assert fns[0] == Var(2)
-        assert fns[1] == Var(3)
+        x1, x2, x3 = stp._var_masks(3)
+        assert spec.tables == {3: x1 ^ x3}
+        # coordinates 1 and 2 shift: their successor bits are x2 and x3
+        L = galois_transition(spec)
+        assert stp._coordinate_tables(L)[:2] == [x2, x3]
 
     def test_rejects_wrong_count(self):
         with pytest.raises(ValueError):
-            FsrSpec(2, "galois", (Var(1),))
+            FsrSpec.galois(2, [Var(1)])
 
     def test_rejects_oversized_variable(self):
         with pytest.raises(ValueError):
             FsrSpec.fibonacci(2, parse("x3", 3))
+
+    @pytest.mark.parametrize("kind, tables, message", [
+        ("fib", {2: 0}, "unknown configuration 'fib'"),
+        ("fibonacci", {1: 0}, "Fibonacci files must define exactly f2"),
+        ("fibonacci", {1: 0, 2: 0}, "Fibonacci files must define exactly f2"),
+        ("galois", {1: 0}, "missing update functions: [2]"),
+        ("galois", {1: 0, 2: 0, 3: 0}, "update functions out of range for n=2: [3]"),
+        ("galois", {1: 0, 2: 16}, "truth table of f2 out of range [0, 2^(2^2))"),
+        ("fibonacci", {2: -1}, "truth table of f2 out of range [0, 2^(2^2))"),
+    ])
+    def test_constructor_refusals(self, kind, tables, message):
+        with pytest.raises(ValueError) as err:
+            FsrSpec(2, kind, tables)
+        assert str(err.value) == message
+
+    def test_largest_table_accepted(self):
+        assert FsrSpec(2, "galois", {1: 15, 2: 0}).tables == {1: 15, 2: 0}
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_variable_range_is_named(self, index):
+        message = f"variable indices [{index}] out of range [1, 2]"
+        for build in (lambda e: structure_matrix(e, 2), lambda e: FsrSpec.galois(2, [Var(1), e]),
+                      lambda e: FsrSpec.fibonacci(2, e)):
+            with pytest.raises(ValueError) as err:
+                build(Var(index))
+            assert str(err.value) == message
+
+    @seed(26)
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(exprs(n), min_size=n, max_size=n))))
+    def test_trees_equal_their_file(self, case):
+        n, updates = case
+        galois = "\n".join([f"n={n} type=gal"] + [
+            f"f{k} = {render(e)}" for k, e in enumerate(updates, start=1)])
+        assert FsrSpec.galois(n, updates) == parse_fsr_file(galois)
+        fibonacci = f"n={n} type=fib\nf{n} = {render(updates[0])}"
+        assert FsrSpec.fibonacci(n, updates[0]) == parse_fsr_file(fibonacci)
 
 
 # -- whole-table operations against the per-entry reference implementations ---
