@@ -50,7 +50,6 @@ from .fib2gal import (
     select_minimal,
 )
 from .gal2fib import (
-    DerivedDigraph,
     EquivalenceResult,
     MinStageResult,
     OutputSeq,

@@ -126,6 +126,9 @@ def cmd_fib2gal(args) -> int:
     L_f = transition(fsr)
 
     if args.perm is not None:
+        if args.minimize or args.seed is not None or args.budget != "full":
+            raise ValueError("--perm applies one fixed permutation: "
+                             "it takes no --minimize, --seed or --budget")
         size, entries = parse_delta(args.perm)
         if size != 1 << fsr.n or any(e is None for e in entries):
             raise ValueError(f"permutation must be a complete d{1 << fsr.n}[...] sequence")
@@ -240,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fib2gal", help="construct equivalent Galois FSRs")
     p.add_argument("input")
     p.add_argument("--budget", default="full",
-                   help="max permutations to examine (integer or 'full')")
+                   help="max permutations to examine: an integer, or 'full' for "
+                        "all of them, which is refused above 3 stages")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for sampled enumeration (required when the "
                         "budget truncates the search)")

@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, count, repeat
-from typing import Iterable, Mapping, NoReturn
+from typing import Iterable, Mapping
 
 
 class ParseError(ValueError):
@@ -183,16 +183,6 @@ def _shown(tok: str) -> str:
     return tok[1:] if _is_var(tok) else tok or "end of input"
 
 
-def _fail(text: str, tokens: list[str], i: int, message: str) -> NoReturn:
-    """Raise `message` at token i, unless a character anywhere in the text
-    starts no token: the first such character is the error then."""
-    starts = [m.start(1) for m in _TOKEN_RE.finditer(text)] + [len(text)]
-    for j, tok in enumerate(tokens):
-        if len(tok) == 1 and tok not in _SYMBOLS:
-            raise ParseError(f"unexpected character {tok!r}", starts[j])
-    raise ParseError(message, starts[i])
-
-
 def _atom(tok: str, n: int, var, const):
     """The value of an atom token, or None for a variable outside [1, n]."""
     if _is_var(tok):
@@ -242,11 +232,19 @@ def _general_pass(text: str, n: int, var, const, negate, binops):
     """One operator-precedence pass over: iff < imp < or < xor < and < unary < atom.
 
     Explicit operand and operator stacks stand in for recursion, so nesting
-    depth and chain length are bounded by memory alone. Every error passes
-    through _fail, so a bad character anywhere outranks a grammar error.
+    depth and chain length are bounded by memory alone. A character that
+    starts no token is refused before the grammar is read, so the first one
+    anywhere outranks a grammar error.
     """
-    tokens = _TOKEN_RE.findall(text)
+    tokens, starts = [], []
+    for m in _TOKEN_RE.finditer(text):
+        tok = m[1]
+        if len(tok) == 1 and tok not in _SYMBOLS:
+            raise ParseError(f"unexpected character {tok!r}", m.start(1))
+        tokens.append(tok)
+        starts.append(m.start(1))
     tokens.append(_END)
+    starts.append(len(text))
     # each operand spelling is read and range-checked once, then looked up
     atoms: dict = {}
     # left operands waiting on the binary operators in ops; ops holds
@@ -264,10 +262,10 @@ def _general_pass(text: str, n: int, var, const, negate, binops):
                 i += 1
                 continue
             if not (tok == "0" or tok == "1" or _is_var(tok)):
-                _fail(text, tokens, i, f"unexpected token {_shown(tok)!r}")
+                raise ParseError(f"unexpected token {_shown(tok)!r}", starts[i])
             cur = _atom(tok, n, var, const)
             if cur is None:
-                _fail(text, tokens, i, f"variable index {int(tok[1:])} out of range [1, {n}]")
+                raise ParseError(f"variable index {int(tok[1:])} out of range [1, {n}]", starts[i])
             atoms[tok] = cur
         i += 1
         # operator position: close parentheses, negating each finished operand;
@@ -283,7 +281,7 @@ def _general_pass(text: str, n: int, var, const, negate, binops):
             while ops[-1] >= 0:
                 cur = binops[ops.pop()](values.pop(), cur)
             if ops[-1] != _OPEN:
-                _fail(text, tokens, i, "unexpected token ')'")
+                raise ParseError("unexpected token ')'", starts[i])
             ops.pop()
             i += 1
         prec = _PRECEDENCE.get(tok)
@@ -297,9 +295,9 @@ def _general_pass(text: str, n: int, var, const, negate, binops):
         while ops[-1] >= 0:
             cur = binops[ops.pop()](values.pop(), cur)
         if ops[-1] == _OPEN:
-            _fail(text, tokens, i, f"expected ')', found {_shown(tok)!r}")
+            raise ParseError(f"expected ')', found {_shown(tok)!r}", starts[i])
         if tok != _END:
-            _fail(text, tokens, i, f"unexpected token {_shown(tok)!r}")
+            raise ParseError(f"unexpected token {_shown(tok)!r}", starts[i])
         return cur
 
 

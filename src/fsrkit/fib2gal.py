@@ -122,13 +122,16 @@ def enumerate_equivalents(
 ) -> Iterator[GaloisCandidate]:
     """Conjugates of L_f by partition-preserving permutations, skipping L_f itself.
 
-    Exhaustive when the permutation count fits in the budget (or budget is
-    None); otherwise a deterministic seeded sample of `budget` permutations.
+    Exhaustive when the permutation count fits in the budget; otherwise a
+    deterministic seeded sample of `budget` permutations. budget=None searches
+    all of them, which is refused for n > 3: at n = 4 there are 1,625,702,400.
     """
     if not is_fibonacci(L_f):
         raise ValueError("source matrix is not Fibonacci")
-    # an unlimited search needs no count, which takes seconds to multiply out at n >= 17
-    if budget is None or search_plan(L_f.n, budget)[0]:
+    if budget is None and L_f.n > 3:
+        raise ValueError(f"(2^{L_f.n - 1})!^2 permutations are too many to search "
+                         "without a limit: give a budget and a seed")
+    if search_plan(L_f.n, budget)[0]:
         source = partition_permutations(L_f.n)
     elif seed is None:
         raise ValueError(f"(2^{L_f.n - 1})!^2 permutations exceed budget {budget}: "
@@ -150,9 +153,8 @@ class CountAudit:
 
 
 def count_distinct_equivalents(L_f: TransitionMatrix) -> CountAudit:
-    """Audit the (2^(n-1))!^2 - 1 count by exhaustion; only feasible for n <= 3."""
-    if L_f.n > 3:
-        raise ValueError("exhaustive count is only supported for n <= 3")
+    """Audit the (2^(n-1))!^2 - 1 count by exhaustion, which
+    enumerate_equivalents refuses for n > 3."""
     galois = {c.matrix.cols for c in enumerate_equivalents(L_f)}
     return CountAudit(
         permutations=search_plan(L_f.n, None)[1],

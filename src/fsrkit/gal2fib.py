@@ -1,6 +1,7 @@
 """Galois to Fibonacci: simulation, output sequences, derived digraphs,
 minimal-stage Fibonacci reconstruction, the minimal-stage Galois
-realization, and the brute-force equivalence oracle."""
+realization, and equivalence, which compares the ids of the output
+sequences of two registers."""
 
 from __future__ import annotations
 
@@ -304,16 +305,10 @@ def all_output_sequences(L: TransitionMatrix) -> dict[int, OutputSeq]:
 # Derived digraph and realizability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DerivedDigraph:
-    """Windows of l consecutive output bits, with consecutive-window edges."""
-
-    l: int
-    successors: dict[int, frozenset[int]] = field(hash=False)
-
-
-def derived_digraph(seqs: Iterable[OutputSeq], l: int) -> DerivedDigraph:
-    """Unroll each sequence one full period beyond window repetition."""
+def derived_digraph(seqs: Iterable[OutputSeq], l: int) -> dict[int, frozenset[int]]:
+    """Each window of l consecutive output bits, mapped to the windows
+    that follow it; each sequence is unrolled one full period beyond window
+    repetition."""
     if l < 1:
         raise ValueError("window length must be >= 1")
     mask = (1 << l) - 1
@@ -331,12 +326,12 @@ def derived_digraph(seqs: Iterable[OutputSeq], l: int) -> DerivedDigraph:
             w = m + 1
             m = ((m << 1) | (1 - b)) & mask
             succ.setdefault(w, set()).add(m + 1)
-    return DerivedDigraph(l, {w: frozenset(s) for w, s in succ.items()})
+    return {w: frozenset(s) for w, s in succ.items()}
 
 
-def realizable(G: DerivedDigraph) -> bool:
-    """Fibonacci-realizability: every node has exactly one successor."""
-    return all(len(s) == 1 for s in G.successors.values())
+def realizable(successors: dict[int, frozenset[int]]) -> bool:
+    """Fibonacci-realizability: every window has exactly one successor."""
+    return all(len(s) == 1 for s in successors.values())
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +546,7 @@ def min_stage_galois(L: TransitionMatrix) -> tuple[TransitionMatrix, tuple[int, 
 
 
 # ---------------------------------------------------------------------------
-# Equivalence oracle
+# Equivalence
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -415,14 +415,10 @@ def format_delta(size: int, entries: Sequence[int | None] | Mapping[int, int]) -
         entries = {j: e for j, e in enumerate(entries, start=1) if e is not None}
     if isinstance(entries, Mapping):
         return "".join(delta_pieces(size, entries))
-    # one C-level format per chunk; formatting in chunks keeps a
-    # 2^16-entry matrix from holding one str per entry
-    chunk = 4096
-    pieces = []
-    for i in range(0, len(entries), chunk):
-        part = tuple(entries[i:i + chunk])
-        pieces.append(("%s " * len(part) % part)[:-1])
-    return f"d{size}[{' '.join(pieces)}]"
+    if not entries:
+        return f"d{size}[]"
+    # one C-level format, which holds no str per entry
+    return (f"d{size}[" + "%s " * (len(entries) - 1) + "%s]") % tuple(entries)
 
 
 #: Most entries in one piece of delta_pieces' text

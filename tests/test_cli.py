@@ -277,6 +277,40 @@ class TestFib2Gal:
         assert run(capsys, "fib2gal", str(f), "--minimize", *extra) == (
             2, [], "error: no candidates to select from\n")
 
+    @pytest.mark.parametrize("name, half, extra", [
+        ("fib4_debruijn.fsr", 3, ()),
+        ("fib4_debruijn.fsr", 3, ("--minimize",)),
+        ("fib4_debruijn.fsr", 3, ("--budget", "full", "--minimize", "--emit", "all")),
+        ("fib8_sparse.fsr", 7, ()),
+        ("fib8_sparse.fsr", 7, ("--minimize",)),
+    ])
+    def test_unlimited_search_exits_two_above_three_stages(self, capsys, monkeypatch, name, half,
+                                                           extra):
+        # the default --budget full would draw (2^(n-1))!^2 permutations:
+        # refused before the first one, and before anything is printed
+        def searched(n):
+            raise AssertionError("the unlimited search started")
+
+        monkeypatch.setattr(fsrkit.fib2gal, "partition_permutations", searched)
+        assert run(capsys, "fib2gal", str(FIXTURES / name), *extra) == (
+            2, [], f"error: (2^{half})!^2 permutations are too many to search without a limit: "
+                   "give a budget and a seed\n")
+
+    @pytest.mark.parametrize("extra", [
+        ("--minimize",), ("--seed", "4"), ("--budget", "3"), ("--budget", "0"),
+        ("--budget", "3", "--seed", "4", "--minimize", "--emit", "all"),
+    ])
+    def test_perm_with_search_options_exits_two(self, capsys, extra):
+        # --perm applies one permutation: there is no search for these to
+        # limit, seed or minimize
+        assert run(capsys, "fib2gal", FIB4, "--perm", PI4_DELTA, *extra) == (
+            2, [], "error: --perm applies one fixed permutation: "
+                   "it takes no --minimize, --seed or --budget\n")
+
+    def test_perm_with_the_default_budget_spelled_out(self, capsys):
+        assert run(capsys, "fib2gal", FIB4, "--perm", PI4_DELTA, "--budget", "full") == (
+            0, [f"L_g = {LG4_DELTA}", f"T = {PI4_DELTA}"], "")
+
     def test_rejects_galois_input(self, capsys):
         code, _, err = run(capsys, "fib2gal", GAL3A)
         assert code == 2

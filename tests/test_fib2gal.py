@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -91,6 +92,10 @@ class TestConjugate:
             assert simulate(lg4, pi(i), 32) == simulate(lf4, i, 32)
 
 
+UNLIMITED_AT_4 = re.escape(
+    "(2^3)!^2 permutations are too many to search without a limit: give a budget and a seed")
+
+
 class TestEnumeration:
     def test_n2_exhaustive(self):
         L = fib_transition(StructureMatrix(2, (1, 2, 1, 2)))
@@ -117,6 +122,12 @@ class TestEnumeration:
     def test_rejects_non_fibonacci(self):
         with pytest.raises(ValueError):
             list(enumerate_equivalents(TransitionMatrix(3, (5, 3, 7, 6, 4, 1, 8, 7))))
+
+    def test_unlimited_search_refused_above_three_stages(self, lf4):
+        # (2^3)!^2 = 1,625,702,400 permutations: refused at the first draw, not searched
+        with pytest.raises(ValueError, match=UNLIMITED_AT_4):
+            next(enumerate_equivalents(lf4))
+        assert next(enumerate_equivalents(lf4, budget=10, seed=1)).matrix.n == 4
 
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError, match="budget"):
@@ -164,7 +175,7 @@ class TestCountAudit:
         assert audit.distinct_galois == 575
 
     def test_rejects_large_n(self, lf4):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=UNLIMITED_AT_4):
             count_distinct_equivalents(lf4)
 
 

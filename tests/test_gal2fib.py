@@ -148,7 +148,7 @@ def min_stage_oracle(L, limit):
         l += 1
         assert l <= bound
     cols = [None] * (1 << l)
-    for w, (t,) in G.successors.items():
+    for w, (t,) in G.items():
         cols[w - 1] = t
     window_map = tuple(encode_state(simulate(L, z, l)) for z in range(1, (1 << L.n) + 1))
     free = tuple(j for j, c in enumerate(cols, start=1) if c is None)
@@ -520,12 +520,12 @@ class TestDerivedDigraph:
                 seqs = set(all_output_sequences(random_transition(rng, n)).values())
                 for l in range(1, 13):
                     G = derived_digraph(seqs, l)
-                    assert G.successors == derived_successors_oracle(seqs, l)
+                    assert G == derived_successors_oracle(seqs, l)
 
     def test_reference_window3_edges(self, lg3b):
         seqs = set(all_output_sequences(lg3b).values())
         G = derived_digraph(seqs, 3)
-        assert {w: set(s) for w, s in G.successors.items()} == {
+        assert {w: set(s) for w, s in G.items()} == {
             2: {4}, 4: {8}, 8: {8}, 3: {6}, 6: {3}
         }
 
@@ -533,12 +533,12 @@ class TestDerivedDigraph:
         seqs = set(all_output_sequences(lg3b).values())
         G = derived_digraph(seqs, 2)
         # windows (1,0) from both sequences disagree on the successor
-        assert len(G.successors[2]) == 2
+        assert len(G[2]) == 2
         assert not realizable(G)
 
     def test_single_constant_sequence(self):
         G = derived_digraph([OutputSeq((), (0,))], 1)
-        assert G.successors == {2: frozenset({2})}
+        assert G == {2: frozenset({2})}
         assert realizable(G)
 
     def test_empty_is_vacuously_realizable(self):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -297,7 +298,7 @@ class TestDeltaFormat:
     def test_long_rows_against_per_entry_text(self, size):
         rng = random.Random(size)
         entries = [rng.randint(1, size) for _ in range(size)]
-        # None only in some 4096-entry chunks
+        # a few None entries: that row is written as its mapping, the other in one format
         for j in rng.sample(range(size), min(size, 3)):
             entries[j] = None
         for row in (entries, [e or 1 for e in entries]):
@@ -305,6 +306,24 @@ class TestDeltaFormat:
             assert format_delta(size, row) == format_delta(size, tuple(row)) == f"d{size}[{text}]"
         fixed = {j: e for j, e in enumerate(entries, start=1) if e is not None}
         assert format_delta(size, fixed) == format_delta(size, entries)
+
+    def test_full_row_peaks_near_its_text(self):
+        # one C-level format holds no str per entry and no second copy of the text
+        size = 1 << 16
+        rng = random.Random(16)
+        entries = tuple(rng.randint(1, size) for _ in range(size))
+        text = format_delta(size, entries)
+        tracemalloc.start()
+        try:
+            format_delta(size, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text), f"peak {peak} for {len(text)} characters"
+
+    def test_empty_row(self):
+        assert format_delta(0, ()) == "d0[]"
+        assert format_delta(4, []) == "d4[]"
 
     def test_rejects_bad_text(self):
         with pytest.raises(ValueError):
