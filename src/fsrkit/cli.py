@@ -9,6 +9,7 @@ import argparse
 import functools
 import itertools
 import sys
+from collections.abc import Iterator
 
 from . import expr as ex
 from .fib import fib_transition
@@ -44,12 +45,22 @@ from .stp import structure_matrix
 MAX_STAGES = 20
 
 
+def _lines(text: str) -> Iterator[str]:
+    """str.splitlines() of text, a line at a time: it holds no copy of the text."""
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        line = text[start:end]  # one line, unless it holds another boundary
+        yield from [line] if line.splitlines() == [line] else (line + "\n").splitlines()
+        start = end + 1
+    yield from text[start:].splitlines()
+
+
 def parse_fsr_file(text: str) -> FsrSpec:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
+    lines = filter(None, (ln.split("#", 1)[0].strip() for ln in _lines(text)))
+    first = next(lines, None)
+    if first is None:
         raise ValueError("empty file")
-    items = [item.split("=", 1) for item in lines[0].split() if "=" in item]
+    items = [item.split("=", 1) for item in first.split() if "=" in item]
     header = dict(items)
     if len(header) < len(items) or "n" not in header or "type" not in header:
         raise ValueError("header must be `n=<int> type=<fib|gal>`")
@@ -65,7 +76,7 @@ def parse_fsr_file(text: str) -> FsrSpec:
     tables: dict[int, int] = {}
     # the lines of a Galois file share terms; a Fibonacci file has one line
     read = _table_reader(n) if kind == "galois" else functools.partial(_read_table, n=n)
-    for ln in lines[1:]:
+    for ln in lines:
         name, eq, rhs = ln.partition("=")
         name = name.strip()
         if not (eq and name.startswith("f") and name[1:].isdecimal()):

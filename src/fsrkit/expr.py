@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from functools import reduce
 from itertools import chain, compress, count, repeat
-from typing import Iterable, Mapping
 
 
 class ParseError(ValueError):
@@ -15,58 +14,97 @@ class ParseError(ValueError):
         self.position = position
 
 
+class _Value:
+    """Immutable values. A subclass names its fields in __match_args__ and sets each in
+    __init__ with object.__setattr__; any later setattr or delattr raises. __eq__ and
+    __repr__ read the _compared fields, __hash__ the _hashed ones, both all by default."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._compared = cls.__dict__.get("_compared", cls.__match_args__)
+        cls._hashed = cls.__dict__.get("_hashed", cls._compared)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self._compared
+        return [getattr(self, f) for f in names] == [getattr(other, f) for f in names]
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, f) for f in self._hashed]))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self.__match_args__])
+
+
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoolExpr:
+class BoolExpr(_Value):
     """Base class for Boolean expression nodes."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Var(BoolExpr):
-    index: int
+    __slots__ = __match_args__ = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
 class Const(BoolExpr):
-    value: int
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Not(BoolExpr):
-    child: BoolExpr
+    __slots__ = __match_args__ = ("child",)
+
+    def __init__(self, child: BoolExpr):
+        object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True)
-class And(BoolExpr):
-    left: BoolExpr
-    right: BoolExpr
+class _Binary(BoolExpr):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: BoolExpr, right: BoolExpr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or(BoolExpr):
-    left: BoolExpr
-    right: BoolExpr
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Xor(BoolExpr):
-    left: BoolExpr
-    right: BoolExpr
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(BoolExpr):
-    left: BoolExpr
-    right: BoolExpr
+class Xor(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(BoolExpr):
-    left: BoolExpr
-    right: BoolExpr
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
 
 
 # binary node classes, loosest-binding first
@@ -430,11 +468,13 @@ GATES = {
 }
 
 
-@dataclass(frozen=True)
-class Cost:
-    area_um2: float
-    delay_ps: float
-    gate_count: int
+class Cost(_Value):
+    __slots__ = __match_args__ = ("area_um2", "delay_ps", "gate_count")
+
+    def __init__(self, area_um2: float, delay_ps: float, gate_count: int):
+        object.__setattr__(self, "area_um2", area_um2)
+        object.__setattr__(self, "delay_ps", delay_ps)
+        object.__setattr__(self, "gate_count", gate_count)
 
 
 def gate_cost(expr: BoolExpr) -> Cost:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterator
+from collections.abc import Iterator
 
 from .stp import StructureMatrix, TransitionMatrix
 

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
 
-from .expr import GATES, And, BoolExpr, Xor, anf_to_expr
+from .expr import GATES, And, BoolExpr, Xor, _Value, anf_to_expr
 from .fib import is_fibonacci
 from .stp import (
     PermutationTransform,
@@ -30,14 +29,16 @@ from .expr import gate_cost, substitute
 from .stp import coordinate_structure, restrict_support, synthesize_expr
 
 
-@dataclass(frozen=True)
-class PairClasses:
+class PairClasses(_Value):
     """(state, successor) index pairs grouped by the output transition."""
 
-    s11: tuple[tuple[int, int], ...]
-    s10: tuple[tuple[int, int], ...]
-    s01: tuple[tuple[int, int], ...]
-    s00: tuple[tuple[int, int], ...]
+    __slots__ = __match_args__ = ("s11", "s10", "s01", "s00")
+
+    def __init__(self, s11: tuple, s10: tuple, s01: tuple, s00: tuple):
+        object.__setattr__(self, "s11", s11)
+        object.__setattr__(self, "s10", s10)
+        object.__setattr__(self, "s01", s01)
+        object.__setattr__(self, "s00", s00)
 
 
 def classify_pairs(L: TransitionMatrix) -> PairClasses:
@@ -72,10 +73,12 @@ def conjugate(L: TransitionMatrix, pi: PermutationTransform) -> TransitionMatrix
     return TransitionMatrix(L.n, tuple(cols))
 
 
-@dataclass(frozen=True)
-class GaloisCandidate:
-    matrix: TransitionMatrix
-    transform: PermutationTransform
+class GaloisCandidate(_Value):
+    __slots__ = __match_args__ = ("matrix", "transform")
+
+    def __init__(self, matrix: TransitionMatrix, transform: PermutationTransform):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "transform", transform)
 
 
 def partition_permutations(n: int) -> Iterator[PermutationTransform]:
@@ -144,12 +147,14 @@ def enumerate_equivalents(
             yield GaloisCandidate(L_g, pi)
 
 
-@dataclass(frozen=True)
-class CountAudit:
+class CountAudit(_Value):
     """Exhaustive count of conjugates."""
 
-    permutations: int
-    distinct_galois: int  # distinct conjugates different from the source
+    __slots__ = __match_args__ = ("permutations", "distinct_galois")
+
+    def __init__(self, permutations: int, distinct_galois: int):
+        object.__setattr__(self, "permutations", permutations)
+        object.__setattr__(self, "distinct_galois", distinct_galois)  # but the source
 
 
 def count_distinct_equivalents(L_f: TransitionMatrix) -> CountAudit:
@@ -162,8 +167,7 @@ def count_distinct_equivalents(L_f: TransitionMatrix) -> CountAudit:
     )
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(_Value):
     """A candidate's update functions as ANF masks, with their cost totals.
 
     anfs[k - 1] is coordinate k's ANF over x1..xn: bit u is the monomial of
@@ -171,11 +175,14 @@ class Reduction:
     is the variables that occur in it. The costs are those of `updates`.
     """
 
-    n: int
-    anfs: tuple[int, ...]
-    support_sum: int
-    area_um2: float
-    gate_count: int
+    __match_args__ = ("n", "anfs", "support_sum", "area_um2", "gate_count")
+
+    def __init__(self, n: int, anfs: tuple, support_sum: int, area_um2: float, gate_count: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "anfs", anfs)
+        object.__setattr__(self, "support_sum", support_sum)
+        object.__setattr__(self, "area_um2", area_um2)
+        object.__setattr__(self, "gate_count", gate_count)
 
     @cached_property
     def supports(self) -> tuple[tuple[int, ...], ...]:
@@ -195,10 +202,12 @@ class Reduction:
         return tuple(anf_to_expr(anf, self.n) for anf in self.anfs)
 
 
-@dataclass(frozen=True)
-class SelectedCandidate:
-    candidate: GaloisCandidate
-    reduction: Reduction
+class SelectedCandidate(_Value):
+    __slots__ = __match_args__ = ("candidate", "reduction")
+
+    def __init__(self, candidate: GaloisCandidate, reduction: Reduction):
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "reduction", reduction)
 
 
 # The gate model of synthesized logic, stated once for the reduction.

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
+from .expr import _Value
 from .fib import _least_columns
 from .stp import TransitionMatrix, output_bit
 
@@ -19,22 +19,22 @@ from .stp import TransitionMatrix, output_bit
 # Output sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OutputSeq:
+class OutputSeq(_Value):
     """Eventually periodic bit sequence in normalized form.
 
     The period is primitive and the preperiod is minimal: its last bit (if
     any) differs from the bit one period earlier.
     """
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = __match_args__ = ("preperiod", "period")
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
+        if not period:
             raise ValueError("period must be non-empty")
         try:
-            pre, b = bytes(self.preperiod), bytes(self.period)
+            pre, b = bytes(preperiod), bytes(period)
         except (TypeError, ValueError):
             raise ValueError("sequence entries must be bits") from None
         if (pre + b).translate(None, b"\0\1"):
@@ -42,13 +42,13 @@ class OutputSeq:
         # a word is primitive iff it occurs in its own square only at 0 and d
         if (b + b).find(b, 1) != len(b):
             raise ValueError("period is not primitive")
-        if self.preperiod and self.preperiod[-1] == self.period[-1]:
+        if preperiod and preperiod[-1] == period[-1]:
             raise ValueError("preperiod is not minimal")
 
     @classmethod
     def _trusted(cls, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "OutputSeq":
         """An OutputSeq from parts already in normalized form, such as
-        _sequence_table's entries, without __post_init__'s checks."""
+        _sequence_table's entries, without the constructor's checks."""
         seq = object.__new__(cls)
         object.__setattr__(seq, "preperiod", preperiod)
         object.__setattr__(seq, "period", period)
@@ -179,9 +179,6 @@ def _least_rotation(word: bytes) -> int:
     return min(starts, key=lambda c: ww[c:c + d])
 
 
-T = TypeVar("T")
-
-
 class _SequenceIds:
     """Integer ids for eventually periodic output sequences: two ids are
     equal exactly when their sequences are.
@@ -229,7 +226,7 @@ class _SequenceIds:
         return i
 
     def fold(self, rotations: Callable[[bytes], list[T]], prepend: Callable[[int, T], T]) -> list[T]:
-        """One value per id, in id order. A cycle's ids take
+        """One value per id, in id order, each of one type T. A cycle's ids take
         rotations(least rotation), one value per rotation; every other id
         takes prepend(first bit, its successor's value), which is already
         there, since the successor's id is smaller."""
@@ -338,21 +335,21 @@ def realizable(successors: dict[int, frozenset[int]]) -> bool:
 # Minimal-stage Fibonacci reconstruction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartialTransition:
+class PartialTransition(_Value):
     """Column sequence with free entries still to satisfy the shift law.
 
     `fixed` maps each fixed column (1-based) to its successor; every other
     column is free. At long windows almost every column is free, so only
-    the fixed ones are stored and checked.
+    the fixed ones are stored and checked. The hash is n's alone.
     """
 
-    n: int
-    fixed: dict[int, int] = field(hash=False)
+    __match_args__ = ("n", "fixed")
+    _hashed = ("n",)
 
-    def __post_init__(self):
-        size = 1 << self.n
-        fixed = self.fixed
+    def __init__(self, n: int, fixed: dict[int, int]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "fixed", fixed)
+        size = 1 << n
         if fixed and (min(fixed) < 1 or max(fixed) > size):
             bad = min(c for c in fixed if not 1 <= c <= size)
             raise ValueError(f"column {bad} out of range [1, {size}]")
@@ -375,18 +372,20 @@ class PartialTransition:
         return tuple(itertools.filterfalse(self.fixed.__contains__, range(1, (1 << self.n) + 1)))
 
 
-@dataclass(frozen=True)
-class MinStageResult:
+class MinStageResult(_Value):
     """The window length, P and T'. `total_completions` and `sequences` are
     views, built when first read, and `completions()` makes P's shift-law
     completions one at a time. The CLI reads no view: --all-completions
     writes each completion as `completions()` makes it."""
 
-    l: int
-    partial: PartialTransition
-    window_map: tuple[int, ...]  # Galois state index -> window index over 2^l
-    # the ids of the distinct output sequences
-    _ids: _SequenceIds = field(repr=False, compare=False)
+    __match_args__ = ("l", "partial", "window_map", "_ids")
+    _compared = ("l", "partial", "window_map")  # _ids is neither compared nor shown
+
+    def __init__(self, l: int, partial: PartialTransition, window_map: tuple, _ids: _SequenceIds):
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "partial", partial)
+        object.__setattr__(self, "window_map", window_map)  # Galois state -> window over 2^l
+        object.__setattr__(self, "_ids", _ids)  # the ids of the distinct output sequences
 
     @cached_property
     def total_completions(self) -> int:
@@ -549,11 +548,14 @@ def min_stage_galois(L: TransitionMatrix) -> tuple[TransitionMatrix, tuple[int, 
 # Equivalence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquivalenceResult:
-    equal: bool
-    forward: dict[int, int | None] = field(hash=False)  # A state -> matching B state
-    backward: dict[int, int | None] = field(hash=False)
+class EquivalenceResult(_Value):
+    __slots__ = __match_args__ = ("equal", "forward", "backward")
+    _hashed = ("equal",)
+
+    def __init__(self, equal: bool, forward: dict, backward: dict):
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "forward", forward)  # A state -> matching B state, or None
+        object.__setattr__(self, "backward", backward)  # B state -> matching A state, or None
 
     def __bool__(self) -> bool:
         return self.equal

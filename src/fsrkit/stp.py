@@ -13,10 +13,9 @@ import itertools
 import operator
 import re
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 
-from .expr import BoolExpr, Var, anf_to_expr, variables
+from .expr import BoolExpr, Var, _Value, anf_to_expr, variables
 from . import expr as _expr
 
 
@@ -51,41 +50,41 @@ def output_bit(k: int, n: int) -> int:
 # Matrix types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StructureMatrix:
+class StructureMatrix(_Value):
     """2 x 2^n logical matrix of a Boolean function, as row indices in {1, 2}."""
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = __match_args__ = ("n", "rows")
 
-    def __post_init__(self):
-        if len(self.rows) != 1 << self.n:
-            raise ValueError(f"expected {1 << self.n} entries, got {len(self.rows)}")
-        if self.rows.count(1) + self.rows.count(2) != len(self.rows):
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+        if len(rows) != 1 << n:
+            raise ValueError(f"expected {1 << n} entries, got {len(rows)}")
+        if rows.count(1) + rows.count(2) != len(rows):
             raise ValueError("structure matrix entries must be 1 or 2")
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(_Value):
     """2^n x 2^n logical matrix, stored as the column -> row index sequence."""
 
-    n: int
-    cols: tuple[int, ...]
+    __slots__ = __match_args__ = ("n", "cols")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, cols: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "cols", cols)
+        if n < 1:
             raise ValueError("a 0-stage matrix has no output bit")
-        size = 1 << self.n
-        if len(self.cols) != size:
-            raise ValueError(f"expected {size} columns, got {len(self.cols)}")
-        if min(self.cols) < 1 or max(self.cols) > size:
+        size = 1 << n
+        if len(cols) != size:
+            raise ValueError(f"expected {size} columns, got {len(cols)}")
+        if min(cols) < 1 or max(cols) > size:
             raise ValueError("column index out of range")
 
     @classmethod
     def _trusted(cls, n: int, cols: tuple[int, ...]) -> "TransitionMatrix":
         """A TransitionMatrix from 2^n columns already known to be in range,
         such as a shift-law completion of a checked partial matrix, without
-        __post_init__'s O(2^n) checks."""
+        the constructor's O(2^n) checks."""
         L = object.__new__(cls)
         object.__setattr__(L, "n", n)
         object.__setattr__(L, "cols", cols)
@@ -95,16 +94,15 @@ class TransitionMatrix:
         return self.cols[j - 1]
 
 
-@dataclass(frozen=True)
-class PermutationTransform:
+class PermutationTransform(_Value):
     """State relabeling z = T x; perm[i-1] is the image of index i."""
 
-    n: int
-    perm: tuple[int, ...]
+    __slots__ = __match_args__ = ("n", "perm")
 
-    def __post_init__(self):
-        size = 1 << self.n
-        if sorted(self.perm) != list(range(1, size + 1)):
+    def __init__(self, n: int, perm: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "perm", perm)
+        if sorted(perm) != list(range(1, (1 << n) + 1)):
             raise ValueError("not a permutation of the state indices")
 
     def __call__(self, i: int) -> int:
@@ -116,36 +114,36 @@ class PermutationTransform:
         return max(self.perm[:half]) <= half
 
 
-@dataclass(frozen=True)
-class FsrSpec:
+class FsrSpec(_Value):
     """An FSR as the truth table of each update function it defines, plus a
     configuration tag.
 
     A table is an int in state-index order (see _var_masks). Fibonacci specs
     define only the feedback f_n; the shift updates f_j = x_(j+1) for j < n
-    are implicit.
+    are implicit. A spec is unhashable: its tables are a dict.
     """
 
-    n: int
-    kind: str  # "fibonacci" | "galois"
-    tables: dict[int, int]  # register -> truth table of its update function
+    __slots__ = __match_args__ = ("n", "kind", "tables")
 
-    def __post_init__(self):
-        if self.kind not in ("fibonacci", "galois"):
-            raise ValueError(f"unknown configuration {self.kind!r}")
-        registers = set(range(1, self.n + 1))
-        defined = set(self.tables)
-        if self.kind == "fibonacci" and defined != {self.n}:
-            raise ValueError(f"Fibonacci files must define exactly f{self.n}")
-        if self.kind == "galois" and defined != registers:
+    def __init__(self, n: int, kind: str, tables: dict[int, int]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "kind", kind)  # "fibonacci" | "galois"
+        object.__setattr__(self, "tables", tables)  # register -> its update's truth table
+        if kind not in ("fibonacci", "galois"):
+            raise ValueError(f"unknown configuration {kind!r}")
+        registers = set(range(1, n + 1))
+        defined = set(tables)
+        if kind == "fibonacci" and defined != {n}:
+            raise ValueError(f"Fibonacci files must define exactly f{n}")
+        if kind == "galois" and defined != registers:
             missing = sorted(registers - defined)
             if missing:
                 raise ValueError(f"missing update functions: {missing}")
-            raise ValueError(f"update functions out of range for n={self.n}: "
+            raise ValueError(f"update functions out of range for n={n}: "
                              f"{sorted(defined - registers)}")
-        for k, table in self.tables.items():
-            if table < 0 or table >> (1 << self.n):
-                raise ValueError(f"truth table of f{k} out of range [0, 2^(2^{self.n}))")
+        for k, table in tables.items():
+            if table < 0 or table >> (1 << n):
+                raise ValueError(f"truth table of f{k} out of range [0, 2^(2^{n}))")
 
     @classmethod
     def fibonacci(cls, n: int, feedback: BoolExpr) -> "FsrSpec":

@@ -499,18 +499,18 @@ def record_matrix_builds(monkeypatch) -> list[int]:
     """Patch both ways a TransitionMatrix is made, the checked constructor
     and `_trusted`, to append each new matrix's n to the list returned."""
     built: list[int] = []
-    post_init = TransitionMatrix.__post_init__
+    init = TransitionMatrix.__init__
     trusted = TransitionMatrix._trusted.__func__
 
-    def checked(self):
-        post_init(self)
+    def checked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         built.append(self.n)
 
     def unchecked(cls, n, cols):
         built.append(n)
         return trusted(cls, n, cols)
 
-    monkeypatch.setattr(TransitionMatrix, "__post_init__", checked)
+    monkeypatch.setattr(TransitionMatrix, "__init__", checked)
     monkeypatch.setattr(TransitionMatrix, "_trusted", classmethod(unchecked))
     return built
 

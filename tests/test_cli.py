@@ -107,6 +107,34 @@ class TestFsrFileParsing:
         assert run(capsys, "to-matrix", str(f)) == (
             2, [], "error: unrecognized line: 'f² = x1'\n")
 
+    @pytest.mark.parametrize("sep", ["\r\n", "\r", "\f", "\f\n", "\v", "\x1c", "\x85", "\u2028"])
+    def test_line_separators_are_those_of_splitlines(self, sep):
+        text = "# c\nn=2 type=gal\n\nf1 = z2 # trailing\nf2 = z1\n"
+        assert parse_fsr_file(text.replace("\n", sep)) == parse_fsr_file(text)
+        bad = "n=2 type=gal\nf1 = z2\njunk\nf2 = z1\nf9 = z1".replace("\n", sep)
+        with pytest.raises(ValueError, match="^unrecognized line: 'junk'$"):
+            parse_fsr_file(bad)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "a", "a\n", "a\r", "\r\n", "a\r\nb", "a\n\rb", "a\r\rb\n", "a\f\nb",
+        "a\fb\f", "\f", "\f\n", "a\x85\n\u2029b", "a\x1d\r\n\n", "a\n\n\vb\x1e",
+    ])
+    def test_lines_are_those_of_splitlines(self, text):
+        assert list(cli._lines(text)) == text.splitlines()
+
+    def test_reads_one_line_at_a_time(self):
+        # the whole text split into a list of stripped lines first peaked at
+        # 2.90x the text here; one line at a time, 1.98x
+        text = dense_galois_text(12)
+        tracemalloc.start()
+        try:
+            fsr = parse_fsr_file(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(fsr.tables) == list(range(1, 13))
+        assert peak <= 2.3 * len(text), f"peak {peak / len(text):.2f}x the text"
+
     def test_register_name_takes_any_decimal_digit(self):
         # int() reads every Unicode decimal digit, as the expression parser does
         assert parse_fsr_file("n=3 type=fib\nf\u0663 = x1 ^ x\u0663\n").tables == (

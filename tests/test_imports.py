@@ -1,4 +1,5 @@
-"""No fsrkit module, test or demo imports a name it does not use.
+"""No fsrkit module, test or demo imports a name it does not use, and the
+CLI's start-up imports none of the heavy standard modules.
 
 A name counts as used when the module reads it.
 The package's `__init__.py` imports only to re-export, so it is not checked.
@@ -10,6 +11,8 @@ never calls them.
 import ast
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -57,3 +60,14 @@ def test_no_unused_imports(path):
     exempt = {name for module, name in traced_bindings() if module == path.stem}
     unused = set(unused_imports(ast.parse(path.read_text()))) - exempt
     assert not unused, f"{path.name} imports unused names: {sorted(unused)}"
+
+
+def test_cli_start_up_skips_heavy_modules():
+    # dataclasses, with the inspect it loads, and typing took about a third
+    # of a fresh `fsrkit gal2fib` on a 3-stage file; -S keeps the site
+    # module's .pth imports out of the check
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fsrkit.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    child = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == "[]\n"
