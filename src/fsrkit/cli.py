@@ -60,9 +60,9 @@ def parse_fsr_file(text: str) -> FsrSpec:
     first = next(lines, None)
     if first is None:
         raise ValueError("empty file")
-    items = [item.split("=", 1) for item in first.split() if "=" in item]
-    header = dict(items)
-    if len(header) < len(items) or "n" not in header or "type" not in header:
+    items = [item.partition("=") for item in first.split()]
+    header = {key: value for key, eq, value in items if eq}
+    if len(items) != 2 or header.keys() != {"n", "type"}:
         raise ValueError("header must be `n=<int> type=<fib|gal>`")
     try:
         n = int(header["n"])
@@ -141,7 +141,7 @@ def cmd_fib2gal(args) -> int:
             raise ValueError("--perm applies one fixed permutation: "
                              "it takes no --minimize, --seed or --budget")
         size, entries = parse_delta(args.perm)
-        if size != 1 << fsr.n or any(e is None for e in entries):
+        if size != 1 << fsr.n or len(entries) != size or None in entries:
             raise ValueError(f"permutation must be a complete d{1 << fsr.n}[...] sequence")
         pi = PermutationTransform(fsr.n, entries)  # type: ignore[arg-type]
         L_g = conjugate(L_f, pi)

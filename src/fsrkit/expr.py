@@ -6,6 +6,7 @@ import re
 from collections.abc import Iterable, Mapping
 from functools import reduce
 from itertools import chain, compress, count, repeat
+from operator import attrgetter
 
 
 class ParseError(ValueError):
@@ -14,10 +15,24 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _tuple_getter(names: tuple[str, ...]):
+    """value -> the tuple of its `names` fields, in C for two or more names.
+    An attrgetter of one name returns the bare field, and one of no names
+    cannot be made, so those two get a wrapper."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(*names)
+        return staticmethod(lambda value: (get(value),))
+    return staticmethod(lambda value: ())
+
+
 class _Value:
-    """Immutable values. A subclass names its fields in __match_args__ and sets each in
-    __init__ with object.__setattr__; any later setattr or delattr raises. __eq__ and
-    __repr__ read the _compared fields, __hash__ the _hashed ones, both all by default."""
+    """Immutable values. A subclass names its fields in __match_args__ and holds
+    them in slots. Its __init__ writes each field once through its setter, from
+    _setters in field order; any later setattr or delattr raises. __eq__ and
+    __repr__ read the _compared fields, __hash__ the _hashed ones, both all by
+    default."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -25,6 +40,21 @@ class _Value:
     def __init_subclass__(cls):
         cls._compared = cls.__dict__.get("_compared", cls.__match_args__)
         cls._hashed = cls.__dict__.get("_hashed", cls._compared)
+        # the slot descriptors' own setters skip the refusing __setattr__
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__match_args__)
+        cls._fields_of = _tuple_getter(cls.__match_args__)
+        cls._compared_of = _tuple_getter(cls._compared)
+        cls._hashed_of = _tuple_getter(cls._hashed)
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """An instance from fields already known to pass the constructor's
+        checks, such as a completion of a checked partial matrix, without
+        running them."""
+        value = object.__new__(cls)
+        for set_field, field in zip(cls._setters, fields):
+            set_field(value, field)
+        return value
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -34,18 +64,18 @@ class _Value:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        names = self._compared
-        return [getattr(self, f) for f in names] == [getattr(other, f) for f in names]
+        compared_of = self._compared_of
+        return compared_of(self) == compared_of(other)
 
     def __hash__(self):
-        return hash(tuple([getattr(self, f) for f in self._hashed]))
+        return hash(self._hashed_of(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._compared])
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple([getattr(self, f) for f in self.__match_args__])
+        return type(self), self._fields_of(self)
 
 
 # ---------------------------------------------------------------------------
@@ -62,29 +92,30 @@ class Var(BoolExpr):
     __slots__ = __match_args__ = ("index",)
 
     def __init__(self, index: int):
-        object.__setattr__(self, "index", index)
+        self._setters[0](self, index)
 
 
 class Const(BoolExpr):
     __slots__ = __match_args__ = ("value",)
 
     def __init__(self, value: int):
-        object.__setattr__(self, "value", value)
+        self._setters[0](self, value)
 
 
 class Not(BoolExpr):
     __slots__ = __match_args__ = ("child",)
 
     def __init__(self, child: BoolExpr):
-        object.__setattr__(self, "child", child)
+        self._setters[0](self, child)
 
 
 class _Binary(BoolExpr):
     __slots__ = __match_args__ = ("left", "right")
 
     def __init__(self, left: BoolExpr, right: BoolExpr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        set_left, set_right = self._setters
+        set_left(self, left)
+        set_right(self, right)
 
 
 class And(_Binary):
@@ -350,11 +381,13 @@ def parse(text: str, n: int) -> BoolExpr:
 
 _LEVEL = {Iff: 0, Implies: 1, Or: 2, Xor: 3, And: 4, Not: 5, Var: 6, Const: 6}
 _SYMBOL = {Iff: "<->", Implies: "->", Or: "|", Xor: "^", And: "&"}
+_SEPARATOR = {cls: f" {symbol} " for cls, symbol in _SYMBOL.items()}
 
 
 def render(expr: BoolExpr) -> str:
     """Concrete syntax; parse(render(e), n) is function-equal to e."""
     pieces = []
+    names = {}  # variable index -> its text, formatted once per call
     # the chain being written: its right operands, the next one last, their
     # separator and level, and whether the chain is in parentheses, decided
     # when it opens; the chains around it wait on `outer`
@@ -364,7 +397,10 @@ def render(expr: BoolExpr) -> str:
     while True:  # write node, in parentheses if it binds looser than min_level
         cls = type(node)
         if cls is Var:
-            pieces.append(f"x{node.index}")
+            name = names.get(node.index)
+            if name is None:
+                name = names[node.index] = f"x{node.index}"
+            pieces.append(name)
         elif cls is Const:
             pieces.append(str(node.value))
         elif cls is Not:
@@ -375,7 +411,7 @@ def render(expr: BoolExpr) -> str:
             pieces.append("!" * depth)
             min_level = _LEVEL[Not]
             continue
-        elif cls in _SYMBOL:
+        elif cls in _SEPARATOR:
             # binary, left-associative: the left spine of one operator needs
             # no parentheses, and each right operand a strictly higher level
             outer.append((rights, sep, level, wrapped))
@@ -383,7 +419,7 @@ def render(expr: BoolExpr) -> str:
             wrapped = own < min_level
             if wrapped:
                 pieces.append("(")
-            rights, sep, level, min_level = [], f" {_SYMBOL[cls]} ", own + 1, own
+            rights, sep, level, min_level = [], _SEPARATOR[cls], own + 1, own
             while type(node) is cls:
                 rights.append(node.right)
                 node = node.left
@@ -472,9 +508,10 @@ class Cost(_Value):
     __slots__ = __match_args__ = ("area_um2", "delay_ps", "gate_count")
 
     def __init__(self, area_um2: float, delay_ps: float, gate_count: int):
-        object.__setattr__(self, "area_um2", area_um2)
-        object.__setattr__(self, "delay_ps", delay_ps)
-        object.__setattr__(self, "gate_count", gate_count)
+        set_area, set_delay, set_count = self._setters
+        set_area(self, area_um2)
+        set_delay(self, delay_ps)
+        set_count(self, gate_count)
 
 
 def gate_cost(expr: BoolExpr) -> Cost:

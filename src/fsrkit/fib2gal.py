@@ -8,7 +8,6 @@ the new matrix satisfies L_g . pi = pi . L as column rewiring.
 from __future__ import annotations
 
 import itertools
-import random
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 
@@ -35,10 +34,11 @@ class PairClasses(_Value):
     __slots__ = __match_args__ = ("s11", "s10", "s01", "s00")
 
     def __init__(self, s11: tuple, s10: tuple, s01: tuple, s00: tuple):
-        object.__setattr__(self, "s11", s11)
-        object.__setattr__(self, "s10", s10)
-        object.__setattr__(self, "s01", s01)
-        object.__setattr__(self, "s00", s00)
+        set_s11, set_s10, set_s01, set_s00 = self._setters
+        set_s11(self, s11)
+        set_s10(self, s10)
+        set_s01(self, s01)
+        set_s00(self, s00)
 
 
 def classify_pairs(L: TransitionMatrix) -> PairClasses:
@@ -77,8 +77,9 @@ class GaloisCandidate(_Value):
     __slots__ = __match_args__ = ("matrix", "transform")
 
     def __init__(self, matrix: TransitionMatrix, transform: PermutationTransform):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "transform", transform)
+        set_matrix, set_transform = self._setters
+        set_matrix(self, matrix)
+        set_transform(self, transform)
 
 
 def partition_permutations(n: int) -> Iterator[PermutationTransform]:
@@ -91,6 +92,8 @@ def partition_permutations(n: int) -> Iterator[PermutationTransform]:
 
 def sampled_permutations(n: int, count: int, seed: int) -> Iterator[PermutationTransform]:
     """`count` uniform partition-preserving permutations, drawn with replacement."""
+    import random  # here, so that the commands that draw nothing do not load it
+
     half = 1 << (n - 1)
     rng = random.Random(seed)
     for _ in range(count):
@@ -153,8 +156,9 @@ class CountAudit(_Value):
     __slots__ = __match_args__ = ("permutations", "distinct_galois")
 
     def __init__(self, permutations: int, distinct_galois: int):
-        object.__setattr__(self, "permutations", permutations)
-        object.__setattr__(self, "distinct_galois", distinct_galois)  # but the source
+        set_permutations, set_distinct_galois = self._setters
+        set_permutations(self, permutations)
+        set_distinct_galois(self, distinct_galois)  # but the source
 
 
 def count_distinct_equivalents(L_f: TransitionMatrix) -> CountAudit:
@@ -176,13 +180,15 @@ class Reduction(_Value):
     """
 
     __match_args__ = ("n", "anfs", "support_sum", "area_um2", "gate_count")
+    __slots__ = (*__match_args__, "__dict__")
 
     def __init__(self, n: int, anfs: tuple, support_sum: int, area_um2: float, gate_count: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "anfs", anfs)
-        object.__setattr__(self, "support_sum", support_sum)
-        object.__setattr__(self, "area_um2", area_um2)
-        object.__setattr__(self, "gate_count", gate_count)
+        set_n, set_anfs, set_support_sum, set_area_um2, set_gate_count = self._setters
+        set_n(self, n)
+        set_anfs(self, anfs)
+        set_support_sum(self, support_sum)
+        set_area_um2(self, area_um2)
+        set_gate_count(self, gate_count)
 
     @cached_property
     def supports(self) -> tuple[tuple[int, ...], ...]:
@@ -206,8 +212,9 @@ class SelectedCandidate(_Value):
     __slots__ = __match_args__ = ("candidate", "reduction")
 
     def __init__(self, candidate: GaloisCandidate, reduction: Reduction):
-        object.__setattr__(self, "candidate", candidate)
-        object.__setattr__(self, "reduction", reduction)
+        set_candidate, set_reduction = self._setters
+        set_candidate(self, candidate)
+        set_reduction(self, reduction)
 
 
 # The gate model of synthesized logic, stated once for the reduction.

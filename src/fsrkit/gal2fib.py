@@ -29,8 +29,9 @@ class OutputSeq(_Value):
     __slots__ = __match_args__ = ("preperiod", "period")
 
     def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
-        object.__setattr__(self, "preperiod", preperiod)
-        object.__setattr__(self, "period", period)
+        set_preperiod, set_period = self._setters
+        set_preperiod(self, preperiod)
+        set_period(self, period)
         if not period:
             raise ValueError("period must be non-empty")
         try:
@@ -44,15 +45,6 @@ class OutputSeq(_Value):
             raise ValueError("period is not primitive")
         if preperiod and preperiod[-1] == period[-1]:
             raise ValueError("preperiod is not minimal")
-
-    @classmethod
-    def _trusted(cls, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "OutputSeq":
-        """An OutputSeq from parts already in normalized form, such as
-        _sequence_table's entries, without the constructor's checks."""
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "preperiod", preperiod)
-        object.__setattr__(seq, "period", period)
-        return seq
 
     def bits(self, length: int) -> tuple[int, ...]:
         """First `length` bits of the unrolled sequence."""
@@ -344,11 +336,13 @@ class PartialTransition(_Value):
     """
 
     __match_args__ = ("n", "fixed")
+    __slots__ = (*__match_args__, "__dict__")
     _hashed = ("n",)
 
     def __init__(self, n: int, fixed: dict[int, int]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "fixed", fixed)
+        set_n, set_fixed = self._setters
+        set_n(self, n)
+        set_fixed(self, fixed)
         size = 1 << n
         if fixed and (min(fixed) < 1 or max(fixed) > size):
             bad = min(c for c in fixed if not 1 <= c <= size)
@@ -379,13 +373,15 @@ class MinStageResult(_Value):
     writes each completion as `completions()` makes it."""
 
     __match_args__ = ("l", "partial", "window_map", "_ids")
+    __slots__ = (*__match_args__, "__dict__")
     _compared = ("l", "partial", "window_map")  # _ids is neither compared nor shown
 
     def __init__(self, l: int, partial: PartialTransition, window_map: tuple, _ids: _SequenceIds):
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "partial", partial)
-        object.__setattr__(self, "window_map", window_map)  # Galois state -> window over 2^l
-        object.__setattr__(self, "_ids", _ids)  # the ids of the distinct output sequences
+        set_l, set_partial, set_window_map, set_ids = self._setters
+        set_l(self, l)
+        set_partial(self, partial)
+        set_window_map(self, window_map)  # Galois state -> window over 2^l
+        set_ids(self, _ids)  # the ids of the distinct output sequences
 
     @cached_property
     def total_completions(self) -> int:
@@ -553,9 +549,10 @@ class EquivalenceResult(_Value):
     _hashed = ("equal",)
 
     def __init__(self, equal: bool, forward: dict, backward: dict):
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "forward", forward)  # A state -> matching B state, or None
-        object.__setattr__(self, "backward", backward)  # B state -> matching A state, or None
+        set_equal, set_forward, set_backward = self._setters
+        set_equal(self, equal)
+        set_forward(self, forward)  # A state -> matching B state, or None
+        set_backward(self, backward)  # B state -> matching A state, or None
 
     def __bool__(self) -> bool:
         return self.equal

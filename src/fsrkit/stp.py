@@ -56,8 +56,9 @@ class StructureMatrix(_Value):
     __slots__ = __match_args__ = ("n", "rows")
 
     def __init__(self, n: int, rows: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        set_n, set_rows = self._setters
+        set_n(self, n)
+        set_rows(self, rows)
         if len(rows) != 1 << n:
             raise ValueError(f"expected {1 << n} entries, got {len(rows)}")
         if rows.count(1) + rows.count(2) != len(rows):
@@ -70,8 +71,9 @@ class TransitionMatrix(_Value):
     __slots__ = __match_args__ = ("n", "cols")
 
     def __init__(self, n: int, cols: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cols", cols)
+        set_n, set_cols = self._setters
+        set_n(self, n)
+        set_cols(self, cols)
         if n < 1:
             raise ValueError("a 0-stage matrix has no output bit")
         size = 1 << n
@@ -79,16 +81,6 @@ class TransitionMatrix(_Value):
             raise ValueError(f"expected {size} columns, got {len(cols)}")
         if min(cols) < 1 or max(cols) > size:
             raise ValueError("column index out of range")
-
-    @classmethod
-    def _trusted(cls, n: int, cols: tuple[int, ...]) -> "TransitionMatrix":
-        """A TransitionMatrix from 2^n columns already known to be in range,
-        such as a shift-law completion of a checked partial matrix, without
-        the constructor's O(2^n) checks."""
-        L = object.__new__(cls)
-        object.__setattr__(L, "n", n)
-        object.__setattr__(L, "cols", cols)
-        return L
 
     def column(self, j: int) -> int:
         return self.cols[j - 1]
@@ -100,8 +92,9 @@ class PermutationTransform(_Value):
     __slots__ = __match_args__ = ("n", "perm")
 
     def __init__(self, n: int, perm: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "perm", perm)
+        set_n, set_perm = self._setters
+        set_n(self, n)
+        set_perm(self, perm)
         if sorted(perm) != list(range(1, (1 << n) + 1)):
             raise ValueError("not a permutation of the state indices")
 
@@ -126,9 +119,10 @@ class FsrSpec(_Value):
     __slots__ = __match_args__ = ("n", "kind", "tables")
 
     def __init__(self, n: int, kind: str, tables: dict[int, int]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "kind", kind)  # "fibonacci" | "galois"
-        object.__setattr__(self, "tables", tables)  # register -> its update's truth table
+        set_n, set_kind, set_tables = self._setters
+        set_n(self, n)
+        set_kind(self, kind)  # "fibonacci" | "galois"
+        set_tables(self, tables)  # register -> its update's truth table
         if kind not in ("fibonacci", "galois"):
             raise ValueError(f"unknown configuration {kind!r}")
         registers = set(range(1, n + 1))

@@ -68,10 +68,12 @@ class TestFsrFileParsing:
         assert run(capsys, "to-matrix", str(f)) == (
             2, [], "error: unrecognized line: 'L = d4[1 2 3 4]'\n")
 
-    @pytest.mark.parametrize("header", ["n=3 n=2 type=gal", "n=2 type=gal type=fib"])
-    def test_repeated_header_key(self, capsys, tmp_path, header):
-        # the header used to go into a dict, where the last value of a key won
-        f = tmp_path / "repeated.fsr"
+    @pytest.mark.parametrize("header", ["n=3 n=2 type=gal", "n=2 type=gal type=fib",
+                                        "n=2 type=gal junk", "n=2 type=gal x=1"])
+    def test_header_takes_exactly_n_and_type(self, capsys, tmp_path, header):
+        # the header used to go into a dict, where the last value of a key
+        # won, and a token other than n= and type= was dropped
+        f = tmp_path / "header.fsr"
         f.write_text(f"{header}\nf1 = z2\nf2 = z1\n")
         assert run(capsys, "to-matrix", str(f)) == (
             2, [], "error: header must be `n=<int> type=<fib|gal>`\n")
@@ -231,6 +233,11 @@ class TestFib2Gal:
     def test_non_integer_perm_entry_exits_two(self, capsys, perm, token):
         assert run(capsys, "fib2gal", FIB4, "--perm", perm) == (
             2, [], f"error: entry {token!r} is not an integer\n")
+
+    def test_perm_with_too_few_entries_exits_two(self, capsys):
+        # the entry count used to reach PermutationTransform's own check
+        assert run(capsys, "fib2gal", FIB4, "--perm", "d16[1 2 3]") == (
+            2, [], "error: permutation must be a complete d16[...] sequence\n")
 
     def test_budget_without_seed_fails_at_eleven_stages(self, capsys, tmp_path):
         f = tmp_path / "fib11.fsr"

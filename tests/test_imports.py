@@ -64,10 +64,11 @@ def test_no_unused_imports(path):
 
 def test_cli_start_up_skips_heavy_modules():
     # dataclasses, with the inspect it loads, and typing took about a third
-    # of a fresh `fsrkit gal2fib` on a 3-stage file; -S keeps the site
-    # module's .pth imports out of the check
+    # of a fresh `fsrkit gal2fib` on a 3-stage file, and random 1.5-1.8 ms
+    # that only a sampled fib2gal search needs; -S keeps the site module's
+    # .pth imports out of the check
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import fsrkit.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'random', 'typing'} & set(sys.modules)))")
     child = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                            capture_output=True, text=True, check=True)
     assert child.stdout == "[]\n"
