@@ -34,13 +34,14 @@ def show(title, updates):
 
     result = min_stage_fibonacci(L_g)
     print(f"  l = {result.l}, q = {min_stage_galois(L_g)[0].n}")
-    for seq in result.sequences:
+    sequences = result.sequences  # a view, computed each time it is read
+    for seq in sequences:
         pre, per = ("".join(map(str, bits)) for bits in (seq.preperiod, seq.period))
         print(f"  pre={pre} per={per}")
 
     # Window lengths below the answer fail the out-degree test.
     for l in range(1, result.l + 1):
-        G = derived_digraph(result.sequences, l)
+        G = derived_digraph(sequences, l)
         print(f"  l={l}: realizable={realizable(G)}")
 
     print("  partial matrix:", format_delta(1 << result.l, result.partial.fixed))

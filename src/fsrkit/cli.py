@@ -275,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "`completions = 2^k` line comes first either way")
     p.add_argument("--max-free", type=int, default=20,
                    help="largest k for which --all-completions writes all "
-                        "2^k completions (default: %(default)s)")
+                        "2^k completions; it applies only with "
+                        "--all-completions (default: %(default)s)")
     p.set_defaults(func=cmd_gal2fib)
 
     p = sub.add_parser("verify", help="output-sequence equivalence oracle")

@@ -30,21 +30,17 @@ def _tuple_getter(names: tuple[str, ...]):
 class _Value:
     """Immutable values. A subclass names its fields in __match_args__ and holds
     them in slots. Its __init__ writes each field once through its setter, from
-    _setters in field order; any later setattr or delattr raises. __eq__ and
-    __repr__ read the _compared fields, __hash__ the _hashed ones, both all by
-    default."""
+    _setters in field order; any later setattr or delattr raises. __eq__,
+    __hash__, __repr__ and __reduce__ read every field, so a class with a dict
+    field is unhashable."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._compared = cls.__dict__.get("_compared", cls.__match_args__)
-        cls._hashed = cls.__dict__.get("_hashed", cls._compared)
         # the slot descriptors' own setters skip the refusing __setattr__
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__match_args__)
         cls._fields_of = _tuple_getter(cls.__match_args__)
-        cls._compared_of = _tuple_getter(cls._compared)
-        cls._hashed_of = _tuple_getter(cls._hashed)
 
     @classmethod
     def _trusted(cls, *fields):
@@ -64,14 +60,14 @@ class _Value:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        compared_of = self._compared_of
-        return compared_of(self) == compared_of(other)
+        fields_of = self._fields_of
+        return fields_of(self) == fields_of(other)
 
     def __hash__(self):
-        return hash(self._hashed_of(self))
+        return hash(self._fields_of(self))
 
     def __repr__(self):
-        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._compared])
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__match_args__])
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

@@ -1,8 +1,15 @@
 """Fibonacci-specific transition-matrix law: construction, recognition, inversion.
 
 For a shift-with-feedback system the transition matrix is forced by the
-feedback's structure matrix. `_shift_bases` states that law once, for both
-directions of the transformation.
+feedback's structure matrix. `_shift_bases` states that law for both
+directions of the transformation. Two places restate it in closed form,
+base = 2 * ((j - 1) mod 2^(n-1)), because neither has a list of columns to
+walk beside the bases:
+- `gal2fib.min_stage_fibonacci` checks each fixed column of P alone, since
+  P keeps only its fixed columns, at long windows a few among 2^l;
+- `stp.delta_pieces` writes the least completion's columns as text, a
+  piece at a time, so that no list of 2^l entries is built; stp also sits
+  below this module, which imports it.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cached_property
 
 from .expr import GATES, And, BoolExpr, Xor, _Value, anf_to_expr
 from .fib import is_fibonacci
@@ -179,8 +178,7 @@ class Reduction(_Value):
     is the variables that occur in it. The costs are those of `updates`.
     """
 
-    __match_args__ = ("n", "anfs", "support_sum", "area_um2", "gate_count")
-    __slots__ = (*__match_args__, "__dict__")
+    __slots__ = __match_args__ = ("n", "anfs", "support_sum", "area_um2", "gate_count")
 
     def __init__(self, n: int, anfs: tuple, support_sum: int, area_um2: float, gate_count: int):
         set_n, set_anfs, set_support_sum, set_area_um2, set_gate_count = self._setters
@@ -190,21 +188,21 @@ class Reduction(_Value):
         set_area_um2(self, area_um2)
         set_gate_count(self, gate_count)
 
-    @cached_property
+    @property
     def supports(self) -> tuple[tuple[int, ...], ...]:
         """Each coordinate's support, in increasing index order."""
         return tuple(_anf_support(anf, self.n) for anf in self.anfs)
 
-    @cached_property
+    @property
     def delay_ps(self) -> float:
         """The coordinates' delays, summed."""
         weights = _weight_masks(self.n)
         return sum((_anf_delay(anf, weights) for anf in self.anfs), 0.0)
 
-    @cached_property
+    @property
     def updates(self) -> tuple[BoolExpr, ...]:
         """Each coordinate as an XOR of AND chains over the original variable
-        indices, monomials ordered by (degree, indices); built when first read."""
+        indices, monomials ordered by (degree, indices); computed when read."""
         return tuple(anf_to_expr(anf, self.n) for anf in self.anfs)
 
 
@@ -261,7 +259,7 @@ def _anf_delay(anf: int, weights: Sequence[int]) -> float:
 
 def reduce_candidate(L_g: TransitionMatrix) -> Reduction:
     """Each coordinate's ANF and the gate cost totals, read off its truth
-    table; supports, delay and expressions are built when first read."""
+    table; supports, delay and expressions are computed when read."""
     n = L_g.n
     masks = _var_masks(n)
     # from a list, not a generator: tuple() of a generator leaves the cyclic

@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import cached_property
 
 from .expr import _Value
 from .fib import _least_columns
@@ -332,12 +331,10 @@ class PartialTransition(_Value):
 
     `fixed` maps each fixed column (1-based) to its successor; every other
     column is free. At long windows almost every column is free, so only
-    the fixed ones are stored and checked. The hash is n's alone.
+    the fixed ones are stored and checked.
     """
 
-    __match_args__ = ("n", "fixed")
-    __slots__ = (*__match_args__, "__dict__")
-    _hashed = ("n",)
+    __slots__ = __match_args__ = ("n", "fixed")
 
     def __init__(self, n: int, fixed: dict[int, int]):
         set_n, set_fixed = self._setters
@@ -352,46 +349,46 @@ class PartialTransition(_Value):
             bad = min(c for c, t in fixed.items() if not 1 <= t <= size)
             raise ValueError(f"column value {fixed[bad]} out of range")
 
-    @cached_property
+    @property
     def cols(self) -> tuple[int | None, ...]:
-        """All 2^n columns, None where free; built when first read."""
+        """All 2^n columns, None where free; computed when read."""
         cols: list[int | None] = [None] * (1 << self.n)
         for c, t in self.fixed.items():
             cols[c - 1] = t
         return tuple(cols)
 
-    @cached_property
+    @property
     def free_columns(self) -> tuple[int, ...]:
-        """The free columns in increasing order; built when first read."""
+        """The free columns in increasing order; computed when read."""
         return tuple(itertools.filterfalse(self.fixed.__contains__, range(1, (1 << self.n) + 1)))
 
 
 class MinStageResult(_Value):
-    """The window length, P and T'. `total_completions` and `sequences` are
-    views, built when first read, and `completions()` makes P's shift-law
-    completions one at a time. The CLI reads no view: --all-completions
-    writes each completion as `completions()` makes it."""
+    """The window length, P and T' of the Galois matrix. `total_completions`
+    and `sequences` are views, computed when read, and `completions()` makes
+    P's shift-law completions one at a time. The CLI reads no view:
+    --all-completions writes each completion as `completions()` makes it."""
 
-    __match_args__ = ("l", "partial", "window_map", "_ids")
-    __slots__ = (*__match_args__, "__dict__")
-    _compared = ("l", "partial", "window_map")  # _ids is neither compared nor shown
+    __slots__ = __match_args__ = ("l", "partial", "window_map", "matrix")
 
-    def __init__(self, l: int, partial: PartialTransition, window_map: tuple, _ids: _SequenceIds):
-        set_l, set_partial, set_window_map, set_ids = self._setters
+    def __init__(self, l: int, partial: PartialTransition, window_map: tuple, matrix: TransitionMatrix):
+        set_l, set_partial, set_window_map, set_matrix = self._setters
         set_l(self, l)
         set_partial(self, partial)
         set_window_map(self, window_map)  # Galois state -> window over 2^l
-        set_ids(self, _ids)  # the ids of the distinct output sequences
+        set_matrix(self, matrix)  # the Galois matrix L_g
 
-    @cached_property
+    @property
     def total_completions(self) -> int:
         """The count of P's shift-law completions, 2^(free columns)."""
         return 1 << ((1 << self.l) - len(self.partial.fixed))
 
-    @cached_property
+    @property
     def sequences(self) -> tuple[OutputSeq, ...]:
-        """The distinct output sequences, sorted."""
-        return tuple(sorted(_output_seqs(self._ids), key=operator.attrgetter("preperiod", "period")))
+        """The distinct output sequences of the matrix, sorted."""
+        ids = _SequenceIds()
+        _sequence_table(self.matrix, ids)
+        return tuple(sorted(_output_seqs(ids), key=operator.attrgetter("preperiod", "period")))
 
     def completions(self) -> Iterator[TransitionMatrix]:
         """P's shift-law completions in lexicographic order, the least one
@@ -499,12 +496,7 @@ def min_stage_fibonacci(L_g: TransitionMatrix) -> MinStageResult:
     for w, t in fixed.items():
         if (t - 1) >> 1 != (w - 1) & low:
             raise AssertionError("fixed column violates the Fibonacci law")
-    return MinStageResult(
-        l=l,
-        partial=partial,
-        window_map=window_map,
-        _ids=ids,
-    )
+    return MinStageResult(l, partial, window_map, L_g)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +538,6 @@ def min_stage_galois(L: TransitionMatrix) -> tuple[TransitionMatrix, tuple[int, 
 
 class EquivalenceResult(_Value):
     __slots__ = __match_args__ = ("equal", "forward", "backward")
-    _hashed = ("equal",)
 
     def __init__(self, equal: bool, forward: dict, backward: dict):
         set_equal, set_forward, set_backward = self._setters

@@ -239,6 +239,11 @@ class TestFib2Gal:
         assert run(capsys, "fib2gal", FIB4, "--perm", "d16[1 2 3]") == (
             2, [], "error: permutation must be a complete d16[...] sequence\n")
 
+    def test_perm_with_a_repeated_entry_exits_two(self, capsys):
+        perm = "d16[1 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15]"
+        assert run(capsys, "fib2gal", FIB4, "--perm", perm) == (
+            2, [], "error: not a permutation of the state indices\n")
+
     def test_budget_without_seed_fails_at_eleven_stages(self, capsys, tmp_path):
         f = tmp_path / "fib11.fsr"
         f.write_text("n=11 type=fib\nf11 = x1 ^ x2\n")

@@ -343,6 +343,11 @@ def test_fold_rejects_a_foreign_node():
         _fold(And(Var(1), "x1"), lambda node: 0, lambda value, k: value, lambda cls, vs: 0)
 
 
+def test_render_rejects_a_foreign_node():
+    with pytest.raises(TypeError, match="not a BoolExpr node: 'x1'"):
+        render(Xor(Var(1), "x1"))
+
+
 # -- no recursion in the package ----------------------------------------------
 
 SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "fsrkit").glob("*.py"))

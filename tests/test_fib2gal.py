@@ -25,6 +25,7 @@ from fsrkit import (
     structure_matrix,
 )
 from fsrkit.expr import Var
+from fsrkit import fib2gal
 from fsrkit.fib2gal import GaloisCandidate, reduce_candidate, search_plan
 
 from conftest import (
@@ -67,6 +68,10 @@ class TestClassifyPairs:
             pc = classify_pairs(fib_transition(M))
             assert len(pc.s11) == len(pc.s10) == len(pc.s01) == len(pc.s00) == quarter
 
+    def test_rejects_one_stage(self):
+        with pytest.raises(ValueError, match="^pair classification needs at least 2 registers$"):
+            classify_pairs(TransitionMatrix(1, (2, 1)))
+
 
 class TestConjugate:
     def test_identity(self, lf4):
@@ -85,6 +90,10 @@ class TestConjugate:
         swap_halves = tuple(range(9, 17)) + tuple(range(1, 9))
         with pytest.raises(ValueError):
             conjugate(lf4, PermutationTransform(4, swap_halves))
+
+    def test_rejects_size_mismatch(self, lf4):
+        with pytest.raises(ValueError, match="^permutation and matrix sizes differ$"):
+            conjugate(lf4, PermutationTransform(3, tuple(range(1, 9))))
 
     def test_output_streams_match(self, lf4, lg4):
         pi = PermutationTransform(4, PI4)
@@ -292,10 +301,16 @@ class TestReduceCandidate:
         r = self.check(L, same_tree)
         assert min(anf.bit_count() for anf in r.anfs) > 900
 
-    def test_updates_are_built_when_read(self):
-        r = reduce_candidate(debruijn3())
-        assert "updates" not in vars(r)
-        assert r.updates is r.updates
+    def test_updates_are_built_when_read(self, monkeypatch):
+        def refuse(anf, n):
+            raise AssertionError("reduce_candidate built a tree")
+
+        with monkeypatch.context() as m:
+            m.setattr(fib2gal, "anf_to_expr", refuse)
+            r = reduce_candidate(debruijn3())
+            with pytest.raises(AssertionError, match="built a tree"):
+                r.updates
+        assert r.updates == r.updates and len(r.updates) == 3
 
 
 class TestRankKey:

@@ -296,6 +296,13 @@ class TestOutputSeq:
             OutputSeq((0,), (0,))
         with pytest.raises(ValueError):
             OutputSeq((), ())
+        with pytest.raises(ValueError, match="^period must be non-empty$"):
+            normalize_sequence((), ())
+
+    @pytest.mark.parametrize("pre, per", [((), ("a",)), ((), (256,)), ((-1,), (0,))])
+    def test_rejects_entries_that_are_not_bytes(self, pre, per):
+        with pytest.raises(ValueError, match="^sequence entries must be bits$"):
+            OutputSeq(pre, per)
 
     def test_bits_unrolls(self):
         s = OutputSeq((1, 1), (0,))

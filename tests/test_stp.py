@@ -7,6 +7,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from fsrkit import (
     FsrSpec,
+    PermutationTransform,
     StructureMatrix,
     TransitionMatrix,
     coordinate_structure,
@@ -183,6 +184,12 @@ class TestCoordinateStructure:
         )
         assert rebuilt == L.cols
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_rejects_out_of_range_coordinate(self, k):
+        L = TransitionMatrix(3, (5, 3, 7, 6, 4, 1, 8, 7))
+        with pytest.raises(ValueError, match=rf"^coordinate {k} out of range \[1, 3\]$"):
+            coordinate_structure(L, k)
+
 
 def flips_value_somewhere(e, n, j):
     """Oracle for variable dependence, straight from expression evaluation."""
@@ -279,6 +286,13 @@ class TestTransitionMatrix:
         size = 1 << n
         for cols in ((1,) * size, (size,) * size, tuple(range(size, 0, -1))):
             assert TransitionMatrix(n, cols).cols == cols
+
+
+class TestPermutationTransform:
+    @pytest.mark.parametrize("perm", [(1, 1, 2, 3), (0, 1, 2, 3), (1, 2, 3, 5), (1, 2, 3)])
+    def test_rejects_non_permutation(self, perm):
+        with pytest.raises(ValueError, match="^not a permutation of the state indices$"):
+            PermutationTransform(2, perm)
 
 
 class TestDeltaFormat:

@@ -1,13 +1,11 @@
 """The value semantics of fsrkit's immutable result and node classes.
 
-Every class compares by value within its own class, hashes what it
-compares (less the fields listed below), prints as `Name(field=value, ...)`,
-refuses assignment and deletion, takes its fields by keyword, and survives
-copy, deepcopy and pickle. The field options:
-- `FsrSpec` is unhashable, since its tables are a dict;
-- `PartialTransition.fixed` and `EquivalenceResult.forward` / `.backward`
-  are compared but not hashed;
-- `MinStageResult._ids` is neither compared nor shown.
+Every class compares by value within its own class, hashes, shows and
+pickles all of its fields, prints as `Name(field=value, ...)`, refuses
+assignment and deletion, takes its fields by keyword, holds them in slots
+with no `__dict__`, and survives copy, deepcopy and pickle. A class with a
+dict field, or a field that holds one, is unhashable: `FsrSpec`,
+`PartialTransition`, `EquivalenceResult` and `MinStageResult`.
 """
 
 import copy
@@ -29,7 +27,7 @@ from fsrkit.gal2fib import (
     MinStageResult,
     OutputSeq,
     PartialTransition,
-    _SequenceIds,
+    equivalent,
     min_stage_fibonacci,
 )
 from fsrkit.stp import FsrSpec, PermutationTransform, StructureMatrix, TransitionMatrix
@@ -85,10 +83,10 @@ CASES = {
                 "OutputSeq(preperiod=(1,), period=(0,))"),
     PartialTransition: ({"n": 2, "fixed": {1: 1, 3: 2}}, {"n": 2, "fixed": {1: 2}},
                         "PartialTransition(n=2, fixed={1: 1, 3: 2})"),
-    MinStageResult: ({"l": 2, "partial": P, "window_map": (1, 3), "_ids": _SequenceIds()},
-                     {"l": 2, "partial": P, "window_map": (3, 1), "_ids": _SequenceIds()},
+    MinStageResult: ({"l": 2, "partial": P, "window_map": (1, 3), "matrix": L2},
+                     {"l": 2, "partial": P, "window_map": (1, 3), "matrix": TransitionMatrix(1, (1, 1))},
                      "MinStageResult(l=2, partial=PartialTransition(n=2, fixed={1: 1, 3: 2}), "
-                     "window_map=(1, 3))"),
+                     "window_map=(1, 3), matrix=TransitionMatrix(n=1, cols=(2, 1)))"),
     EquivalenceResult: ({"equal": True, "forward": {1: 1}, "backward": {1: 1}},
                         {"equal": True, "forward": {1: None}, "backward": {1: 1}},
                         "EquivalenceResult(equal=True, forward={1: 1}, backward={1: 1})"),
@@ -100,7 +98,7 @@ TWINS = {
     StructureMatrix: TransitionMatrix, TransitionMatrix: PermutationTransform,
     PermutationTransform: StructureMatrix,
 }
-UNHASHABLE = {FsrSpec}
+UNHASHABLE = {FsrSpec, PartialTransition, EquivalenceResult, MinStageResult}
 
 
 def test_every_value_class_is_covered():
@@ -118,6 +116,7 @@ def test_value_semantics(cls):
         c = cls(**other)
         assert a != c and not a == c
     assert a != object()
+    assert not hasattr(a, "__dict__")
     if cls in TWINS:
         twin = TWINS[cls](*kwargs.values())
         assert a != twin and twin != a
@@ -138,21 +137,13 @@ def test_value_semantics(cls):
 
 
 def test_field_options():
-    with pytest.raises(TypeError):
-        hash(FsrSpec(1, "galois", {1: 1}))
-    # fixed, forward and backward are compared but not hashed
-    assert PartialTransition(2, {1: 1}) != PartialTransition(2, {1: 2})
-    assert hash(PartialTransition(2, {1: 1})) == hash(PartialTransition(2, {1: 2}))
-    e1, e2 = EquivalenceResult(False, {1: None}, {1: 1}), EquivalenceResult(False, {1: 1}, {1: None})
-    assert e1 != e2 and hash(e1) == hash(e2)
-    # _ids is neither compared nor shown
-    r1 = min_stage_fibonacci(TransitionMatrix(2, (1, 3, 2, 4)))
-    r2 = min_stage_fibonacci(TransitionMatrix(2, (1, 3, 2, 4)))
-    assert r1._ids is not r2._ids
-    assert r1 == r2 and hash(r1) == hash(r2)
-    assert "_ids" not in repr(r1)
-    kwargs = CASES[MinStageResult][0]
-    assert MinStageResult(**{**kwargs, "_ids": None}) == MinStageResult(**kwargs)
+    # no field is left out of the hash: a dict field, or a field that
+    # holds one, makes the value unhashable
+    L = TransitionMatrix(2, (1, 3, 2, 4))
+    result = min_stage_fibonacci(L)
+    for value in (FsrSpec(1, "galois", {1: 1}), result, result.partial, equivalent(L, L)):
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(value)
 
 
 def test_trusted_constructors_make_equal_values():
@@ -163,7 +154,7 @@ def test_trusted_constructors_make_equal_values():
     assert OutputSeq._trusted((1,), (0,)) == OutputSeq((1,), (0,))
 
 
-def test_cached_views_survive_a_copy():
+def test_views_survive_a_copy():
     audit = count_distinct_equivalents(TransitionMatrix(2, (1, 3, 2, 4)))
     assert copy.deepcopy(audit) == audit
     red = copy.deepcopy(RED)
