@@ -168,9 +168,9 @@ def cmd_fib2gal(args) -> int:
         print(f"T = {format_delta(size, best.candidate.transform.perm)}")
         r = best.reduction
         print(f"support_sum = {r.support_sum}")
-        # whole numbers (see fib2gal's gate model): '.0f' prints them exactly
+        # AND2 and XOR2 areas are whole um^2 (see expr's gate costs): '.0f' is exact
         print(f"area_um2 = {r.area_um2:.0f}")
-        print(f"delay_ps = {r.delay_ps:.0f}")
+        print(f"delay_ps = {r.delay_ps}")
         print(f"gates = {r.gate_count}")
         if args.emit in ("logic", "all"):
             print(_emit_logic(fsr.n, r.updates))

@@ -488,41 +488,82 @@ def anf_to_expr(anf: int, n: int) -> BoolExpr:
 # Gate costs
 # ---------------------------------------------------------------------------
 
-#: The 90 nm CMOS gate each binary node class is costed as, (area um^2, delay ps):
-#: AND2 5/87; NOR2 3.7/57 for | and -> (a -> b is !a | b); XOR2 10/115 for ^
-#: and <-> (a <-> b is !(a ^ b)).
+#: The 90 nm CMOS gate each binary node class is costed as, (area in 0.1 um^2,
+#: delay in ps), so that every cost is an exact int: AND2 50/87; NOR2 37/57 for
+#: | and -> (a -> b is !a | b); XOR2 100/115 for ^ and <-> (a <-> b is !(a ^ b)).
+#: Cost and fib2gal.Reduction keep these units; their area_um2 reads um^2.
 GATES = {
-    And: (5.0, 87.0),
-    Or: (3.7, 57.0),
-    Implies: (3.7, 57.0),
-    Xor: (10.0, 115.0),
-    Iff: (10.0, 115.0),
+    And: (50, 87),
+    Or: (37, 57),
+    Implies: (37, 57),
+    Xor: (100, 115),
+    Iff: (100, 115),
 }
 
 
 class Cost(_Value):
-    __slots__ = __match_args__ = ("area_um2", "delay_ps", "gate_count")
+    __slots__ = __match_args__ = ("area", "delay_ps", "gate_count")
 
-    def __init__(self, area_um2: float, delay_ps: float, gate_count: int):
+    def __init__(self, area: int, delay_ps: int, gate_count: int):
         set_area, set_delay, set_count = self._setters
-        set_area(self, area_um2)
+        set_area(self, area)
         set_delay(self, delay_ps)
         set_count(self, gate_count)
+
+    area_um2 = property(lambda self: self.area / 10)
 
 
 def gate_cost(expr: BoolExpr) -> Cost:
     """Area sums over all gates, delay along the deepest path.
 
     Each binary node is its GATES entry; inverters are absorbed (zero cost,
-    not counted). A node's area is (left + right) + its gate, in that order.
-    """
+    not counted)."""
     def chain(cls, values):
         gate_area, gate_delay = GATES[cls]
         area, delay, count = values[0]
         for ra, rd, rc in values[1:]:
-            area = area + ra + gate_area
+            area += ra + gate_area
             delay = max(delay, rd) + gate_delay
-            count = count + rc + 1
+            count += rc + 1
         return area, delay, count
 
-    return Cost(*_fold(expr, lambda node: (0.0, 0.0, 0), lambda value, k: value, chain))
+    return Cost(*_fold(expr, lambda node: (0, 0, 0), lambda value, k: value, chain))
+
+
+def _anf_cost(anfs: Iterable[int], masks: tuple[int, ...]) -> tuple[int, int, int]:
+    """The summed support, area and gate count of ANF masks (see stp._moebius)
+    over masks = stp._var_masks(n), each written as anf_to_expr writes it: a
+    left-deep XOR2 chain of its k monomials, and a monomial m as a chain of
+    |m| - 1 AND2s; the constants are free."""
+    n = len(masks)
+    support_sum = ands = xors = 0
+    for anf in anfs:
+        occurs = [(anf & mask).bit_count() for mask in masks]
+        support_sum += n - occurs.count(0)
+        k = anf.bit_count()
+        if k:
+            # the constant monomial is the top bit, the all-zeros state
+            ands += sum(occurs) - k + (anf >> ((1 << n) - 1))
+            xors += k - 1
+    return support_sum, GATES[And][0] * ands + GATES[Xor][0] * xors, ands + xors
+
+
+def _anf_delay(anf: int, weights: tuple[int, ...]) -> int:
+    """Delay of ANF mask anf's XOR chain, its terms in increasing degree:
+    acc = max(acc, term) + XOR2 for each term after the first, where a term
+    of degree d is a chain of d - 1 AND2s. Once a degree's first term is
+    folded in, acc exceeds that degree's term, so each further monomial of
+    the degree adds one XOR2. weights is stp._weight_masks(n)."""
+    and_delay, xor_delay = GATES[And][1], GATES[Xor][1]
+    n = len(weights) - 1
+    acc = None
+    for degree in range(n + 1):
+        count = (anf & weights[n - degree]).bit_count()
+        if not count:
+            continue
+        term = and_delay * max(degree - 1, 0)
+        if acc is None:
+            acc = term + xor_delay * (count - 1)
+        else:
+            acc = max(acc, term) + xor_delay * count
+    return acc or 0

@@ -8,9 +8,9 @@ the new matrix satisfies L_g . pi = pi . L as column rewiring.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
-from .expr import GATES, And, BoolExpr, Xor, _Value, anf_to_expr
+from .expr import BoolExpr, Cost, _Value, _anf_cost, _anf_delay, anf_to_expr
 from .fib import is_fibonacci
 from .stp import (
     PermutationTransform,
@@ -86,7 +86,7 @@ def partition_permutations(n: int) -> Iterator[PermutationTransform]:
     half = 1 << (n - 1)
     for top in itertools.permutations(range(1, half + 1)):
         for bottom in itertools.permutations(range(half + 1, 2 * half + 1)):
-            yield PermutationTransform(n, top + bottom)
+            yield PermutationTransform._trusted(n, top + bottom)
 
 
 def sampled_permutations(n: int, count: int, seed: int) -> Iterator[PermutationTransform]:
@@ -100,7 +100,7 @@ def sampled_permutations(n: int, count: int, seed: int) -> Iterator[PermutationT
         bottom = list(range(half + 1, 2 * half + 1))
         rng.shuffle(top)
         rng.shuffle(bottom)
-        yield PermutationTransform(n, tuple(top + bottom))
+        yield PermutationTransform._trusted(n, tuple(top + bottom))
 
 
 def search_plan(n: int, budget: int | None) -> tuple[bool, int]:
@@ -162,7 +162,12 @@ class CountAudit(_Value):
 
 def count_distinct_equivalents(L_f: TransitionMatrix) -> CountAudit:
     """Audit the (2^(n-1))!^2 - 1 count by exhaustion, which
-    enumerate_equivalents refuses for n > 3."""
+    enumerate_equivalents refuses for n > 3.
+
+    The count holds for every Fibonacci L_f: p and q give one conjugate
+    exactly when pi = q^-1 p commutes with L_f. Such a pi preserves the
+    output partition, so it keeps each state's output sequence, and a
+    Fibonacci state is its next n output bits: pi fixes every state."""
     galois = {c.matrix.cols for c in enumerate_equivalents(L_f)}
     return CountAudit(
         permutations=search_plan(L_f.n, None)[1],
@@ -175,18 +180,21 @@ class Reduction(_Value):
 
     anfs[k - 1] is coordinate k's ANF over x1..xn: bit u is the monomial of
     the variables that are 1 on state u + 1 (see stp._moebius). Its support
-    is the variables that occur in it. The costs are those of `updates`.
+    is the variables that occur in it. The costs are those of `updates`, in
+    Cost's units: area in 0.1 um^2, delay in ps.
     """
 
-    __slots__ = __match_args__ = ("n", "anfs", "support_sum", "area_um2", "gate_count")
+    __slots__ = __match_args__ = ("n", "anfs", "support_sum", "area", "gate_count")
 
-    def __init__(self, n: int, anfs: tuple, support_sum: int, area_um2: float, gate_count: int):
-        set_n, set_anfs, set_support_sum, set_area_um2, set_gate_count = self._setters
+    def __init__(self, n: int, anfs: tuple, support_sum: int, area: int, gate_count: int):
+        set_n, set_anfs, set_support_sum, set_area, set_gate_count = self._setters
         set_n(self, n)
         set_anfs(self, anfs)
         set_support_sum(self, support_sum)
-        set_area_um2(self, area_um2)
+        set_area(self, area)
         set_gate_count(self, gate_count)
+
+    area_um2 = Cost.area_um2
 
     @property
     def supports(self) -> tuple[tuple[int, ...], ...]:
@@ -194,10 +202,10 @@ class Reduction(_Value):
         return tuple(_anf_support(anf, self.n) for anf in self.anfs)
 
     @property
-    def delay_ps(self) -> float:
+    def delay_ps(self) -> int:
         """The coordinates' delays, summed."""
         weights = _weight_masks(self.n)
-        return sum((_anf_delay(anf, weights) for anf in self.anfs), 0.0)
+        return sum([_anf_delay(anf, weights) for anf in self.anfs])
 
     @property
     def updates(self) -> tuple[BoolExpr, ...]:
@@ -215,64 +223,15 @@ class SelectedCandidate(_Value):
         set_reduction(self, reduction)
 
 
-# The gate model of synthesized logic, stated once for the reduction.
-# A coordinate is written as a left-deep XOR2 chain of its k monomials, in
-# increasing degree, and a monomial m as a left-deep chain of |m| - 1 AND2
-# gates; the constants are free. The areas and delays are whole numbers, so
-# every float sum below is exact and does not depend on its order.
-
-def _anf_gates(anf: int, masks: Sequence[int]) -> tuple[list[int], int, int]:
-    """How many monomials each variable occurs in, and the AND2 and XOR2
-    counts, of ANF mask anf over len(masks) variables."""
-    occurs = [(anf & mask).bit_count() for mask in masks]
-    k = anf.bit_count()
-    if not k:
-        return occurs, 0, 0
-    # the constant monomial is the top bit, the all-zeros state
-    return occurs, sum(occurs) - k + (anf >> ((1 << len(masks)) - 1)), k - 1
-
-
-def _area(ands: int, xors: int) -> float:
-    return GATES[And][0] * ands + GATES[Xor][0] * xors
-
-
-def _anf_delay(anf: int, weights: Sequence[int]) -> float:
-    """Delay of ANF mask anf's XOR chain, its terms in increasing degree:
-    acc = max(acc, term) + XOR2 for each term after the first, where a term
-    of degree d is a chain of d - 1 AND2s. Once a degree's first term is
-    folded in, acc exceeds that degree's term, so each further monomial of
-    the degree adds one XOR2. weights is stp._weight_masks(n)."""
-    and_delay, xor_delay = GATES[And][1], GATES[Xor][1]
-    n = len(weights) - 1
-    acc = None
-    for degree in range(n + 1):
-        count = (anf & weights[n - degree]).bit_count()
-        if not count:
-            continue
-        term = and_delay * max(degree - 1, 0)
-        if acc is None:
-            acc = term + xor_delay * (count - 1)
-        else:
-            acc = max(acc, term) + xor_delay * count
-    return 0.0 if acc is None else acc
-
-
 def reduce_candidate(L_g: TransitionMatrix) -> Reduction:
     """Each coordinate's ANF and the gate cost totals, read off its truth
     table; supports, delay and expressions are computed when read."""
     n = L_g.n
-    masks = _var_masks(n)
     # from a list, not a generator: tuple() of a generator leaves the cyclic
     # GC's allocation count about two higher a call (CPython 3.11), and
     # select_minimal reduces every candidate
     anfs = tuple([_moebius(table, n) for table in _coordinate_tables(L_g)])
-    support_sum = ands = xors = 0
-    for anf in anfs:
-        occurs, a, x = _anf_gates(anf, masks)
-        support_sum += n - occurs.count(0)
-        ands += a
-        xors += x
-    return Reduction(n, anfs, support_sum, _area(ands, xors), ands + xors)
+    return Reduction(n, anfs, *_anf_cost(anfs, _var_masks(n)))
 
 
 def select_minimal(candidates: Iterable[GaloisCandidate]) -> SelectedCandidate:
@@ -286,7 +245,7 @@ def select_minimal(candidates: Iterable[GaloisCandidate]) -> SelectedCandidate:
     best_key: tuple | None = None
     for cand in candidates:
         r = reduce_candidate(cand.matrix)
-        key = (r.support_sum, r.area_um2, cand.matrix.cols)
+        key = (r.support_sum, r.area, cand.matrix.cols)
         if best_key is None or key < best_key:
             best_key = key
             best = SelectedCandidate(cand, r)

@@ -633,7 +633,7 @@ def ref_gate_cost(expr) -> Cost:
     """
     def walk(node):
         if isinstance(node, (Var, Const)):
-            return 0.0, 0.0, 0
+            return 0, 0, 0
         if isinstance(node, Not):
             return walk(node.child)
         la, ld, lc = walk(node.left)
@@ -663,10 +663,10 @@ def ref_reduce_candidate(L_g: TransitionMatrix):
     each coordinate's structure matrix is cut to its support, synthesized
     over positions 1..|support|, renamed back to the original indices and
     walked for its gate cost. Returns (updates, supports, support_sum,
-    area_um2, delay_ps, gate_count)."""
+    area, delay_ps, gate_count), the area in 0.1 um^2."""
     updates = []
     supports = []
-    area = delay = 0.0
+    area = delay = 0
     gates = 0
     for k in range(1, L_g.n + 1):
         support, reduced = ref_restrict_support(ref_coordinate_structure(L_g, k))
@@ -674,7 +674,7 @@ def ref_reduce_candidate(L_g: TransitionMatrix):
         cost = gate_cost(e)
         updates.append(e)
         supports.append(support)
-        area += cost.area_um2
+        area += cost.area
         delay += cost.delay_ps
         gates += cost.gate_count
     return (tuple(updates), tuple(supports), sum(len(s) for s in supports),

@@ -238,8 +238,8 @@ class TestGateCost:
         assert gate_cost(tree).delay_ps == 174.0
 
     def test_area_adds_operands_before_the_gate(self):
-        # (3.7 + 3.7) + 5.0 is 12.4 but 3.7 + (3.7 + 5.0) is 12.399999999999999,
-        # and the area is a tie-break key, so the summation order is pinned
+        # in floats, 3.7 + (3.7 + 5.0) is 12.399999999999999; the area is a
+        # tie-break key, and in 0.1 um^2 it is 37 + 37 + 50 = 124 in any order
         e = And(Or(Var(1), Var(2)), Or(Var(3), Var(4)))
         assert gate_cost(e).area_um2 == 12.4
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from fsrkit import (
+    CountAudit,
     FsrSpec,
     PermutationTransform,
     StructureMatrix,
@@ -118,6 +120,15 @@ class TestEnumeration:
     def test_n3_permutation_count(self):
         assert sum(1 for _ in partition_permutations(3)) == 576
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_built_permutations_pass_the_checked_constructor(self, n):
+        # both builders skip PermutationTransform's check: their ranges are
+        # complete by construction
+        built = [*itertools.islice(partition_permutations(n), 600),
+                 *fib2gal.sampled_permutations(n, 200, n)]
+        for p in built:
+            assert p == PermutationTransform(n, p.perm)
+
     def test_zero_budget_like_sampling_is_deterministic(self):
         L = debruijn3()
         a = [c.matrix.cols for c in enumerate_equivalents(L, budget=10, seed=1)]
@@ -186,6 +197,15 @@ class TestCountAudit:
     def test_rejects_large_n(self, lf4):
         with pytest.raises(ValueError, match=UNLIMITED_AT_4):
             count_distinct_equivalents(lf4)
+
+    @pytest.mark.parametrize("n, want", [(2, CountAudit(4, 3)), (3, CountAudit(576, 575))])
+    def test_every_feedback_meets_the_count(self, n, want):
+        # a partition-preserving pi that commutes with L_f fixes every state
+        # (see count_distinct_equivalents), so every feedback meets the count
+        for mask in range(1 << (1 << n)):
+            rows = tuple(2 - (mask >> k & 1) for k in range(1 << n))
+            L_f = fib_transition(StructureMatrix(n, rows))
+            assert count_distinct_equivalents(L_f) == want, rows
 
 
 class TestSelectMinimal:
@@ -278,8 +298,8 @@ class TestReduceCandidate:
         updates, supports, support_sum, area, delay, gates = ref_reduce_candidate(L)
         assert r.n == L.n and len(r.anfs) == L.n
         assert (r.supports, r.support_sum, r.gate_count) == (supports, support_sum, gates)
-        # exact floats: the printed values are these
-        assert (r.area_um2, r.delay_ps) == (area, delay)
+        # exact ints: the printed values are these
+        assert (r.area, r.delay_ps) == (area, delay)
         assert all(map(equal, r.updates, updates))
         assert [render(e) for e in r.updates] == [render(e) for e in updates]
         for e in r.updates:  # one shared node per variable

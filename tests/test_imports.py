@@ -1,5 +1,6 @@
-"""No fsrkit module, test or demo imports a name it does not use, and the
-CLI's start-up imports none of the heavy standard modules.
+"""No fsrkit module, test or demo imports a name it does not use, the
+CLI's start-up imports none of the heavy standard modules, and no fsrkit
+module but expr names the gate table.
 
 A name counts as used when the module reads it.
 The package's `__init__.py` imports only to re-export, so it is not checked.
@@ -72,3 +73,15 @@ def test_cli_start_up_skips_heavy_modules():
     child = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
                            capture_output=True, text=True, check=True)
     assert child.stdout == "[]\n"
+
+
+def test_only_expr_names_the_gate_table():
+    # the gate model has one home: every other module costs through expr's
+    # functions, so its units and gates change in one place
+    for path in (ROOT / "src" / "fsrkit").glob("*.py"):
+        if path.name == "expr.py":
+            continue
+        named = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if "GATES" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                getattr(node, "name", None), getattr(node, "asname", None))]
+        assert not named, f"{path.name} names GATES at lines {named}"

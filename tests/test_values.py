@@ -35,7 +35,7 @@ from fsrkit.stp import FsrSpec, PermutationTransform, StructureMatrix, Transitio
 A, B = Var(1), Const(0)
 L2 = TransitionMatrix(1, (2, 1))
 T2 = PermutationTransform(1, (1, 2))
-RED = Reduction(1, (1,), 1, 0.0, 0)
+RED = Reduction(1, (1,), 1, 0, 0)
 CAND = GaloisCandidate(L2, T2)
 P = PartialTransition(2, {1: 1, 3: 2})
 
@@ -48,9 +48,9 @@ CASES = {
     **{cls: ({"left": A, "right": B}, {"left": B, "right": A},
              f"{cls.__name__}(left=Var(index=1), right=Const(value=0))")
        for cls in (And, Or, Xor, Implies, Iff)},
-    Cost: ({"area_um2": 5.0, "delay_ps": 87.0, "gate_count": 1},
-           {"area_um2": 5.0, "delay_ps": 87.0, "gate_count": 2},
-           "Cost(area_um2=5.0, delay_ps=87.0, gate_count=1)"),
+    Cost: ({"area": 50, "delay_ps": 87, "gate_count": 1},
+           {"area": 50, "delay_ps": 87, "gate_count": 2},
+           "Cost(area=50, delay_ps=87, gate_count=1)"),
     StructureMatrix: ({"n": 1, "rows": (1, 2)}, {"n": 1, "rows": (2, 2)},
                       "StructureMatrix(n=1, rows=(1, 2))"),
     TransitionMatrix: ({"n": 1, "cols": (1, 2)}, {"n": 1, "cols": (2, 1)},
@@ -70,14 +70,14 @@ CASES = {
     CountAudit: ({"permutations": 4, "distinct_galois": 3},
                  {"permutations": 4, "distinct_galois": 2},
                  "CountAudit(permutations=4, distinct_galois=3)"),
-    Reduction: ({"n": 1, "anfs": (1,), "support_sum": 1, "area_um2": 0.0, "gate_count": 0},
-                {"n": 1, "anfs": (2,), "support_sum": 1, "area_um2": 0.0, "gate_count": 0},
-                "Reduction(n=1, anfs=(1,), support_sum=1, area_um2=0.0, gate_count=0)"),
+    Reduction: ({"n": 1, "anfs": (1,), "support_sum": 1, "area": 0, "gate_count": 0},
+                {"n": 1, "anfs": (2,), "support_sum": 1, "area": 0, "gate_count": 0},
+                "Reduction(n=1, anfs=(1,), support_sum=1, area=0, gate_count=0)"),
     SelectedCandidate: ({"candidate": CAND, "reduction": RED},
-                        {"candidate": CAND, "reduction": Reduction(1, (2,), 1, 0.0, 0)},
+                        {"candidate": CAND, "reduction": Reduction(1, (2,), 1, 0, 0)},
                         "SelectedCandidate(candidate=GaloisCandidate(matrix=TransitionMatrix("
                         "n=1, cols=(2, 1)), transform=PermutationTransform(n=1, perm=(1, 2))), "
-                        "reduction=Reduction(n=1, anfs=(1,), support_sum=1, area_um2=0.0, "
+                        "reduction=Reduction(n=1, anfs=(1,), support_sum=1, area=0, "
                         "gate_count=0))"),
     OutputSeq: ({"preperiod": (1,), "period": (0,)}, {"preperiod": (), "period": (0,)},
                 "OutputSeq(preperiod=(1,), period=(0,))"),
