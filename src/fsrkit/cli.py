@@ -12,6 +12,7 @@ import sys
 from collections.abc import Iterator
 
 from . import expr as ex
+from .expr import _read_table, _table_reader
 from .fib import fib_transition
 from .fib2gal import (
     conjugate,
@@ -27,8 +28,6 @@ from .stp import (
     StructureMatrix,
     TransitionMatrix,
     _mask_to_rows,
-    _read_table,
-    _table_reader,
     delta_pieces,
     encode_state,
     format_delta,

@@ -1,12 +1,13 @@
-"""Boolean update functions: AST, parser, rendering, ANF expressions and gate costs."""
+"""Boolean functions in every form: expression trees, their text, truth tables
+and ANF masks as ints, and the gate costs of trees and masks alike."""
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
-from functools import reduce
+from collections.abc import Callable, Iterable, Mapping
+from functools import cache, reduce
 from itertools import chain, compress, count, repeat
-from operator import attrgetter
+from operator import and_, attrgetter, or_, xor
 
 
 class ParseError(ValueError):
@@ -134,8 +135,10 @@ class Iff(_Binary):
     __slots__ = ()
 
 
-# binary node classes, loosest-binding first
+# binary node classes and their operator tokens, loosest-binding first: the
+# index is the precedence, the one statement of it that parse and render read
 _BINOPS = (Iff, Implies, Or, Xor, And)
+_OPERATORS = ("<->", "->", "|", "^", "&")
 
 
 # a marker on _fold's work stack: combine the values of the frame on top
@@ -232,10 +235,9 @@ _END = ""  # the token after the last one
 # a piece between "^" and "&" that the flat reader takes: one atom token
 _FLAT_ATOM_RE = re.compile(r"\s*([xz]\d+|[01])\s*")
 
-# binary operator tokens, loosest first: the index is the precedence and
-# indexes _BINOPS; "(" and "!" wait on the operator stack under these codes,
-# above a bottom marker
-_PRECEDENCE = {"<->": 0, "->": 1, "|": 2, "^": 3, "&": 4}
+# binary operator token -> its precedence, which indexes _BINOPS; "(" and
+# "!" wait on the operator stack under these codes, above a bottom marker
+_PRECEDENCE = {op: p for p, op in enumerate(_OPERATORS)}
 _BOTTOM, _OPEN, _NOT = -2, -1, len(_BINOPS)
 
 
@@ -375,9 +377,9 @@ def parse(text: str, n: int) -> BoolExpr:
 # Rendering
 # ---------------------------------------------------------------------------
 
-_LEVEL = {Iff: 0, Implies: 1, Or: 2, Xor: 3, And: 4, Not: 5, Var: 6, Const: 6}
-_SYMBOL = {Iff: "<->", Implies: "->", Or: "|", Xor: "^", And: "&"}
-_SEPARATOR = {cls: f" {symbol} " for cls, symbol in _SYMBOL.items()}
+# how tightly each operator node binds: its precedence, and "!" above all
+_LEVEL = {cls: p for p, cls in enumerate((*_BINOPS, Not))}
+_SEPARATOR = {cls: f" {op} " for cls, op in zip(_BINOPS, _OPERATORS)}
 
 
 def render(expr: BoolExpr) -> str:
@@ -434,14 +436,139 @@ def render(expr: BoolExpr) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Truth tables
+# ---------------------------------------------------------------------------
+#
+# A truth table over n variables is one int in state-index order: bit u holds
+# the value on state k = u + 1, so variable i is 1 where bit (n - i) of u is 0.
+
+@cache
+def _var_masks(n: int) -> tuple[int, ...]:
+    """Truth table of each variable: runs of s = 2^(n-i) ones and s zeros."""
+    masks = []
+    for i in range(1, n + 1):
+        width = 2 << (n - i)
+        m = (1 << (width >> 1)) - 1
+        while width < 1 << n:  # double the pattern until it covers 2^n bits
+            m |= m << width
+            width <<= 1
+        masks.append(m)
+    return tuple(masks)
+
+
+# the one place operator semantics on truth tables live: node class ->
+# make(full), the operator on two tables of 2^n bits with full = 2^(2^n) - 1
+_TABLE_OPS = {
+    And: lambda full: and_,
+    Or: lambda full: or_,
+    Xor: lambda full: xor,
+    Implies: lambda full: lambda a, b: (full ^ a) | b,
+    Iff: lambda full: lambda a, b: full ^ a ^ b,
+}
+
+
+def _table_of(f: BoolExpr, n: int) -> int:
+    """Truth table of tree f over n variables; refuses a variable outside [1, n]."""
+    bad = variables(f) - set(range(1, n + 1))
+    if bad:
+        raise ValueError(f"variable indices {sorted(bad)} out of range [1, {n}]")
+    masks = _var_masks(n)
+    full = (1 << (1 << n)) - 1
+    return _fold(
+        f,
+        lambda node: masks[node.index - 1] if type(node) is Var else full if node.value else 0,
+        lambda table, k: table ^ full if k & 1 else table,
+        lambda cls, tables: reduce(_TABLE_OPS[cls](full), tables),
+    )
+
+
+def _read_table(text: str, n: int) -> int:
+    """Truth table of an expression's text, read without building its AST."""
+    masks = _var_masks(n)
+    full = (1 << (1 << n)) - 1
+    return _evaluate(
+        text, n, lambda i: masks[i - 1], lambda v: full if v else 0, full.__xor__,
+        tuple(_TABLE_OPS[cls](full) for cls in _BINOPS),
+    )
+
+
+def _table_reader(n: int) -> Callable[[str], int]:
+    """_read_table for the update lines of one file, reading each distinct
+    term text once for the file.
+
+    A flat AND of in-range atoms is kept as its monomial's bit u in an ANF
+    mask (see _moebius), as (byte u >> 3, bit u & 7), and a term with a 0
+    factor as (0, 0), which toggles nothing. A line is the XOR of its terms'
+    bits, and one _moebius call makes that mask its truth table. A line with
+    any other new term goes to _read_table, which reports every error, and
+    so does a line of at most 2n terms: folding that few costs less than
+    _moebius.
+    """
+    size = 1 << n
+    atoms: dict[str, int] = {}  # factor text -> bit n - i for variable i
+    bits: dict[str, tuple[int, int]] = {}  # term text -> (byte, bit)
+
+    def var(i: int) -> int:
+        return 1 << (n - i)
+
+    def const(v: int) -> int:
+        return 0 if v else size
+
+    def read(text: str) -> int:
+        terms = text.split("^")
+        if len(terms) <= 2 * n:
+            return _read_table(text, n)
+        new = list(set(terms).difference(bits))
+        factors = [t.split("&") for t in new]
+        fresh = set(chain.from_iterable(factors)).difference(atoms)
+        found = _flat_atoms([fresh], n, var, const)
+        if found is None:
+            return _read_table(text, n)
+        atoms.update(found)
+        for t, fs in zip(new, factors):
+            u = size - 1 - reduce(or_, map(atoms.__getitem__, fs))
+            bits[t] = (u >> 3, 1 << (u & 7)) if u >= 0 else (0, 0)
+        mask = bytearray((size + 7) >> 3)
+        for i, b in map(bits.__getitem__, terms):
+            mask[i] ^= b
+        return _moebius(int.from_bytes(mask, "little"), n)
+
+    return read
+
+
+# ---------------------------------------------------------------------------
 # Algebraic normal form
 # ---------------------------------------------------------------------------
+
+@cache
+def _weight_masks(n: int) -> tuple[int, ...]:
+    """The bits u < 2^n with w ones, for w = 0..n. In an ANF mask (see
+    _moebius) they are the monomials of degree n - w."""
+    masks = [1]
+    for m in range(n):  # one more bit m of u: u itself, or u + 2^m
+        masks = [a | (b << (1 << m)) for a, b in zip(masks + [0], [0] + masks)]
+    return tuple(masks)
+
+
+def _moebius(f: int, n: int) -> int:
+    """ANF of truth table f: bit u becomes the coefficient of the monomial
+    over the variables that are 1 on state u + 1."""
+    for i, var in enumerate(_var_masks(n), start=1):
+        f ^= (f >> (1 << (n - i))) & var
+    return f
+
+
+def _anf_support(anf: int, n: int) -> tuple[int, ...]:
+    """The variables that occur in ANF mask anf, in increasing order: a
+    function depends on exactly these."""
+    return tuple(j for j, mask in enumerate(_var_masks(n), start=1) if anf & mask)
+
 
 _FLAG_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _anf_monomials(anf: int, n: int) -> list[tuple[int, ...]]:
-    """The monomials of an ANF mask over n variables (see stp._moebius) as
+    """The monomials of an ANF mask over n variables (see _moebius) as
     increasing index tuples, sorted by (degree, indices).
 
     Bit u is the monomial of the variables i whose bit n - i of u is 0.
@@ -466,7 +593,7 @@ def _anf_monomials(anf: int, n: int) -> list[tuple[int, ...]]:
 
 
 def anf_to_expr(anf: int, n: int) -> BoolExpr:
-    """Canonical expression of ANF mask anf over x1..xn (see stp._moebius):
+    """Canonical expression of ANF mask anf over x1..xn (see _moebius):
     a left-deep XOR of one left-deep AND chain per monomial, ordered by
     (degree, indices). The empty monomial is the constant 1, and no monomial
     the constant 0. Every occurrence of a variable is one shared node.
@@ -530,12 +657,12 @@ def gate_cost(expr: BoolExpr) -> Cost:
     return Cost(*_fold(expr, lambda node: (0, 0, 0), lambda value, k: value, chain))
 
 
-def _anf_cost(anfs: Iterable[int], masks: tuple[int, ...]) -> tuple[int, int, int]:
-    """The summed support, area and gate count of ANF masks (see stp._moebius)
-    over masks = stp._var_masks(n), each written as anf_to_expr writes it: a
-    left-deep XOR2 chain of its k monomials, and a monomial m as a chain of
-    |m| - 1 AND2s; the constants are free."""
-    n = len(masks)
+def _anf_cost(anfs: Iterable[int], n: int) -> tuple[int, int, int]:
+    """The summed support, area and gate count of ANF masks over n variables
+    (see _moebius), each written as anf_to_expr writes it: a left-deep XOR2
+    chain of its k monomials, and a monomial m as a chain of |m| - 1 AND2s;
+    the constants are free."""
+    masks = _var_masks(n)
     support_sum = ands = xors = 0
     for anf in anfs:
         occurs = [(anf & mask).bit_count() for mask in masks]
@@ -548,14 +675,14 @@ def _anf_cost(anfs: Iterable[int], masks: tuple[int, ...]) -> tuple[int, int, in
     return support_sum, GATES[And][0] * ands + GATES[Xor][0] * xors, ands + xors
 
 
-def _anf_delay(anf: int, weights: tuple[int, ...]) -> int:
-    """Delay of ANF mask anf's XOR chain, its terms in increasing degree:
-    acc = max(acc, term) + XOR2 for each term after the first, where a term
-    of degree d is a chain of d - 1 AND2s. Once a degree's first term is
-    folded in, acc exceeds that degree's term, so each further monomial of
-    the degree adds one XOR2. weights is stp._weight_masks(n)."""
+def _anf_delay(anf: int, n: int) -> int:
+    """Delay of ANF mask anf's XOR chain over n variables, its terms in
+    increasing degree: acc = max(acc, term) + XOR2 for each term after the
+    first, where a term of degree d is a chain of d - 1 AND2s. Once a
+    degree's first term is folded in, acc exceeds that degree's term, so
+    each further monomial of the degree adds one XOR2."""
     and_delay, xor_delay = GATES[And][1], GATES[Xor][1]
-    n = len(weights) - 1
+    weights = _weight_masks(n)
     acc = None
     for degree in range(n + 1):
         count = (anf & weights[n - degree]).bit_count()

@@ -10,17 +10,9 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 
-from .expr import BoolExpr, Cost, _Value, _anf_cost, _anf_delay, anf_to_expr
+from .expr import BoolExpr, Cost, _Value, _anf_cost, _anf_delay, _anf_support, _moebius, anf_to_expr
 from .fib import is_fibonacci
-from .stp import (
-    PermutationTransform,
-    TransitionMatrix,
-    _anf_support,
-    _coordinate_tables,
-    _moebius,
-    _var_masks,
-    _weight_masks,
-)
+from .stp import PermutationTransform, TransitionMatrix, _coordinate_tables
 # not called here: bench/tracing.py (TRACED) wraps these at this module's
 # bindings, and its traced run fails without them
 from .expr import gate_cost, substitute
@@ -69,7 +61,8 @@ def conjugate(L: TransitionMatrix, pi: PermutationTransform) -> TransitionMatrix
     cols = [0] * len(perm)
     for p, c in zip(perm, L.cols):
         cols[p - 1] = perm[c - 1]
-    return TransitionMatrix(L.n, tuple(cols))
+    # the columns of a checked matrix, relabeled by a permutation: all in range
+    return TransitionMatrix._trusted(L.n, tuple(cols))
 
 
 class GaloisCandidate(_Value):
@@ -179,7 +172,7 @@ class Reduction(_Value):
     """A candidate's update functions as ANF masks, with their cost totals.
 
     anfs[k - 1] is coordinate k's ANF over x1..xn: bit u is the monomial of
-    the variables that are 1 on state u + 1 (see stp._moebius). Its support
+    the variables that are 1 on state u + 1 (see expr._moebius). Its support
     is the variables that occur in it. The costs are those of `updates`, in
     Cost's units: area in 0.1 um^2, delay in ps.
     """
@@ -204,8 +197,7 @@ class Reduction(_Value):
     @property
     def delay_ps(self) -> int:
         """The coordinates' delays, summed."""
-        weights = _weight_masks(self.n)
-        return sum([_anf_delay(anf, weights) for anf in self.anfs])
+        return sum([_anf_delay(anf, self.n) for anf in self.anfs])
 
     @property
     def updates(self) -> tuple[BoolExpr, ...]:
@@ -231,7 +223,7 @@ def reduce_candidate(L_g: TransitionMatrix) -> Reduction:
     # GC's allocation count about two higher a call (CPython 3.11), and
     # select_minimal reduces every candidate
     anfs = tuple([_moebius(table, n) for table in _coordinate_tables(L_g)])
-    return Reduction(n, anfs, *_anf_cost(anfs, _var_masks(n)))
+    return Reduction(n, anfs, *_anf_cost(anfs, n))
 
 
 def select_minimal(candidates: Iterable[GaloisCandidate]) -> SelectedCandidate:

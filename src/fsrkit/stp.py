@@ -1,8 +1,10 @@
-"""Canonical-vector state encoding and the logical-matrix algebra.
+"""Canonical-vector state encoding, the logical matrices of the state space
+and their delta-notation text.
 
 States of an n-register FSR are basis-vector indices in [1, 2^n]; the
 all-ones state is index 1 and the all-zeros state is index 2^n.  Logical
-matrices are stored as index sequences, never as dense 0/1 arrays.
+matrices are stored as index sequences, never as dense 0/1 arrays. A
+Boolean function's tree, text, truth table and ANF mask live in expr.
 """
 
 from __future__ import annotations
@@ -10,13 +12,11 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import operator
 import re
 import sys
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
-from .expr import BoolExpr, Var, _Value, anf_to_expr, variables
-from . import expr as _expr
+from .expr import BoolExpr, _Value, _anf_support, _moebius, _table_of, _var_masks, anf_to_expr
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ class FsrSpec(_Value):
     """An FSR as the truth table of each update function it defines, plus a
     configuration tag.
 
-    A table is an int in state-index order (see _var_masks). Fibonacci specs
+    A table is an int in state-index order (see expr._var_masks). Fibonacci specs
     define only the feedback f_n; the shift updates f_j = x_(j+1) for j < n
     are implicit. A spec is unhashable: its tables are a dict.
     """
@@ -149,112 +149,14 @@ class FsrSpec(_Value):
 
 
 # ---------------------------------------------------------------------------
-# Truth tables
+# Structure-matrix rows and truth tables
 # ---------------------------------------------------------------------------
 #
-# A truth table over n variables is one int in state-index order: bit u holds
-# the value on state k = u + 1, so variable i is 1 where bit (n - i) of u is 0.
+# Row 1 (true) or 2 (false) on state k = u + 1 is bit u of the truth table
+# (see expr._var_masks), 1 or 0.
 
 _ROWS_TO_DIGITS = bytes.maketrans(b"\x01\x02", b"10")
 _DIGITS_TO_ROWS = bytes.maketrans(b"10", b"\x01\x02")
-
-
-@functools.cache
-def _var_masks(n: int) -> tuple[int, ...]:
-    """Truth table of each variable: runs of s = 2^(n-i) ones and s zeros."""
-    masks = []
-    for i in range(1, n + 1):
-        width = 2 << (n - i)
-        m = (1 << (width >> 1)) - 1
-        while width < 1 << n:  # double the pattern until it covers 2^n bits
-            m |= m << width
-            width <<= 1
-        masks.append(m)
-    return tuple(masks)
-
-
-@functools.cache
-def _weight_masks(n: int) -> tuple[int, ...]:
-    """The bits u < 2^n with w ones, for w = 0..n. In an ANF mask (see
-    _moebius) they are the monomials of degree n - w."""
-    masks = [1]
-    for m in range(n):  # one more bit m of u: u itself, or u + 2^m
-        masks = [a | (b << (1 << m)) for a, b in zip(masks + [0], [0] + masks)]
-    return tuple(masks)
-
-
-# the one place operator semantics on truth tables live: node class ->
-# make(full), the operator on two tables of 2^n bits with full = 2^(2^n) - 1
-_TABLE_OPS = {
-    _expr.And: lambda full: operator.and_,
-    _expr.Or: lambda full: operator.or_,
-    _expr.Xor: lambda full: operator.xor,
-    _expr.Implies: lambda full: lambda a, b: (full ^ a) | b,
-    _expr.Iff: lambda full: lambda a, b: full ^ a ^ b,
-}
-
-
-def _truth_mask(f: BoolExpr, masks: Sequence[int], full: int) -> int:
-    return _expr._fold(
-        f,
-        lambda node: masks[node.index - 1] if type(node) is Var else full if node.value else 0,
-        lambda table, k: table ^ full if k & 1 else table,
-        lambda cls, tables: functools.reduce(_TABLE_OPS[cls](full), tables),
-    )
-
-
-def _read_table(text: str, n: int) -> int:
-    """Truth table of an expression's text, read without building its AST."""
-    masks = _var_masks(n)
-    full = (1 << (1 << n)) - 1
-    return _expr._evaluate(
-        text, n, lambda i: masks[i - 1], lambda v: full if v else 0, full.__xor__,
-        tuple(_TABLE_OPS[node](full) for node in _expr._BINOPS),
-    )
-
-
-def _table_reader(n: int) -> Callable[[str], int]:
-    """_read_table for the update lines of one file, reading each distinct
-    term text once for the file.
-
-    A flat AND of in-range atoms is kept as its monomial's bit u in an ANF
-    mask (see _moebius), as (byte u >> 3, bit u & 7), and a term with a 0
-    factor as (0, 0), which toggles nothing. A line is the XOR of its terms'
-    bits, and one _moebius call makes that mask its truth table. A line with
-    any other new term goes to _read_table, which reports every error, and
-    so does a line of at most 2n terms: folding that few costs less than
-    _moebius.
-    """
-    size = 1 << n
-    atoms: dict[str, int] = {}  # factor text -> bit n - i for variable i
-    bits: dict[str, tuple[int, int]] = {}  # term text -> (byte, bit)
-
-    def var(i: int) -> int:
-        return 1 << (n - i)
-
-    def const(v: int) -> int:
-        return 0 if v else size
-
-    def read(text: str) -> int:
-        terms = text.split("^")
-        if len(terms) <= 2 * n:
-            return _read_table(text, n)
-        new = list(set(terms).difference(bits))
-        factors = [t.split("&") for t in new]
-        fresh = set(itertools.chain.from_iterable(factors)).difference(atoms)
-        found = _expr._flat_atoms([fresh], n, var, const)
-        if found is None:
-            return _read_table(text, n)
-        atoms.update(found)
-        for t, fs in zip(new, factors):
-            u = size - 1 - functools.reduce(operator.or_, map(atoms.__getitem__, fs))
-            bits[t] = (u >> 3, 1 << (u & 7)) if u >= 0 else (0, 0)
-        mask = bytearray((size + 7) >> 3)
-        for i, b in map(bits.__getitem__, terms):
-            mask[i] ^= b
-        return _moebius(int.from_bytes(mask, "little"), n)
-
-    return read
 
 
 def _rows_to_mask(rows: Sequence[int]) -> int:
@@ -265,31 +167,9 @@ def _mask_to_rows(mask: int, n: int) -> tuple[int, ...]:
     return tuple(format(mask, f"0{1 << n}b").encode()[::-1].translate(_DIGITS_TO_ROWS))
 
 
-def _moebius(f: int, n: int) -> int:
-    """ANF of truth table f: bit u becomes the coefficient of the monomial
-    over the variables that are 1 on state u + 1."""
-    for i, var in enumerate(_var_masks(n), start=1):
-        f ^= (f >> (1 << (n - i))) & var
-    return f
-
-
-def _anf_support(anf: int, n: int) -> tuple[int, ...]:
-    """The variables that occur in ANF mask anf, in increasing order: a
-    function depends on exactly these."""
-    return tuple(j for j, mask in enumerate(_var_masks(n), start=1) if anf & mask)
-
-
 # ---------------------------------------------------------------------------
 # Structure and transition matrices
 # ---------------------------------------------------------------------------
-
-def _table_of(f: BoolExpr, n: int) -> int:
-    """Truth table of tree f over n variables; refuses a variable outside [1, n]."""
-    bad = variables(f) - set(range(1, n + 1))
-    if bad:
-        raise ValueError(f"variable indices {sorted(bad)} out of range [1, {n}]")
-    return _truth_mask(f, _var_masks(n), (1 << (1 << n)) - 1)
-
 
 def structure_matrix(f: BoolExpr, n: int) -> StructureMatrix:
     """Row index per state: 1 where f is true, 2 where false."""

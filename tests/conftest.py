@@ -28,12 +28,10 @@ from fsrkit import (
     parse,
     structure_matrix,
 )
-from fsrkit.expr import (
-    _LEVEL, _SYMBOL, GATES, Cost, _anf_monomials, gate_cost, substitute, variables,
-)
+from fsrkit.expr import GATES, Cost, _anf_monomials, _moebius, gate_cost, substitute, variables
 from fsrkit.cli import parse_fsr_file
 from fsrkit.fib import _shift_bases
-from fsrkit.stp import _coordinate_tables, _moebius, _rows_to_mask, synthesize_expr
+from fsrkit.stp import _coordinate_tables, _rows_to_mask, synthesize_expr
 from fsrkit.fib2gal import SelectedCandidate, conjugate, reduce_candidate, sampled_permutations
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -584,13 +582,19 @@ def ref_substitute(expr, mapping):
     return type(expr)(ref_substitute(expr.left, mapping), ref_substitute(expr.right, mapping))
 
 
+# the oracle's own statement of the grammar, written out apart from expr's:
+# each node class's binding level, loosest first, and each operator's symbol
+REF_LEVEL = {Iff: 0, Implies: 1, Or: 2, Xor: 3, And: 4, Not: 5, Var: 6, Const: 6}
+REF_SYMBOL = {Iff: "<->", Implies: "->", Or: "|", Xor: "^", And: "&"}
+
+
 def ref_render(expr) -> str:
     """Concrete syntax; parse(render(e), n) is function-equal to e."""
-    level = _LEVEL[type(expr)]
+    level = REF_LEVEL[type(expr)]
 
     def wrap(child, min_level: int) -> str:
         text = ref_render(child)
-        if _LEVEL[type(child)] < min_level:
+        if REF_LEVEL[type(child)] < min_level:
             return f"({text})"
         return text
 
@@ -601,7 +605,7 @@ def ref_render(expr) -> str:
     if isinstance(expr, Not):
         return "!" + wrap(expr.child, 5)
     # binary, left-associative: right operand needs strictly higher level
-    return f"{wrap(expr.left, level)} {_SYMBOL[type(expr)]} {wrap(expr.right, level + 1)}"
+    return f"{wrap(expr.left, level)} {REF_SYMBOL[type(expr)]} {wrap(expr.right, level + 1)}"
 
 
 def ref_anf_to_expr(anf: Anf):

@@ -24,7 +24,8 @@ process, with its stdout discarded, and one line per command gives its exit
 code, wall time and the child's peak RSS (its own rusage, from os.wait4).
 The files are written by a child too: a child's peak RSS counts the pages
 of the process it was forked from. Not part of the pytest run: it takes
-about a minute, and `fib2gal --emit all` at n = 16 peaks near 460 MB.
+about a minute, and `fib2gal --emit all` at n = 16 takes 6.5 s and peaks
+near 265 MB (Python 3.11.7, 2 vCPUs).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import fsrkit
-from fsrkit import cli, fib, gal2fib, stp
+from fsrkit import cli, expr, fib, gal2fib, stp
 from fsrkit import (
     And, Const, Iff, Implies, Not, Or, ParseError, TransitionMatrix, Var, Xor, galois_transition,
     min_stage_fibonacci, render, simulate, transition_from_delta, transition_to_delta,
@@ -211,7 +211,7 @@ class TestFib2Gal:
         for k, line in enumerate(out[3:], start=1):
             name, text = line.split(" = ", 1)
             assert name == f"f{k}"
-            assert stp._read_table(text, n) == tables[k - 1]
+            assert expr._read_table(text, n) == tables[k - 1]
         assert len(out) == 3 + n
 
     def test_zero_budget_reports_total(self, capsys):
@@ -402,7 +402,7 @@ def to_matrix(path, per_line=False):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         if per_line:
-            mp.setattr(cli, "_table_reader", lambda n: lambda text: stp._read_table(text, n))
+            mp.setattr(cli, "_table_reader", lambda n: lambda text: expr._read_table(text, n))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["to-matrix", str(path)])
     return code, out.getvalue(), err.getvalue()
@@ -458,12 +458,12 @@ class TestGaloisFileReader:
         # where a truth table per term would take over 25 MB
         n = 14
         text = dense_galois_text(n)
-        per_line = stp._read_table
+        per_line = expr._read_table
 
         def refuse(text, n_):
             raise AssertionError("a dense line was read on its own")
 
-        monkeypatch.setattr(stp, "_read_table", refuse)
+        monkeypatch.setattr(expr, "_read_table", refuse)
         tracemalloc.start()
         try:
             fsr = parse_fsr_file(text)
@@ -777,7 +777,7 @@ class TestDeepExpressions:
 class TestSizeLimit:
     def test_largest_register_count_is_read(self):
         n = MAX_STAGES
-        masks = stp._var_masks(n)
+        masks = expr._var_masks(n)
         fsr = parse_fsr_file(f"n={n} type=fib\nf{n} = x1 ^ x{n}\n")
         assert fsr.tables[n] == masks[0] ^ masks[-1]
 
@@ -789,9 +789,9 @@ class TestSizeLimit:
         lines = [f"x{k + 1}" for k in range(1, n - 1)]
         lines += [" ^ ".join(terms + ["x1 & x3", "x2 & x4"]),
                   " ^ ".join(["1", "x3&x1"] + terms[::-1])]
-        per_line = stp._read_table
+        per_line = expr._read_table
         reached = []
-        monkeypatch.setattr(stp, "_read_table", lambda text, n_: reached.append(text)
+        monkeypatch.setattr(expr, "_read_table", lambda text, n_: reached.append(text)
                             or per_line(text, n_))
         fsr = parse_fsr_file(f"n={n} type=gal\n" + "".join(
             f"f{k} = {ln}\n" for k, ln in enumerate(lines, start=1)))
@@ -803,6 +803,8 @@ class TestSizeLimit:
         def refuse(m):
             raise AssertionError(f"truth tables built for n={m}")
 
+        # every binding that builds tables: expr's readers and stp's transitions
+        monkeypatch.setattr(expr, "_var_masks", refuse)
         monkeypatch.setattr(stp, "_var_masks", refuse)
         f = tmp_path / "big.fsr"
         f.write_text(f"n={n} type=fib\nf{n} = x1 ^ x{n}\n")

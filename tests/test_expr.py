@@ -185,7 +185,7 @@ class TestAnf:
         # the Moebius transform of the tree's truth table is the mask it was built from
         n, anf = case
         rows = structure_matrix(anf_to_expr(anf, n), n).rows
-        assert stp._moebius(stp._rows_to_mask(rows), n) == anf
+        assert ex._moebius(stp._rows_to_mask(rows), n) == anf
 
     @pytest.mark.parametrize("anf, n", [(0, -1), (1, -3), (-1, 2), (1 << 16, 4), (2, 0)])
     def test_refuses_bad_input(self, anf, n):
@@ -308,12 +308,11 @@ def check_against_oracle(text, n):
     """parse gives the oracle's AST or its error, and the table read agrees."""
     want = outcome(oracle_parse, text, n)
     assert outcome(parse, text, n) == want
-    got = outcome(stp._read_table, text, n)
+    got = outcome(ex._read_table, text, n)
     if want[0] == "error":
         assert got == want
     else:
-        full = (1 << (1 << n)) - 1
-        assert got == ("value", stp._truth_mask(want[1], stp._var_masks(n), full))
+        assert got == ("value", ex._table_of(want[1], n))
 
 
 soup_token = st.sampled_from(SOUP_TOKENS * 5 + BAD_CHARACTERS)
@@ -356,9 +355,8 @@ class TestDenseAnfLines:
     @given(dense_anf_lines())
     def test_table_read_matches_oracle(self, line):
         text, n = line
-        full = (1 << (1 << n)) - 1
-        want = stp._truth_mask(oracle_parse(text, n), stp._var_masks(n), full)
-        assert stp._read_table(text, n) == want
+        want = ex._table_of(oracle_parse(text, n), n)
+        assert ex._read_table(text, n) == want
 
 
 class TestParserAgainstOracle:
@@ -502,7 +500,7 @@ class TestFlatReaderRuns:
         with pytest.raises(GeneralPassReached):
             parse(text, 2)
         with pytest.raises(GeneralPassReached):
-            stp._read_table(text, 2)
+            ex._read_table(text, 2)
 
     def test_parenthesised_fixture_reaches_the_general_pass(self, no_general_pass):
         with pytest.raises(GeneralPassReached):

@@ -1,7 +1,7 @@
 """The expression layer's walks against the recursive oracles, and on trees
 far deeper than the recursion limit.
 
-`variables`, `substitute`, `gate_cost` and `stp._truth_mask` are folds on
+`variables`, `substitute`, `gate_cost` and `expr._table_of` are folds on
 an explicit stack (`expr._fold`), and `render` walks its own; `anf_to_expr`
 shares its variable nodes and `synthesize_expr` visits only the set bits of
 the ANF mask. Each must give exactly what the recursive versions in conftest
@@ -18,7 +18,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from fsrkit import stp
+from fsrkit import expr, stp
 from fsrkit.expr import (
     GATES,
     And,
@@ -218,12 +218,12 @@ class TestDenseSynthesizedTrees:
         M = random_structure(random.Random(n), n)
         e = synthesize_expr(M)
         table = stp._rows_to_mask(M.rows)
-        anf = stp._moebius(table, n)
+        anf = expr._moebius(table, n)
         k = anf.bit_count()
         assert k > 1000
 
         text = render(e)
-        assert stp._read_table(text, n) == table
+        assert expr._read_table(text, n) == table
 
         cost = gate_cost(e)
         xors = k - 1

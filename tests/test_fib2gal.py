@@ -102,6 +102,21 @@ class TestConjugate:
         for i in range(1, 17):
             assert simulate(lg4, pi(i), 32) == simulate(lf4, i, 32)
 
+    @seed(20)
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 6), st.randoms(use_true_random=False))
+    def test_matches_checked_constructor(self, n, rng):
+        # conjugate skips TransitionMatrix's range scan; its result is the
+        # checked constructor's, singular maps included
+        size, half = 1 << n, 1 << (n - 1)
+        L = TransitionMatrix(n, tuple(rng.randint(1, size) for _ in range(size)))
+        perm = (*rng.sample(range(1, half + 1), half), *rng.sample(range(half + 1, size + 1), half))
+        pi = PermutationTransform(n, perm)
+        cols = [0] * size
+        for i in range(1, size + 1):
+            cols[pi(i) - 1] = pi(L.column(i))
+        assert conjugate(L, pi) == TransitionMatrix(n, tuple(cols))
+
 
 UNLIMITED_AT_4 = re.escape(
     "(2^3)!^2 permutations are too many to search without a limit: give a budget and a seed")

@@ -1,6 +1,7 @@
 """No fsrkit module, test or demo imports a name it does not use, the
-CLI's start-up imports none of the heavy standard modules, and no fsrkit
-module but expr names the gate table.
+CLI's start-up imports none of the heavy standard modules, no fsrkit
+module but expr names the gate table, and none but expr reads the parser's
+and fold's internals or the operator table on truth tables.
 
 A name counts as used when the module reads it.
 The package's `__init__.py` imports only to re-export, so it is not checked.
@@ -75,13 +76,42 @@ def test_cli_start_up_skips_heavy_modules():
     assert child.stdout == "[]\n"
 
 
+def named(tree: ast.Module, names: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of each node that reads, imports or defines one of
+    names, by bare name or as an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        for field in ("id", "attr", "name", "asname"):
+            value = getattr(node, field, None)
+            if value in names:
+                found.append((getattr(node, "lineno", 0), value))
+    return sorted(found)
+
+
+def other_modules() -> list[pathlib.Path]:
+    return sorted(p for p in (ROOT / "src" / "fsrkit").glob("*.py") if p.name != "expr.py")
+
+
 def test_only_expr_names_the_gate_table():
     # the gate model has one home: every other module costs through expr's
     # functions, so its units and gates change in one place
-    for path in (ROOT / "src" / "fsrkit").glob("*.py"):
-        if path.name == "expr.py":
-            continue
-        named = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
-                 if "GATES" in (getattr(node, "id", None), getattr(node, "attr", None),
-                                getattr(node, "name", None), getattr(node, "asname", None))]
-        assert not named, f"{path.name} names GATES at lines {named}"
+    for path in other_modules():
+        found = named(ast.parse(path.read_text()), {"GATES"})
+        assert not found, f"{path.name} names GATES at lines {[line for line, _ in found]}"
+
+
+# expr's parser, fold and operator tables: the other modules read a Boolean
+# function's trees, text, truth tables and ANF masks through expr's functions
+EXPR_INTERNALS = {"_fold", "_evaluate", "_general_pass", "_flat_atoms", "_BINOPS", "_TABLE_OPS"}
+
+
+def test_named_finds_bare_and_attribute_reads():
+    tree = ast.parse("from . import expr as _expr\nfrom .expr import _fold as f\n"
+                     "x = _expr._BINOPS\ny = _TABLE_OPS[k]\nz = _expr._folds\n")
+    assert named(tree, EXPR_INTERNALS) == [(2, "_fold"), (3, "_BINOPS"), (4, "_TABLE_OPS")]
+
+
+def test_only_expr_reads_its_internals():
+    for path in other_modules():
+        found = named(ast.parse(path.read_text()), EXPR_INTERNALS)
+        assert not found, f"{path.name} reads expr's internals: {found}"

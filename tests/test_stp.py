@@ -24,7 +24,7 @@ from fsrkit import (
     transition_from_delta,
     transition_to_delta,
 )
-from fsrkit import stp
+from fsrkit import expr, stp
 from fsrkit.expr import ParseError, Var
 from fsrkit.fib import _least_columns, fib_transition
 from fsrkit.cli import parse_fsr_file
@@ -492,21 +492,22 @@ class TestTransitionOfTables:
 
 
 class TestTableReader:
-    """A file's term table reads every line as _read_table does, the oracle."""
+    """A file's term table (expr._table_reader) reads every line as
+    expr._read_table does, the oracle."""
 
     def read(self, n, lines):
         """Each line through one term table, and the lines that reached
         _read_table."""
-        per_line = stp._read_table
+        per_line = expr._read_table
         reached = []
 
         def spy(text, n_):
             reached.append(text)
             return per_line(text, n_)
 
-        read = stp._table_reader(n)
+        read = expr._table_reader(n)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(stp, "_read_table", spy)
+            mp.setattr(expr, "_read_table", spy)
             return [read(ln) for ln in lines], reached
 
     @seed(19)
@@ -515,32 +516,32 @@ class TestTableReader:
     def test_matches_per_line_reader(self, case):
         n, lines = case
         got, reached = self.read(n, lines)
-        assert got == [stp._read_table(ln, n) for ln in lines]
+        assert got == [expr._read_table(ln, n) for ln in lines]
         # a line of at most 2n terms is folded as before; a longer one is not
         assert reached == [ln for ln in lines if ln.count("^") < 2 * n]
 
     def test_spacings_of_one_term(self):
         lines = ["x1&x2 ^ x1 ^ x2 ^ 1 ^ x2", " x1 & x2 ^x1^  z2 ^1^x1&x2 ^ x2&x1"]
         got, reached = self.read(2, lines)
-        assert (got, reached) == ([stp._read_table(ln, 2) for ln in lines], [])
+        assert (got, reached) == ([expr._read_table(ln, 2) for ln in lines], [])
 
     def test_one_monomial_twice_cancels(self):
         got, _ = self.read(2, ["x1 & x2 ^ x2&x1 ^ x1 ^ x2 ^ 1"])
-        assert got == [stp._read_table("x1 ^ x2 ^ 1", 2)]
+        assert got == [expr._read_table("x1 ^ x2 ^ 1", 2)]
 
     def test_constant_factors_and_repeats(self):
         lines = ["x3 & x3 ^ 1 & x1 ^ 0 & x2 ^ z1 & z2 ^ x2 & 0 & x3 ^ 1 ^ 0 ^ z3",
                  "z3 ^ x3&x3&1 ^ 0 ^ x1&1 ^ 1 ^ x2 ^ 0&0 ^ z2&z1"]
         got, reached = self.read(3, lines)
-        assert (got, reached) == ([stp._read_table(ln, 3) for ln in lines], [])
-        assert got[0] == stp._read_table("x3 ^ x1 ^ x1 & x2 ^ 1 ^ x3", 3)
+        assert (got, reached) == ([expr._read_table(ln, 3) for ln in lines], [])
+        assert got[0] == expr._read_table("x3 ^ x1 ^ x1 & x2 ^ 1 ^ x3", 3)
 
     @pytest.mark.parametrize("other", ["(x1 & x2)", "x1 | x2", "!x1", "x1 -> x2", "x1 <-> x2"])
     def test_other_line_after_a_full_table(self, other):
         full = "x1 ^ x2 ^ x1 & x2 ^ 1 ^ z1"
         lines = [full, f"{other} ^ {full}", full]
         got, reached = self.read(2, lines)
-        assert got == [stp._read_table(ln, 2) for ln in lines]
+        assert got == [expr._read_table(ln, 2) for ln in lines]
         assert reached == [lines[1]]
 
     @pytest.mark.parametrize("fault,message", [
@@ -552,8 +553,8 @@ class TestTableReader:
     ])
     def test_faulty_line_after_a_full_table(self, fault, message):
         full = "x1 ^ x2 ^ x1 & x2 ^ 1 ^ z1"
-        read = stp._table_reader(2)
-        assert read(full) == stp._read_table(full, 2)
+        read = expr._table_reader(2)
+        assert read(full) == expr._read_table(full, 2)
         with pytest.raises(ParseError) as err:
             read(f"{full} ^ {fault} ^ x1")
         assert str(err.value) == message
@@ -562,7 +563,7 @@ class TestTableReader:
 class TestFsrSpec:
     def test_fibonacci_updates_expand_to_shifts(self):
         spec = FsrSpec.fibonacci(3, parse("x1 ^ x3", 3))
-        x1, x2, x3 = stp._var_masks(3)
+        x1, x2, x3 = expr._var_masks(3)
         assert spec.tables == {3: x1 ^ x3}
         # coordinates 1 and 2 shift: their successor bits are x2 and x3
         L = galois_transition(spec)
@@ -639,7 +640,7 @@ class TestAgainstReference:
             sum(1 << u for u in range(1 << n) if not (u >> (n - i)) & 1)
             for i in range(1, n + 1)
         )
-        assert stp._var_masks(n) == want
+        assert expr._var_masks(n) == want
 
     @seed(3)
     @settings(deadline=None)
