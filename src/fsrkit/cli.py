@@ -8,12 +8,13 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import re
 import sys
 from collections.abc import Iterator
 
 from . import expr as ex
 from .expr import _read_table, _table_reader
-from .fib import fib_transition
+from .fib import fib_transition, is_fibonacci
 from .fib2gal import (
     conjugate,
     enumerate_equivalents,
@@ -72,13 +73,15 @@ def parse_fsr_file(text: str) -> FsrSpec:
         raise ValueError("header must be `n=<int> type=<fib|gal>` with n >= 1")
     if n > MAX_STAGES:
         raise ValueError(f"register count {n} exceeds the limit of {MAX_STAGES}")
+    if not (header["n"].isascii() and header["n"].isdigit()):  # int() also reads "+2", "1_0"
+        raise ValueError(f"bad register count {header['n']!r}")
     tables: dict[int, int] = {}
     # the lines of a Galois file share terms; a Fibonacci file has one line
     read = _table_reader(n) if kind == "galois" else functools.partial(_read_table, n=n)
     for ln in lines:
         name, eq, rhs = ln.partition("=")
         name = name.strip()
-        if not (eq and name.startswith("f") and name[1:].isdecimal()):
+        if not (eq and name.startswith("f") and name[1:].isascii() and name[1:].isdigit()):
             raise ValueError(f"unrecognized line: {ln!r}")
         k = int(name[1:])
         if not 1 <= k <= n:
@@ -87,11 +90,6 @@ def parse_fsr_file(text: str) -> FsrSpec:
             raise ValueError(f"duplicate definition of {name}")
         tables[k] = read(rhs.strip())
     return FsrSpec(n, kind, tables)
-
-
-def load_fsr_file(path: str) -> FsrSpec:
-    with open(path) as fh:
-        return parse_fsr_file(fh.read())
 
 
 def transition(spec: FsrSpec) -> TransitionMatrix:
@@ -103,12 +101,12 @@ def transition(spec: FsrSpec) -> TransitionMatrix:
 
 
 def load_matrix(path: str) -> TransitionMatrix:
-    """A path holding either an FSR file or a bare delta-format matrix."""
+    """L of an FSR file or a bare delta-format matrix, told apart by the first
+    non-space character. Only a delta text is stripped: an FSR text is held once."""
     with open(path) as fh:
         text = fh.read()
-    stripped = text.strip()
-    if stripped.startswith("d") and "[" in stripped:
-        return transition_from_delta(stripped)
+    if re.match(r"\s*d", text) and "[" in text:
+        return transition_from_delta(text.strip())
     return transition(parse_fsr_file(text))
 
 
@@ -124,30 +122,29 @@ def _emit_logic(n: int, updates) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_to_matrix(args) -> int:
-    fsr = load_fsr_file(args.input)
-    print(transition_to_delta(transition(fsr)))
+    print(transition_to_delta(load_matrix(args.input)))
     return 0
 
 
 def cmd_fib2gal(args) -> int:
-    fsr = load_fsr_file(args.input)
-    if fsr.kind != "fibonacci":
+    L_f = load_matrix(args.input)
+    if not is_fibonacci(L_f):  # the shift law decides, not the file's type tag
         raise ValueError("fib2gal needs a Fibonacci input file")
-    L_f = transition(fsr)
+    n = L_f.n
 
     if args.perm is not None:
         if args.minimize or args.seed is not None or args.budget != "full":
             raise ValueError("--perm applies one fixed permutation: "
                              "it takes no --minimize, --seed or --budget")
         size, entries = parse_delta(args.perm)
-        if size != 1 << fsr.n or len(entries) != size or None in entries:
-            raise ValueError(f"permutation must be a complete d{1 << fsr.n}[...] sequence")
-        pi = PermutationTransform(fsr.n, entries)  # type: ignore[arg-type]
+        if size != 1 << n or len(entries) != size or None in entries:
+            raise ValueError(f"permutation must be a complete d{1 << n}[...] sequence")
+        pi = PermutationTransform(n, entries)  # type: ignore[arg-type]
         L_g = conjugate(L_f, pi)
         print(f"L_g = {transition_to_delta(L_g)}")
         print(f"T = {format_delta(size, pi.perm)}")
         if args.emit in ("logic", "all"):
-            print(_emit_logic(fsr.n, reduce_candidate(L_g).updates))
+            print(_emit_logic(n, reduce_candidate(L_g).updates))
         return 0
 
     try:
@@ -155,7 +152,7 @@ def cmd_fib2gal(args) -> int:
     except ValueError:
         raise ValueError(f"budget must be an integer or 'full', got {args.budget!r}") from None
     if budget == 0 and not args.minimize:
-        print(f"# examined=0 emitted=0 total_permutations=(2^{fsr.n - 1})!^2")
+        print(f"# examined=0 emitted=0 total_permutations=(2^{n - 1})!^2")
         return 0
     # a zero budget examines nothing, so --minimize has no candidate to select
     candidates = enumerate_equivalents(L_f, budget=budget, seed=args.seed) if budget != 0 else ()
@@ -163,7 +160,7 @@ def cmd_fib2gal(args) -> int:
     if args.minimize:
         best = select_minimal(candidates)
         print(f"L_g = {transition_to_delta(best.candidate.matrix)}")
-        size = 1 << fsr.n
+        size = 1 << n
         print(f"T = {format_delta(size, best.candidate.transform.perm)}")
         r = best.reduction
         print(f"support_sum = {r.support_sum}")
@@ -172,7 +169,7 @@ def cmd_fib2gal(args) -> int:
         print(f"delay_ps = {r.delay_ps}")
         print(f"gates = {r.gate_count}")
         if args.emit in ("logic", "all"):
-            print(_emit_logic(fsr.n, r.updates))
+            print(_emit_logic(n, r.updates))
         return 0
 
     emitted = 0
@@ -181,15 +178,14 @@ def cmd_fib2gal(args) -> int:
         if args.emit in ("matrix", "all"):
             print(transition_to_delta(cand.matrix))
         if args.emit in ("logic", "all"):
-            print(_emit_logic(fsr.n, reduce_candidate(cand.matrix).updates))
-    _, examined = search_plan(fsr.n, budget)
+            print(_emit_logic(n, reduce_candidate(cand.matrix).updates))
+    _, examined = search_plan(n, budget)
     print(f"# examined={examined} emitted={emitted}")
     return 0
 
 
 def cmd_gal2fib(args) -> int:
-    fsr = load_fsr_file(args.input)
-    L_g = transition(fsr)
+    L_g = load_matrix(args.input)
     if args.max_free < 0:
         raise ValueError(f"max_free must be >= 0, got {args.max_free}")
     result = min_stage_fibonacci(L_g)

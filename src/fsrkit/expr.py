@@ -228,12 +228,13 @@ def substitute(expr: BoolExpr, mapping: Mapping[int, int]) -> BoolExpr:
 # ---------------------------------------------------------------------------
 
 # One token per match: a variable, a constant, an operator, or any other
-# non-space character, which no token starts with and so is an error.
-_TOKEN_RE = re.compile(r"\s*([xz]\d+|[01]|<->|->|[!&|^()]|\S)")
+# non-space character, which no token starts with and so is an error. An
+# index is ASCII digits: "\d" would also match other scripts' digits.
+_TOKEN_RE = re.compile(r"\s*([xz][0-9]+|[01]|<->|->|[!&|^()]|\S)")
 _SYMBOLS = frozenset("01!&|^()")  # the valid one-character tokens
 _END = ""  # the token after the last one
 # a piece between "^" and "&" that the flat reader takes: one atom token
-_FLAT_ATOM_RE = re.compile(r"\s*([xz]\d+|[01])\s*")
+_FLAT_ATOM_RE = re.compile(r"\s*([xz][0-9]+|[01])\s*")
 
 # binary operator token -> its precedence, which indexes _BINOPS; "(" and
 # "!" wait on the operator stack under these codes, above a bottom marker

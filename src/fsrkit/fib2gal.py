@@ -36,19 +36,11 @@ def classify_pairs(L: TransitionMatrix) -> PairClasses:
     if L.n < 2:
         raise ValueError("pair classification needs at least 2 registers")
     half = 1 << (L.n - 1)
-    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {
-        (1, 1): [], (1, 0): [], (0, 1): [], (0, 0): []
-    }
-    for i in range(1, (1 << L.n) + 1):
-        j = L.column(i)
-        key = (1 if i <= half else 0, 1 if j <= half else 0)
-        buckets[key].append((i, j))
-    return PairClasses(
-        s11=tuple(buckets[(1, 1)]),
-        s10=tuple(buckets[(1, 0)]),
-        s01=tuple(buckets[(0, 1)]),
-        s00=tuple(buckets[(0, 0)]),
-    )
+    buckets: dict[tuple[bool, bool], list[tuple[int, int]]] = {
+        (True, True): [], (True, False): [], (False, True): [], (False, False): []}
+    for i, j in enumerate(L.cols, start=1):
+        buckets[i <= half, j <= half].append((i, j))
+    return PairClasses(*map(tuple, buckets.values()))
 
 
 def conjugate(L: TransitionMatrix, pi: PermutationTransform) -> TransitionMatrix:
@@ -162,10 +154,7 @@ def count_distinct_equivalents(L_f: TransitionMatrix) -> CountAudit:
     output partition, so it keeps each state's output sequence, and a
     Fibonacci state is its next n output bits: pi fixes every state."""
     galois = {c.matrix.cols for c in enumerate_equivalents(L_f)}
-    return CountAudit(
-        permutations=search_plan(L_f.n, None)[1],
-        distinct_galois=len(galois),
-    )
+    return CountAudit(search_plan(L_f.n, None)[1], len(galois))
 
 
 class Reduction(_Value):

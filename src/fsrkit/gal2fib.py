@@ -47,6 +47,8 @@ class OutputSeq(_Value):
 
     def bits(self, length: int) -> tuple[int, ...]:
         """First `length` bits of the unrolled sequence."""
+        if length < 0:
+            raise ValueError(f"length must be >= 0, got {length}")
         p, d = len(self.preperiod), len(self.period)
         reps = max(0, -(-(length - p) // d))
         return (self.preperiod + self.period * reps)[:length]

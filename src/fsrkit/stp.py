@@ -79,7 +79,11 @@ class TransitionMatrix(_Value):
         size = 1 << n
         if len(cols) != size:
             raise ValueError(f"expected {size} columns, got {len(cols)}")
-        if min(cols) < 1 or max(cols) > size:
+        try:
+            out = min(cols) < 1 or max(cols) > size
+        except TypeError:  # an entry that is not a number
+            out = True
+        if out:
             raise ValueError("column index out of range")
 
     def column(self, j: int) -> int:
@@ -95,7 +99,11 @@ class PermutationTransform(_Value):
         set_n, set_perm = self._setters
         set_n(self, n)
         set_perm(self, perm)
-        if sorted(perm) != list(range(1, (1 << n) + 1)):
+        try:
+            ok = sorted(perm) == list(range(1, (1 << n) + 1))
+        except TypeError:  # an entry that is not a number
+            ok = False
+        if not ok:
             raise ValueError("not a permutation of the state indices")
 
     def __call__(self, i: int) -> int:
@@ -274,7 +282,7 @@ def synthesize_expr(M: StructureMatrix) -> BoolExpr:
 # Delta-notation text format
 # ---------------------------------------------------------------------------
 
-_DELTA_RE = re.compile(r"^\s*d(\d+)\s*\[([^\]]*)\]\s*$")
+_DELTA_RE = re.compile(r"^\s*d([0-9]+)\s*\[([^\]]*)\]\s*$")
 
 
 def format_delta(size: int, entries: Sequence[int | None] | Mapping[int, int]) -> str:
@@ -394,9 +402,12 @@ def parse_delta(text: str) -> tuple[int, tuple[int | None, ...]]:
     m = _DELTA_RE.match(text)
     if m is None:
         raise ValueError(f"not a delta-format matrix: {text!r}")
-    size = int(m.group(1))
-    tokens = m.group(2).split()
+    size, body = int(m[1]), m[2]
+    tokens = body.split()
     try:
+        # int() also reads "+", "_" and other scripts' digits; the loop below refuses them
+        if "+" in body or "_" in body or not (body.isascii() or "".join(tokens).isascii()):
+            raise ValueError
         if "*" in tokens:
             entries = tuple(None if tok == "*" else int(tok) for tok in tokens)
             values = [e for e in entries if e is not None]
@@ -409,10 +420,9 @@ def parse_delta(text: str) -> tuple[int, tuple[int | None, ...]]:
         for tok in tokens:
             if tok == "*":
                 continue
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ValueError(f"entry {tok!r} is not an integer") from None
+            if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+                raise ValueError(f"entry {tok!r} is not an integer")
+            v = int(tok)
             if not 1 <= v <= size:
                 raise ValueError(f"entry {v} out of range [1, {size}]")
     return size, entries

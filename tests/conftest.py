@@ -340,10 +340,11 @@ def anf_evaluate(anf: Anf, bits) -> int:
 # pass; parse must give the same AST, or the same ParseError message and
 # position, on every text.
 
-DELTA_RE = re.compile(r"^\s*d(\d+)\s*\[([^\]]*)\]\s*$")
+DELTA_RE = re.compile(r"^\s*d([0-9]+)\s*\[([^\]]*)\]\s*$")
 
+# an index is ASCII digits, as in fsrkit's own token pattern
 ORACLE_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<var>[xz](?P<idx>\d+))|(?P<const>[01])|(?P<op><->|->|[!&|^()]))"
+    r"\s*(?:(?P<var>[xz](?P<idx>[0-9]+))|(?P<const>[01])|(?P<op><->|->|[!&|^()]))"
 )
 
 
@@ -730,7 +731,9 @@ def ref_format_partial(size: int, fixed) -> str:
 
 def ref_parse_delta(text: str):
     """parse_delta as it was before it converted every token in one pass:
-    each token is converted and range-checked in order."""
+    each token is converted and range-checked in order. An entry is an
+    optional "-" and ASCII digits, so int() reading a "+", a "_" or another
+    script's digit does not make it one."""
     m = DELTA_RE.match(text)
     if m is None:
         raise ValueError(f"not a delta-format matrix: {text!r}")
@@ -740,10 +743,9 @@ def ref_parse_delta(text: str):
         if tok == "*":
             entries.append(None)
         else:
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ValueError(f"entry {tok!r} is not an integer") from None
+            if re.fullmatch(r"-?[0-9]+", tok) is None:
+                raise ValueError(f"entry {tok!r} is not an integer")
+            v = int(tok)
             if not 1 <= v <= size:
                 raise ValueError(f"entry {v} out of range [1, {size}]")
             entries.append(v)

@@ -20,7 +20,7 @@ from fsrkit import (
     And, Const, Iff, Implies, Not, Or, ParseError, TransitionMatrix, Var, Xor, galois_transition,
     min_stage_fibonacci, render, simulate, transition_from_delta, transition_to_delta,
 )
-from fsrkit.cli import MAX_STAGES, main, parse_fsr_file
+from fsrkit.cli import MAX_STAGES, load_matrix, main, parse_fsr_file, transition
 from fsrkit.fib2gal import reduce_candidate
 
 from conftest import (
@@ -33,6 +33,8 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIB4 = str(FIXTURES / "fib4_debruijn.fsr")
 GAL3A = str(FIXTURES / "gal3_shrinkable.fsr")
 GAL3B = str(FIXTURES / "gal3_two_attractors.fsr")
+GAL4_PI4 = str(FIXTURES / "gal4_perm_pi4.delta")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 LF4_DELTA = "d16[2 4 6 8 10 12 13 16 1 3 5 7 9 11 14 15]"
 LG4_DELTA = "d16[3 5 4 8 10 16 9 13 2 6 12 7 15 1 11 14]"
@@ -137,10 +139,42 @@ class TestFsrFileParsing:
         assert sorted(fsr.tables) == list(range(1, 13))
         assert peak <= 2.3 * len(text), f"peak {peak / len(text):.2f}x the text"
 
-    def test_register_name_takes_any_decimal_digit(self):
-        # int() reads every Unicode decimal digit, as the expression parser does
-        assert parse_fsr_file("n=3 type=fib\nf\u0663 = x1 ^ x\u0663\n").tables == (
-            parse_fsr_file("n=3 type=fib\nf3 = x1 ^ x3\n").tables)
+    def test_register_name_takes_ascii_digits_only(self):
+        # int() reads every Unicode decimal digit; a register name is f and ASCII digits
+        with pytest.raises(ValueError, match="^unrecognized line: 'f\u0663 = x1 \\^ x3'$"):
+            parse_fsr_file("n=3 type=fib\nf\u0663 = x1 ^ x3\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("n=1_0 type=fib\nf10 = x1\n", "bad register count '1_0'"),
+        ("n=+2 type=fib\nf2 = x1\n", "bad register count '+2'"),
+        ("n=\u0662 type=fib\nf2 = x1\n", "bad register count '\u0662'"),
+        ("n=2 type=fib\nf\u0662 = x\u0661\n", "unrecognized line: 'f\u0662 = x\u0661'"),
+        ("n=2 type=fib\nf2 = x\uff11\n", "unexpected character 'x' at position 0"),
+        ("n=2 type=gal\nf1 = x2\nf2 = x1 ^ x\u0661\n", "unexpected character 'x' at position 5"),
+        ("d\u0664[1 2 3 4]\n", "not a delta-format matrix: 'd\u0664[1 2 3 4]'"),
+        ("d4[+1 2 3 4]\n", "entry '+1' is not an integer"),
+        ("d4[1 2 \u0663 4]\n", "entry '\u0663' is not an integer"),
+    ], ids=["underscore", "plus", "count", "name", "fullwidth", "galois", "size", "entry-plus",
+            "entry-digit"])
+    def test_numbers_take_ascii_digits_only(self, capsys, tmp_path, text, message):
+        # int() also reads a sign, "_" and other scripts' digits, as their ASCII twin
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        assert run(capsys, "to-matrix", str(f)) == (2, [], f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("n=-1 type=fib\nf1 = x1\n", "header must be `n=<int> type=<fib|gal>` with n >= 1"),
+        ("n=-\u0662 type=gal\nf1 = x1\n", "header must be `n=<int> type=<fib|gal>` with n >= 1"),
+        ("n=+25 type=gal\nf1 = x1\n", f"register count 25 exceeds the limit of {MAX_STAGES}"),
+        ("n=x type=gal\nf1 = x1\n", "bad register count 'x'"),
+        ("d4[-1 2 3 4]\n", "entry -1 out of range [1, 4]"),
+        ("d4[1 2 3 9 x]\n", "entry 9 out of range [1, 4]"),
+    ], ids=["minus", "minus-digit", "plus-over", "letter", "entry-minus", "entry-over"])
+    def test_other_refusals_keep_their_message(self, capsys, tmp_path, text, message):
+        # verify read both kinds of file before every subcommand did
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        assert run(capsys, "verify", str(f), str(f)) == (2, [], f"error: {message}\n")
 
 
 class TestToMatrix:
@@ -229,6 +263,8 @@ class TestFib2Gal:
     @pytest.mark.parametrize("perm, token", [
         ("d16[1,2 3 4 5 6 7 8 9 10 11 12 13 14 15 16]", "1,2"),
         ("d16[1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 0x10]", "0x10"),
+        ("d16[1 2 \u0663 4 5 6 7 8 9 10 11 12 13 14 15 16]", "\u0663"),
+        ("d16[+1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16]", "+1"),
     ])
     def test_non_integer_perm_entry_exits_two(self, capsys, perm, token):
         assert run(capsys, "fib2gal", FIB4, "--perm", perm) == (
@@ -355,6 +391,82 @@ class TestFib2Gal:
         code, _, err = run(capsys, "fib2gal", GAL3A)
         assert code == 2
         assert "Fibonacci" in err
+
+
+class TestOneReader:
+    """Every subcommand reads its input with load_matrix, an FSR file or a
+    bare delta-format matrix alike, and fib2gal takes any input whose matrix
+    obeys the shift law."""
+
+    @pytest.mark.parametrize("argv", [
+        ["to-matrix", FIB4], ["fib2gal", FIB4, "--budget", "0"], ["gal2fib", FIB4],
+        ["verify", FIB4, GAL4_PI4], ["simulate", FIB4, "--init", "1", "--steps", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_every_subcommand_reads_through_load_matrix(self, capsys, monkeypatch, argv):
+        paths = []
+        monkeypatch.setattr(cli, "load_matrix",
+                            lambda path: paths.append(path) or load_matrix(path))
+        assert main(argv) == 0
+        assert paths == [a for a in argv[1:] if a.startswith(str(FIXTURES))]
+
+    def test_holds_the_text_once(self, tmp_path):
+        # the stripped copy of every file it used to take peaked at 15.5 MB
+        # here against 11.3 MB for reading the text and building its matrix
+        path = tmp_path / "dense14.fsr"
+        path.write_text(dense_galois_text(14))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for read in (lambda: transition(parse_fsr_file(path.read_text())),
+                         lambda: load_matrix(str(path))):
+                tracemalloc.reset_peak()
+                L = read()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                del L
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + (1 << 20), f"{peaks[1] / 1e6:.1f} MB"
+
+    def test_to_matrix_reads_a_delta_file(self, capsys):
+        assert run(capsys, "to-matrix", GAL4_PI4) == (0, [LG4_DELTA], "")
+
+    def test_gal2fib_runs_the_round_trip_from_the_galois_matrix(self, capsys):
+        # T' is PI4's inverse, and the one completion is fib4_debruijn's L_f
+        pi = stp.parse_delta(PI4_DELTA)[1]
+        inverse = tuple(sorted(range(1, 17), key=lambda i: pi[i - 1]))
+        code, out, err = run(capsys, "gal2fib", GAL4_PI4)
+        assert (code, err) == (0, "")
+        assert out[0] == "l = 4"
+        assert out[2] == f"T' = {stp.format_delta(16, inverse)}"
+        assert out[2] == "T' = d16[1 3 2 4 6 7 5 8 10 12 14 11 16 9 15 13]"
+        assert out[3:] == ["completions = 2^0", LF4_DELTA]
+        assert out[4:] == run(capsys, "to-matrix", FIB4)[1]
+
+    def test_fib2gal_reads_a_delta_file(self, capsys, tmp_path):
+        f = tmp_path / "fib4.delta"
+        f.write_text(LF4_DELTA + "\n")
+        code = main(["fib2gal", str(f), "--perm", PI4_DELTA, "--emit", "all"])
+        assert (code, *capsys.readouterr()) == (0, (GOLDEN / "fib4_perm_pi4.out").read_text(), "")
+
+    def test_fib2gal_reads_a_galois_file_that_shifts(self, capsys, tmp_path):
+        # the matrix decides, not the type tag: this register is fib4_debruijn
+        feedback = Path(FIB4).read_text().splitlines()[-1]
+        assert feedback.startswith("f4 = ")
+        f = tmp_path / "shifts.fsr"
+        f.write_text(f"n=4 type=gal\nf1 = x2\nf2 = x3\nf3 = x4\n{feedback}\n")
+        code = main(["fib2gal", str(f), "--budget", "100", "--seed", "1", "--minimize",
+                     "--emit", "all"])
+        want = (GOLDEN / "fib4_budget100_seed1_minimize.out").read_text()
+        assert (code, *capsys.readouterr()) == (0, want, "")
+
+    @pytest.mark.parametrize("delta", [False, True], ids=["fsr", "delta"])
+    def test_fib2gal_refuses_a_matrix_off_the_shift_law(self, capsys, tmp_path, delta):
+        path = GAL3A
+        if delta:
+            path = tmp_path / "gal3.delta"
+            path.write_text(transition_to_delta(load_matrix(GAL3A)) + "\n")
+        assert run(capsys, "fib2gal", str(path)) == (
+            2, [], "error: fib2gal needs a Fibonacci input file\n")
 
 
 class TestFib2GalLargeN:

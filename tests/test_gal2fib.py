@@ -307,6 +307,12 @@ class TestOutputSeq:
     def test_bits_unrolls(self):
         s = OutputSeq((1, 1), (0,))
         assert s.bits(6) == (1, 1, 0, 0, 0, 0)
+        assert s.bits(0) == ()
+
+    def test_bits_refuses_a_negative_length(self):
+        # the slice [:-1] used to return all but the last unrolled bit
+        with pytest.raises(ValueError, match="^length must be >= 0, got -1$"):
+            OutputSeq((1, 0), (1,)).bits(-1)
 
 
 class TestOutputSequence:

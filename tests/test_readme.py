@@ -35,7 +35,7 @@ def examples() -> list[tuple[str, list[str]]]:
 
 def test_examples_are_found():
     lines = [line for line, _ in examples()]
-    assert len(lines) == 6
+    assert len(lines) == 7
     assert all(line.split()[1] in ("to-matrix", "gal2fib", "fib2gal", "verify", "simulate")
                for line in lines)
 

@@ -275,7 +275,7 @@ class TestTransitionMatrix:
         message = "^column index out of range$" if n else "^a 0-stage matrix has no output bit$"
         size = 1 << n
         for at in sorted({0, size // 2, size - 1}):  # first, middle and last column
-            for bad in (0, size + 1):
+            for bad in (0, size + 1, None, "1"):  # min() and max() raised TypeError on the last two
                 cols = list(range(1, size + 1))
                 cols[at] = bad
                 with pytest.raises(ValueError, match=message):
@@ -289,7 +289,9 @@ class TestTransitionMatrix:
 
 
 class TestPermutationTransform:
-    @pytest.mark.parametrize("perm", [(1, 1, 2, 3), (0, 1, 2, 3), (1, 2, 3, 5), (1, 2, 3)])
+    # sorted() raised TypeError on the last two
+    @pytest.mark.parametrize("perm", [(1, 1, 2, 3), (0, 1, 2, 3), (1, 2, 3, 5), (1, 2, 3),
+                                      (1, 2, 3, None), (1, "2", 3, 4)])
     def test_rejects_non_permutation(self, perm):
         with pytest.raises(ValueError, match="^not a permutation of the state indices$"):
             PermutationTransform(2, perm)
@@ -435,7 +437,7 @@ class TestParseDeltaAgainstOracle:
     """One split and one conversion pass, against the per-token loop; the
     first bad token names the error either way."""
 
-    BAD = ["0", "-3", "x", "1.5", "1e3", "--1", "*x", "0x1"]
+    BAD = ["0", "-3", "x", "1.5", "1e3", "--1", "*x", "0x1", "+1", "1_0", "\u0663", "-\u0663"]
 
     @pytest.mark.parametrize("n", range(0, 11))
     def test_texts(self, n):
